@@ -1,0 +1,286 @@
+"""Batched evaluation over the disjoint union of many models.
+
+Satisfaction is invariant under disjoint union, so evaluating a formula
+once over the union of a batch of models gives every model's extension.
+A batch holds models of one size n and one agent set.  Model k owns a
+slot of ``8*ceil(n/8)`` bits, and state i of the model is the i-th of
+``sorted(states)``; an extension over the whole batch is one Python int.
+
+An agent's relation is kept as one mask per offset d in 1..n-1: bit (k, i)
+is set when states i and i+d of model k share a block.  The diamond of a
+set Y is then ``Y | OR_d ((Y >> d) & M_d) | ((Y & M_d) << d)``, and box is
+the dual.  Intersecting relations ANDs their masks offset by offset.
+
+Evaluation runs in contexts that mirror `checker.Evaluator`: ``R_G``
+opens a child whose members read the meet of their relations, and
+``[phi]psi`` opens a child restricted to an ``alive`` mask.  Meet commutes
+with restriction, so only common knowledge needs the alive mask inside
+its fixpoint.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Optional, Sequence
+
+from .kripke import Model
+from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top
+
+# Models per batch.  Larger batches amortize packing further but raise
+# peak memory; 256 keeps every mask at a few hundred bytes for n <= 8.
+BATCH_MODELS = 256
+
+
+def _diamond(rel: tuple, y: int) -> int:
+    """States with a rel-successor in y; rel is a tuple of (offset, mask)."""
+    out = y
+    for d, m in rel:
+        out |= (y >> d) & m | (y & m) << d
+    return out
+
+
+def _meet(rels: Sequence[tuple]) -> tuple:
+    """Intersection of relations: AND the masks offset by offset."""
+    masks = dict(rels[0])
+    for rel in rels[1:]:
+        other = dict(rel)
+        masks = {d: m & other[d] for d, m in masks.items() if d in other}
+    return tuple((d, m) for d, m in masks.items() if m)
+
+
+class _Layout:
+    """Per state set: the state order and byte patterns of its partitions and subsets."""
+
+    def __init__(self, states: frozenset, slot_bytes: int):
+        self.order = sorted(states)
+        self.index = {s: i for i, s in enumerate(self.order)}
+        self.slot_bytes = slot_bytes
+        self._parts: dict = {}
+        self._sets: dict = {}
+
+    def set_bytes(self, members: frozenset) -> bytes:
+        out = self._sets.get(members)
+        if out is None:
+            bits = sum(1 << self.index[s] for s in members)
+            out = self._sets[members] = bits.to_bytes(self.slot_bytes, "little")
+        return out
+
+    def partition_bytes(self, part) -> tuple:
+        """For each offset d in 1..n-1, the slot pattern of pairs (i, i+d) in one block."""
+        out = self._parts.get(part)
+        if out is None:
+            n = len(self.order)
+            patterns = [0] * n
+            for block in part.blocks:
+                idx = sorted(self.index[s] for s in block)
+                for a, i in enumerate(idx):
+                    for j in idx[a + 1:]:
+                        patterns[j - i] |= 1 << i
+            out = self._parts[part] = tuple(p.to_bytes(self.slot_bytes, "little") for p in patterns[1:])
+        return out
+
+
+def _pack(chunks: list) -> int:
+    return int.from_bytes(b"".join(chunks), "little")
+
+
+class _Masks:
+    """A batch's atom and base relation masks, packed on first use.
+
+    Kept apart from `Batch` so that evaluation contexts, which read these,
+    never point back at the batch that owns them: without reference
+    cycles, a finished batch and its models are freed at once.
+    """
+
+    def __init__(self, models: list, layouts: list, agents: frozenset, n: int):
+        self.models = models
+        self.layouts = layouts
+        self.agents = agents
+        self.n = n
+        self._relations: dict = {}
+        self._atoms: dict = {}
+
+    def relation(self, agent: str) -> tuple:
+        out = self._relations.get(agent)
+        if out is None:
+            if agent not in self.agents:
+                raise ValueError(f"undeclared agent {agent!r}")
+            patterns = [lo.partition_bytes(m.relations[agent]) for lo, m in zip(self.layouts, self.models)]
+            masks = ((d, _pack([p[d - 1] for p in patterns])) for d in range(1, self.n))
+            out = self._relations[agent] = tuple((d, m) for d, m in masks if m)
+        return out
+
+    def atom(self, name: str) -> int:
+        out = self._atoms.get(name)
+        if out is None:
+            empty = frozenset()
+            out = self._atoms[name] = _pack(
+                [lo.set_bytes(m.valuation.get(name, empty)) for lo, m in zip(self.layouts, self.models)])
+        return out
+
+
+class Batch:
+    """Consecutive models of one size and agent set, evaluated together."""
+
+    def __init__(self, models: Sequence[Model], layouts: Optional[dict] = None):
+        if not models:
+            raise ValueError("a batch needs at least one model")
+        self.models = list(models)
+        n = len(self.models[0].states)
+        agents = self.models[0].agents
+        if any(len(m.states) != n or m.agents != agents for m in self.models):
+            raise ValueError("a batch needs models of one size and one agent set")
+        self.slot_bytes = (n + 7) // 8
+        self.width = 8 * self.slot_bytes
+        self._slot_full = (1 << self.width) - 1
+        layouts = {} if layouts is None else layouts
+        for m in self.models:
+            if m.states not in layouts:
+                layouts[m.states] = _Layout(m.states, self.slot_bytes)
+        self._model_layouts = [layouts[m.states] for m in self.models]
+        self.full = _pack([lo.set_bytes(m.states) for lo, m in zip(self._model_layouts, self.models)])
+        self._root = _Context(_Masks(self.models, self._model_layouts, agents, n), {}, self.full)
+
+    def extension(self, f: Formula) -> int:
+        """The extension of f over the whole batch."""
+        return self._root.extension(f)
+
+    def lowest(self, bits: int) -> tuple:
+        """(model index, state) of the lowest set bit: the first model, then its least state."""
+        k, i = divmod((bits & -bits).bit_length() - 1, self.width)
+        return k, self._model_layouts[k].order[i]
+
+    def firsts(self, bits: int) -> Iterator[tuple]:
+        """(model index, least state) of every model with a state in bits, in model order."""
+        while bits:
+            k, state = self.lowest(bits)
+            yield k, state
+            bits &= ~(self._slot_full << k * self.width)
+
+    def slot(self, bits: int, k: int) -> int:
+        """Model k's slot of bits, as an int over its sorted states."""
+        return bits >> k * self.width & self._slot_full
+
+    def zero_slots(self, bits: int) -> int:
+        """How many models have no state in bits."""
+        folded = bits  # OR each slot's bytes into its lowest byte
+        for j in range(1, self.slot_bytes):
+            folded |= bits >> 8 * j
+        data = folded.to_bytes(len(self.models) * self.slot_bytes, "little")
+        return data[::self.slot_bytes].count(0)
+
+
+class _Context:
+    """Memoized extensions under fixed relations, inside an alive mask."""
+
+    __slots__ = ("masks", "rels", "alive", "_ext", "_meets", "_resolved", "_restricted")
+
+    def __init__(self, masks: _Masks, rels: dict, alive: int):
+        self.masks = masks
+        self.rels = rels  # agent -> relation where it differs from the base one
+        self.alive = alive
+        self._ext: dict = {}
+        self._meets: dict = {}
+        self._resolved: dict = {}
+        self._restricted: dict = {}
+
+    def _rel(self, agent: str) -> tuple:
+        rel = self.rels.get(agent)
+        return self.masks.relation(agent) if rel is None else rel
+
+    def _group(self, g) -> list:
+        return [self._rel(a) for a in sorted(g)]
+
+    def _meet(self, g) -> tuple:
+        out = self._meets.get(g)
+        if out is None:
+            out = self._meets[g] = _meet(self._group(g))
+        return out
+
+    def _box(self, rel: tuple, body: int) -> int:
+        alive = self.alive
+        return alive & ~_diamond(rel, alive & ~body)
+
+    def _common_box(self, g, body: int) -> int:
+        rels, alive = self._group(g), self.alive
+        reach = alive & ~body
+        while True:
+            grown = reach
+            for rel in rels:
+                # paths must stay inside alive: restriction does not commute with join
+                grown = alive & _diamond(rel, grown)
+            if grown == reach:
+                return alive & ~reach
+            reach = grown
+
+    def extension(self, f: Formula) -> int:
+        cached = self._ext.get(f)
+        if cached is not None:
+            return cached
+        alive = self.alive
+        if isinstance(f, Atom):
+            out = self.masks.atom(f.name) & alive
+        elif isinstance(f, Top):
+            out = alive
+        elif isinstance(f, Bot):
+            out = 0
+        elif isinstance(f, Neg):
+            out = alive & ~self.extension(f.body)
+        elif isinstance(f, And):
+            out = self.extension(f.left) & self.extension(f.right)
+        elif isinstance(f, K):
+            out = self._box(self._rel(f.agent), self.extension(f.body))
+        elif isinstance(f, D):
+            out = self._box(self._meet(f.group), self.extension(f.body))
+        elif isinstance(f, C):
+            out = self._common_box(f.group, self.extension(f.body))
+        elif isinstance(f, R):
+            child = self._resolved.get(f.group)
+            if child is None:
+                shared = self._meet(f.group)
+                rels = dict(self.rels)
+                rels.update((a, shared) for a in f.group)
+                child = self._resolved[f.group] = _Context(self.masks, rels, alive)
+            out = child.extension(f.body)
+        elif isinstance(f, Ann):
+            announced = self.extension(f.announced)
+            if not announced:
+                out = alive
+            else:
+                child = self._restricted.get(announced)
+                if child is None:
+                    child = self._restricted[announced] = _Context(self.masks, self.rels, announced)
+                out = (alive & ~announced) | child.extension(f.body)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._ext[f] = out
+        return out
+
+
+class ModelBatches:
+    """Consecutive runs of equally sized models, at most BATCH_MODELS each.
+
+    Batches share their packing caches, so the partitions and subsets that
+    `enumerate_models` reuses are packed once per sweep.  After a stop,
+    `more` tells whether the stream held another model.
+    """
+
+    def __init__(self, models: Iterable[Model]):
+        self._models = iter(models)
+        self._pending = next(self._models, None)
+        self._layouts: dict = {}
+
+    @property
+    def more(self) -> bool:
+        return self._pending is not None
+
+    def __iter__(self) -> Iterator[Batch]:
+        while self._pending is not None:
+            batch = [self._pending]
+            n = len(batch[0].states)
+            self._pending = None
+            for m in self._models:
+                if len(m.states) != n or len(batch) == BATCH_MODELS:
+                    self._pending = m
+                    break
+                batch.append(m)
+            yield Batch(batch, self._layouts)

@@ -10,12 +10,21 @@ stays pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
-from .kripke import Model, Partition, PreModel, group_relation, resolve, resolve_pre, restrict
+from .kripke import (
+    AnyModel,
+    Model,
+    Partition,
+    PreModel,
+    common_relation,
+    group_relation,
+    require_agents,
+    resolve,
+    resolve_pre,
+    restrict,
+)
 from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top
-
-AnyModel = Union[Model, PreModel]
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class Evaluator:
 
     def _common_partition(self, g) -> Partition:
         if g not in self._common:
-            self._common[g] = Partition.join_all([self.model.relations[a] for a in sorted(g)])
+            self._common[g] = common_relation(self.model, g)
         return self._common[g]
 
     def _resolved_evaluator(self, g) -> "Evaluator":
@@ -110,7 +119,7 @@ class PseudoEvaluator:
 
     def _common_partition(self, g) -> Partition:
         if g not in self._common:
-            self._common[g] = Partition.join_all([self.model.relations[a] for a in sorted(g)])
+            self._common[g] = common_relation(self.model, g)
         return self._common[g]
 
     def _resolved_evaluator(self, g) -> "PseudoEvaluator":
@@ -142,7 +151,8 @@ class PseudoEvaluator:
                 raise ValueError(f"undeclared agent {f.agent!r}")
             out = self._boxed(part, self.extension(f.body))
         elif isinstance(f, D):
-            out = self._boxed(self.model.group_relations[f.group], self.extension(f.body))
+            part = self.model.group_relations[require_agents(self.model, f.group)]
+            out = self._boxed(part, self.extension(f.body))
         elif isinstance(f, C):
             out = self._boxed(self._common_partition(f.group), self.extension(f.body))
         elif isinstance(f, R):

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .syntax import Agent, GroupLike, as_group, delta, group_key
+from .syntax import Agent, Group, GroupLike, as_group, delta, group_key
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,9 @@ class PreModel:
                    valuation=base.valuation, group_relations=grel)
 
 
-AnyModel = Union[Model, PreModel]
+# forward references: typing caches Union[...] for good, and real classes in
+# it would keep every re-imported copy of this module alive
+AnyModel = Union["Model", "PreModel"]
 
 
 def all_groups(agents: Iterable[Agent]) -> list:
@@ -224,12 +226,18 @@ def is_pseudo(m: PreModel) -> bool:
     return not validate(m)
 
 
-def group_relation(m: Model, g: GroupLike) -> Partition:
-    """Intersection of the members' relations (blockwise common refinement)."""
+def require_agents(m: AnyModel, g: GroupLike) -> Group:
+    """The group, after checking that every member is one of m's agents."""
     g = as_group(g)
     missing = g - m.agents
     if missing:
         raise ValueError(f"undeclared agent {sorted(missing)[0]!r}")
+    return g
+
+
+def group_relation(m: Model, g: GroupLike) -> Partition:
+    """Intersection of the members' relations (blockwise common refinement)."""
+    g = require_agents(m, g)
     members = sorted(g)
     out = m.relations[members[0]]
     for a in members[1:]:
@@ -239,10 +247,7 @@ def group_relation(m: Model, g: GroupLike) -> Partition:
 
 def common_relation(m: AnyModel, g: GroupLike) -> Partition:
     """Transitive closure of the union of the members' (agent) relations."""
-    g = as_group(g)
-    missing = g - m.agents
-    if missing:
-        raise ValueError(f"undeclared agent {sorted(missing)[0]!r}")
+    g = require_agents(m, g)
     return Partition.join_all([m.relations[a] for a in sorted(g)])
 
 
@@ -260,7 +265,7 @@ def resolve_pre(m: PreModel, g: GroupLike) -> PreModel:
     Members take over the stored group relation; a group relation moves to
     the one indexed by the union whenever the groups intersect.
     """
-    g = as_group(g)
+    g = require_agents(m, g)
     shared = m.group_relations[g]
     relations = {a: (shared if a in g else p) for a, p in m.relations.items()}
     group_relations = {

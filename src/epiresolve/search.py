@@ -4,6 +4,14 @@ Enumeration is exhaustive and deterministic over canonical state names
 0..n-1, with no isomorphism reduction: at desk scale, correctness beats
 speed.  A bound that comes back exhausted is a certificate up to that
 bound only, never a validity proof.
+
+The soundness sweeps (`check_schema`, `check_rule_rrc`) evaluate their
+formulas on batches of consecutive models at once, over the disjoint
+union of each batch (`batch.py`), and report exactly what a model-by-model
+loop would: the same first witness per formula and the same model count.
+`find_model` and `find_countermodel` stop at the first witness and
+evaluate one model at a time with `checker.Evaluator`, which is also the
+per-model oracle the batched engine is tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .batch import ModelBatches
 from .checker import Evaluator, PointedModel
 from .kripke import Model, Partition, PreModel, all_groups, model_to_dict
 from .syntax import (
@@ -541,6 +550,33 @@ class SchemaReport:
         return "\n".join(lines)
 
 
+def _first_failures(tracked: dict, models: Iterable[Model]) -> int:
+    """Record in `tracked` the first failing point of every formula; returns models examined.
+
+    Models are evaluated in batches, but the count is the one of a
+    model-by-model sweep that stops on the model after the last first
+    failure, or runs out.
+    """
+    still_valid = set(tracked)
+    examined = 0
+    last_failure = -1  # index of the latest model that was some formula's first failure
+    stream = ModelBatches(models)
+    for batch in stream:
+        for f in list(still_valid):
+            bad = batch.full & ~batch.extension(f)
+            if bad:
+                k, state = batch.lowest(bad)
+                tracked[f] = PointedModel(batch.models[k], state)
+                last_failure = max(last_failure, examined + k)
+                still_valid.discard(f)
+        examined += len(batch.models)
+        if not still_valid:
+            break
+    if not still_valid and (last_failure + 1 < examined or stream.more):
+        examined = last_failure + 2
+    return examined
+
+
 DEFAULT_SCHEMA_BOUNDS = SearchBounds(max_states=3, agents=("1", "2"), atoms=("p",))
 
 
@@ -607,18 +643,7 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
             for f in list(premises) + [conclusion]:
                 tracked.setdefault(f, None)
 
-    still_valid = set(tracked)
-    examined = 0
-    for m in enumerate_models(base):
-        examined += 1
-        if not still_valid:
-            break
-        ev = Evaluator(m)
-        for f in list(still_valid):
-            ext = ev.extension(f)
-            if ext != m.states:
-                tracked[f] = PointedModel(m, min(m.states - ext))
-                still_valid.discard(f)
+    examined = _first_failures(tracked, enumerate_models(base))
 
     schemata = []
     for name, instances in schema_instances.items():
@@ -701,6 +726,29 @@ class RrcReport:
         return "\n".join(lines)
 
 
+def _rrc_sweep(instances: list, models: Iterable[Model]) -> tuple:
+    """(premise hits, violations as (model, instance index, state) in model order, models examined).
+
+    An instance is (phi, E_H phi, R_G.. psi, R_G.. C_H psi); it is hit in a
+    model where phi implies both premise conjuncts at every state.
+    """
+    premise_hits = 0
+    found = []  # (model index, instance index, model, state)
+    examined = 0
+    for batch in ModelBatches(models):
+        for j, (phi, everybody, boxed_psi, boxed_c) in enumerate(instances):
+            phi_ext = batch.extension(phi)
+            # the premise holds in every model whose slot of `missed` is empty
+            missed = phi_ext & ~(batch.extension(everybody) & batch.extension(boxed_psi))
+            premise_hits += batch.zero_slots(missed)
+            for k, state in batch.firsts(phi_ext & ~batch.extension(boxed_c)):
+                if not batch.slot(missed, k):
+                    found.append((examined + k, j, batch.models[k], state))
+        examined += len(batch.models)
+    found.sort(key=lambda hit: hit[:2])
+    return premise_hits, [(m, j, state) for _, j, m, state in found], examined
+
+
 DEFAULT_RRC_BOUNDS = SearchBounds(max_states=4, agents=("1", "2"), atoms=("p",))
 
 
@@ -731,23 +779,13 @@ def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS, max_prefix: int = 
             boxed_c = R(g, boxed_c)
         instances.append((phi, gen.intern(E(h, phi)), gen.intern(boxed_psi), gen.intern(boxed_c)))
 
-    premise_hits = 0
-    violations = []
-    examined = 0
     enum_bounds = SearchBounds(bounds.max_states, agent_ids, atom_names)
-    for m in enumerate_models(enum_bounds):
-        examined += 1
-        ev = Evaluator(m)
-        for phi, everybody, boxed_psi, boxed_c in instances:
-            phi_ext = ev.extension(phi)
-            if not (phi_ext <= ev.extension(everybody) and phi_ext <= ev.extension(boxed_psi)):
-                continue
-            premise_hits += 1
-            conclusion_ext = ev.extension(boxed_c)
-            if not phi_ext <= conclusion_ext:
-                bad = min(phi_ext - conclusion_ext)
-                inst = RrcInstance(premise=Implies(phi, And(everybody, boxed_psi)),
-                                   conclusion=Implies(phi, boxed_c), antecedent=phi)
-                violations.append(RrcViolation(inst, m, bad))
+    premise_hits, found, examined = _rrc_sweep(instances, enumerate_models(enum_bounds))
+    violations = []
+    for m, j, state in found:
+        phi, everybody, boxed_psi, boxed_c = instances[j]
+        inst = RrcInstance(premise=Implies(phi, And(everybody, boxed_psi)),
+                           conclusion=Implies(phi, boxed_c), antecedent=phi)
+        violations.append(RrcViolation(inst, m, state))
     return RrcReport(instances=len(instances), premise_hits=premise_hits,
                      violations=violations, models_examined=examined)
