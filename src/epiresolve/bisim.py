@@ -1,11 +1,17 @@
 """Pre-model bisimulation and trans-bisimulation checking.
 
-Both checkers compute the greatest fixpoint by deleting pairs from the
-atom-agreeing start relation until every surviving pair satisfies the
-back-and-forth clauses.  Deletion is round-based over sorted pairs, so
-witnesses are reproducible.  Path-existence in the trans-bisimulation
-zig clauses collapses to one closure computation, because all relations
-involved are equivalences.
+A bisimulation is the greatest fixpoint of its back-and-forth clauses, so
+both kinds share one deletion loop and one validator and differ only in
+their labels: (name, left, right) triples of partitions, where zig moves
+along left and answers along right, and zag the other way round.
+Pre-model bisimulation uses the same labels for both.  Trans-bisimulation
+answers zig along closures, because path existence over equivalence
+relations collapses to one closure computation.
+
+The greatest fixpoint is unique, so the deletion order changes only the
+number of rounds.  Scanning pairs in sorted order lets one deletion
+propagate along a chain of states within a single round; set order
+needs many more rounds.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from .kripke import (
     PreModel,
     all_groups,
     as_premodel,
-    group_relation,
 )
+from .syntax import group_key
 
 Pair = Tuple[str, str]
 
@@ -35,15 +41,91 @@ def _as_pre(m: Union[Model, PreModel]) -> PreModel:
     return m if isinstance(m, PreModel) else as_premodel(m)
 
 
+def _greatest(a, b, zig: list, zag: list) -> set:
+    """The greatest relation between atom-agreeing states that satisfies every clause."""
+    z = {(x, y) for x in a.states for y in b.states if _atoms_agree(a, x, b, y)}
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(z):
+            x, y = pair
+            ok = all(
+                any((xp, yp) in z for yp in right.block_of(y))
+                for _, left, right in zig
+                for xp in left.block_of(x)
+            ) and all(
+                any((xp, yp) in z for xp in left.block_of(x))
+                for _, left, right in zag
+                for yp in right.block_of(y)
+            )
+            if not ok:
+                z.discard(pair)
+                changed = True
+    return z
+
+
+def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
+    """Clause-by-clause validation of a claimed relation; violations as data."""
+    z = set(pairs)
+    problems = [] if z else ["relation is empty"]
+    # with zig = zag each label reports zig then zag; otherwise all zig labels come first
+    both = zig is zag
+    labels = [(label, True, both) for label in zig]
+    labels += [] if both else [(label, False, True) for label in zag]
+    for x, y in sorted(z):
+        if x not in a.states or y not in b.states:
+            problems.append(f"pair ({x},{y}) mentions unknown states")
+            continue
+        if not _atoms_agree(a, x, b, y):
+            problems.append(f"(at) fails for ({x},{y})")
+        for (name, left, right), in_zig, in_zag in labels:
+            if in_zig:
+                for xp in sorted(left.block_of(x)):
+                    if not any((xp, yp) in z for yp in right.block_of(y)):
+                        problems.append(f"(zig) fails for ({x},{y}) on {name} toward {xp}")
+            if in_zag:
+                for yp in sorted(right.block_of(y)):
+                    if not any((xp, yp) in z for xp in left.block_of(x)):
+                        problems.append(f"(zag) fails for ({x},{y}) on {name} toward {yp}")
+    return problems
+
+
 def _pre_labels(a: PreModel, b: PreModel) -> list:
     if a.agents != b.agents:
         raise ValueError("bisimulation requires a shared agent set")
-    labels = []
-    for i in sorted(a.agents):
-        labels.append((a.relations[i], b.relations[i]))
-    for g in all_groups(a.agents):
-        labels.append((a.group_relations[g], b.group_relations[g]))
+    labels = [("agent " + i, a.relations[i], b.relations[i]) for i in sorted(a.agents)]
+    labels += [
+        ("group " + group_key(g), a.group_relations[g], b.group_relations[g])
+        for g in all_groups(a.agents)
+    ]
     return labels
+
+
+def _trans_labels(m: Model, n: PreModel):
+    """Zig and zag labels for the trans-bisimulation clauses.
+
+    zag steps along single relations, with groups read as intersections
+    on the model side, exactly as the pre-model labels of m's embedding.
+    zig for an agent i reaches along the closure of the agent relation
+    together with every group relation containing i; zig for a group G of
+    size 2 or more reaches along the closure of the relations of all
+    supergroups of G.
+    """
+    if m.agents != n.agents:
+        raise ValueError("trans-bisimulation requires a shared agent set")
+    groups = all_groups(m.agents)
+    embedded = as_premodel(m)
+    zig = [
+        ("agent " + i, m.relations[i],
+         Partition.join_all([n.relations[i]] + [n.group_relations[g] for g in groups if i in g]))
+        for i in sorted(m.agents)
+    ]
+    zig += [
+        ("group " + group_key(g), embedded.group_relations[g],
+         Partition.join_all([n.group_relations[h] for h in groups if g <= h]))
+        for g in groups if len(g) > 1
+    ]
+    return zig, _pre_labels(embedded, n)
 
 
 def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], t: str):
@@ -54,143 +136,28 @@ def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], 
     """
     a, b = _as_pre(a), _as_pre(b)
     labels = _pre_labels(a, b)
-    z = {
-        (x, y)
-        for x in sorted(a.states)
-        for y in sorted(b.states)
-        if _atoms_agree(a, x, b, y)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(z):
-            x, y = pair
-            ok = all(
-                any((xp, yp) in z for yp in pb.block_of(y))
-                for pa, pb in labels
-                for xp in pa.block_of(x)
-            ) and all(
-                any((xp, yp) in z for xp in pa.block_of(x))
-                for pa, pb in labels
-                for yp in pb.block_of(y)
-            )
-            if not ok:
-                z.discard(pair)
-                changed = True
+    z = _greatest(a, b, labels, labels)
     return frozenset(z) if (s, t) in z else None
 
 
 def is_pre_bisimulation(a: Union[Model, PreModel], b: Union[Model, PreModel], pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed bisimulation; violations as data."""
     a, b = _as_pre(a), _as_pre(b)
-    z = set(pairs)
-    problems = []
-    if not z:
-        problems.append("relation is empty")
-    labels = [("agent " + i, a.relations[i], b.relations[i]) for i in sorted(a.agents)]
-    labels += [
-        ("group " + ",".join(sorted(g)), a.group_relations[g], b.group_relations[g])
-        for g in all_groups(a.agents)
-    ]
-    for x, y in sorted(z):
-        if x not in a.states or y not in b.states:
-            problems.append(f"pair ({x},{y}) mentions unknown states")
-            continue
-        if not _atoms_agree(a, x, b, y):
-            problems.append(f"(at) fails for ({x},{y})")
-        for name, pa, pb in labels:
-            for xp in sorted(pa.block_of(x)):
-                if not any((xp, yp) in z for yp in pb.block_of(y)):
-                    problems.append(f"(zig) fails for ({x},{y}) on {name} toward {xp}")
-            for yp in sorted(pb.block_of(y)):
-                if not any((xp, yp) in z for xp in pa.block_of(x)):
-                    problems.append(f"(zag) fails for ({x},{y}) on {name} toward {yp}")
-    return problems
-
-
-def _trans_labels(m: Model, n: PreModel):
-    """Per-label data for the trans-bisimulation clauses.
-
-    zig for an agent i reaches along the closure of the agent relation
-    together with every group relation containing i; zig for a group G
-    (of size 2 or more, with the intersection relation on the model side)
-    reaches along the closure of the relations of all supergroups of G;
-    zag steps along single relations, with groups read as intersections
-    on the model side.
-    """
-    if m.agents != n.agents:
-        raise ValueError("trans-bisimulation requires a shared agent set")
-    groups = all_groups(m.agents)
-    model_group = {g: group_relation(m, g) for g in groups}
-    zig = []
-    for i in sorted(m.agents):
-        reach = Partition.join_all(
-            [n.relations[i]] + [n.group_relations[g] for g in groups if i in g]
-        )
-        zig.append((m.relations[i], reach))
-    for g in groups:
-        if len(g) < 2:
-            continue
-        reach = Partition.join_all([n.group_relations[h] for h in groups if g <= h])
-        zig.append((model_group[g], reach))
-    zag = [(m.relations[i], n.relations[i]) for i in sorted(m.agents)]
-    zag += [(model_group[g], n.group_relations[g]) for g in groups]
-    return zig, zag
+    labels = _pre_labels(a, b)
+    return _violations(a, b, labels, labels, pairs)
 
 
 def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
     """Greatest trans-bisimulation between a model and a pre-model, linking (s, t)."""
     n = _as_pre(n)
-    zig, zag = _trans_labels(m, n)
-    z = {
-        (x, y)
-        for x in sorted(m.states)
-        for y in sorted(n.states)
-        if _atoms_agree(m, x, n, y)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(z):
-            x, y = pair
-            ok = all(
-                any((xp, yp) in z for yp in reach.block_of(y))
-                for part, reach in zig
-                for xp in part.block_of(x)
-            ) and all(
-                any((xp, yp) in z for xp in part.block_of(x))
-                for part, rel in zag
-                for yp in rel.block_of(y)
-            )
-            if not ok:
-                z.discard(pair)
-                changed = True
+    z = _greatest(m, n, *_trans_labels(m, n))
     return frozenset(z) if (s, t) in z else None
 
 
 def is_trans_bisimulation(m: Model, n: Union[Model, PreModel], pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed trans-bisimulation."""
     n = _as_pre(n)
-    zig, zag = _trans_labels(m, n)
-    z = set(pairs)
-    problems = []
-    if not z:
-        problems.append("relation is empty")
-    for x, y in sorted(z):
-        if x not in m.states or y not in n.states:
-            problems.append(f"pair ({x},{y}) mentions unknown states")
-            continue
-        if not _atoms_agree(m, x, n, y):
-            problems.append(f"(at) fails for ({x},{y})")
-        for idx, (part, reach) in enumerate(zig):
-            for xp in sorted(part.block_of(x)):
-                if not any((xp, yp) in z for yp in reach.block_of(y)):
-                    problems.append(f"(zig) fails for ({x},{y}) on label {idx} toward {xp}")
-        for idx, (part, rel) in enumerate(zag):
-            for yp in sorted(rel.block_of(y)):
-                if not any((xp, yp) in z for xp in part.block_of(x)):
-                    problems.append(f"(zag) fails for ({x},{y}) on label {idx} toward {yp}")
-    return problems
+    return _violations(m, n, *_trans_labels(m, n), pairs)
 
 
 def duplicate_state(p: Union[Model, PreModel], x: str, new_id: Optional[str] = None) -> PreModel:

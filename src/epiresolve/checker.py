@@ -1,10 +1,13 @@
 """Satisfaction for models and pseudo satisfaction for pre-models.
 
-Evaluation is extension-based: each evaluator computes, per formula, the
-set of states where it holds, memoizing per formula and materializing
-resolved and announcement-restricted models at most once per group or
-antecedent.  The caches are confined to the evaluator, so the semantics
-stays pure.
+One evaluator serves both.  Evaluation is extension-based: it computes,
+per formula, the set of states where it holds, memoizing per formula and
+materializing resolved and announcement-restricted models at most once
+per group or antecedent.  The caches are confined to the evaluator, so
+the semantics stays pure.  PseudoEvaluator changes three hooks: D reads
+the stored group relation, R follows the pre-model update, and
+announcements are rejected before their antecedent is evaluated.  C
+closes the agent relations in both.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class PointedModel:
 class Evaluator:
     """Extensions of formulas over one genuine model."""
 
-    def __init__(self, model: Model):
+    _update = staticmethod(resolve)  # the update that R follows
+
+    def __init__(self, model: AnyModel):
         self.model = model
         self._ext: dict = {}
         self._group: dict = {}
@@ -56,8 +61,18 @@ class Evaluator:
 
     def _resolved_evaluator(self, g) -> "Evaluator":
         if g not in self._resolved:
-            self._resolved[g] = Evaluator(resolve(self.model, g))
+            self._resolved[g] = type(self)(self._update(self.model, g))
         return self._resolved[g]
+
+    def _announce(self, f: Ann) -> frozenset:
+        announced = self.extension(f.announced)
+        if not announced:
+            return self.model.states
+        sub = self._restricted.get(announced)
+        if sub is None:
+            sub = Evaluator(restrict(self.model, announced))
+            self._restricted[announced] = sub
+        return (self.model.states - announced) | sub.extension(f.body)
 
     def _boxed(self, part: Partition, body: frozenset) -> frozenset:
         return frozenset().union(*(b for b in part.blocks if b <= body)) if part.blocks else frozenset()
@@ -89,80 +104,23 @@ class Evaluator:
         elif isinstance(f, R):
             out = self._resolved_evaluator(f.group).extension(f.body)
         elif isinstance(f, Ann):
-            announced = self.extension(f.announced)
-            if not announced:
-                out = states
-            else:
-                sub = self._restricted.get(announced)
-                if sub is None:
-                    sub = Evaluator(restrict(self.model, announced))
-                    self._restricted[announced] = sub
-                out = (states - announced) | sub.extension(f.body)
+            out = self._announce(f)
         else:
             raise TypeError(f"not a formula: {f!r}")
         self._ext[f] = out
         return out
 
 
-class PseudoEvaluator:
-    """Extensions of announcement-free formulas over one pre-model.
+class PseudoEvaluator(Evaluator):
+    """Extensions of announcement-free formulas over one pre-model."""
 
-    D uses the stored group relation directly; C closes the union of the
-    agent relations only; R follows the pre-model update.
-    """
+    _update = staticmethod(resolve_pre)
 
-    def __init__(self, model: PreModel):
-        self.model = model
-        self._ext: dict = {}
-        self._common: dict = {}
-        self._resolved: dict = {}
+    def _group_partition(self, g) -> Partition:
+        return self.model.group_relations[require_agents(self.model, g)]
 
-    def _common_partition(self, g) -> Partition:
-        if g not in self._common:
-            self._common[g] = common_relation(self.model, g)
-        return self._common[g]
-
-    def _resolved_evaluator(self, g) -> "PseudoEvaluator":
-        if g not in self._resolved:
-            self._resolved[g] = PseudoEvaluator(resolve_pre(self.model, g))
-        return self._resolved[g]
-
-    def _boxed(self, part: Partition, body: frozenset) -> frozenset:
-        return frozenset().union(*(b for b in part.blocks if b <= body)) if part.blocks else frozenset()
-
-    def extension(self, f: Formula) -> frozenset:
-        cached = self._ext.get(f)
-        if cached is not None:
-            return cached
-        states = self.model.states
-        if isinstance(f, Atom):
-            out = self.model.valuation.get(f.name, frozenset())
-        elif isinstance(f, Top):
-            out = states
-        elif isinstance(f, Bot):
-            out = frozenset()
-        elif isinstance(f, Neg):
-            out = states - self.extension(f.body)
-        elif isinstance(f, And):
-            out = self.extension(f.left) & self.extension(f.right)
-        elif isinstance(f, K):
-            part = self.model.relations.get(f.agent)
-            if part is None:
-                raise ValueError(f"undeclared agent {f.agent!r}")
-            out = self._boxed(part, self.extension(f.body))
-        elif isinstance(f, D):
-            part = self.model.group_relations[require_agents(self.model, f.group)]
-            out = self._boxed(part, self.extension(f.body))
-        elif isinstance(f, C):
-            out = self._boxed(self._common_partition(f.group), self.extension(f.body))
-        elif isinstance(f, R):
-            out = self._resolved_evaluator(f.group).extension(f.body)
-        elif isinstance(f, Ann):
-            raise ValueError("pseudo satisfaction is undefined for announcements")
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._ext[f] = out
-        return out
+    def _announce(self, f: Ann) -> frozenset:
+        raise ValueError("pseudo satisfaction is undefined for announcements")
 
 
 def evaluator_for(m: AnyModel):

@@ -138,7 +138,6 @@ def cmd_search(args) -> int:
         max_states=args.max_states,
         agents=agents,
         atoms=_split_csv(args.atoms) if args.atoms else None,
-        seed=args.seed,
     )
     outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
     if args.json:
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=4)
     p.add_argument("--agents")
     p.add_argument("--atoms")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

@@ -10,6 +10,7 @@ disjoint-set merge of their blocks.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -24,15 +25,27 @@ class Partition:
 
     @staticmethod
     def of(blocks: Iterable[Iterable[str]], states: Optional[Iterable[str]] = None) -> "Partition":
-        """Build from explicit blocks; uncovered states become implied singletons."""
+        """Build from explicit blocks; uncovered states become implied singletons.
+
+        Blocks must be collections of states (a string is not read as its
+        characters) and may repeat but not overlap.
+        """
         out = set()
         for block in blocks:
-            b = frozenset(block)
+            if isinstance(block, str):
+                raise ValueError(f"block {block!r} is a string, not a list of states")
+            try:
+                b = frozenset(block)
+            except TypeError:
+                raise ValueError(f"block {block!r} is not a collection of states") from None
             if not b:
                 raise ValueError("empty block in partition")
             out.add(b)
+        covered = frozenset().union(*out)
+        if sum(map(len, out)) != len(covered):
+            counts = Counter(s for b in out for s in b)
+            raise ValueError(f"blocks overlap on {min(s for s, c in counts.items() if c > 1)}")
         if states is not None:
-            covered = frozenset().union(*out) if out else frozenset()
             universe = frozenset(states)
             stray = covered - universe
             if stray:
@@ -324,29 +337,52 @@ def model_to_dict(m: AnyModel) -> dict:
     return out
 
 
+def _typed(value, kind: type, what: str):
+    """The decoded value, after checking it has the JSON type the schema asks for."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _ids(value, what: str) -> list:
+    return [str(v) for v in _typed(value, list, what)]
+
+
+def _blocks(value, what: str) -> list:
+    blocks = _typed(value, list, what)
+    if not all(isinstance(block, list) for block in blocks):
+        raise ValueError(f"{what}: block must be a JSON array")
+    return blocks
+
+
 def model_from_dict(data: dict) -> AnyModel:
-    """Decode the documented model schema; "group_relations" makes it a pre-model."""
+    """Decode the documented model schema; "group_relations" makes it a pre-model.
+
+    A value of the wrong JSON type is a ValueError naming the field.
+    """
+    _typed(data, dict, "model file")
     try:
-        agents = [str(a) for a in data["agents"]]
-        states = [str(s) for s in data["states"]]
-        props = [str(p) for p in data.get("props", sorted(data.get("valuation", {})))]
-        raw_relations = data["relations"]
-        raw_valuation = data.get("valuation", {})
+        agents = _ids(data["agents"], "agents")
+        states = _ids(data["states"], "states")
+        raw_relations = _typed(data["relations"], dict, "relations")
     except KeyError as exc:
         raise ValueError(f"model file is missing the {exc.args[0]!r} field") from None
+    raw_valuation = _typed(data.get("valuation", {}), dict, "valuation")
+    props = _ids(data.get("props", sorted(raw_valuation)), "props")
     stray = set(raw_valuation) - set(props)
     if stray:
         raise ValueError(f"valuation for undeclared atom {sorted(stray)[0]!r}")
-    valuation = {p: frozenset(str(s) for s in raw_valuation.get(p, [])) for p in props}
+    valuation = {p: frozenset(_ids(raw_valuation.get(p, []), f"valuation of {p}")) for p in props}
     relations = {}
     for a in agents:
         if a not in raw_relations:
             raise ValueError(f"agent {a}: missing relation")
-        relations[a] = Partition.of(raw_relations[a], states)
+        relations[a] = Partition.of(_blocks(raw_relations[a], f"agent {a}"), states)
     if "group_relations" not in data:
         return Model.make(states, relations, valuation, agents)
     group_relations = {
-        key: Partition.of(blocks, states) for key, blocks in data["group_relations"].items()
+        key: Partition.of(_blocks(blocks, f"group {key}"), states)
+        for key, blocks in _typed(data["group_relations"], dict, "group_relations").items()
     }
     return PreModel.make(states, relations, group_relations, valuation, agents)
 

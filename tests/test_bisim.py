@@ -40,6 +40,8 @@ class TestBisimilarPre:
         other = enumerate_pseudo_models(1, ["1", "3"]).__next__()
         with pytest.raises(ValueError, match="agent set"):
             bisimilar_pre(pre, "s", other, "0")
+        with pytest.raises(ValueError, match="agent set"):
+            is_pre_bisimulation(pre, other, {("s", "0")})
 
 
 class TestDuplicateState:
@@ -100,6 +102,12 @@ def test_validators_reject_bad_relations(FIG1):
     assert any("(at)" in v for v in is_trans_bisimulation(FIG1, pre, {("t", "u")}))
     # the pair (s, s) alone breaks zig: s can see t but t is unmatched
     assert any("(zig)" in v for v in is_pre_bisimulation(pre, pre, {("s", "s")}))
+    # trans-bisimulation violations name the agent or group of the clause
+    trans = is_trans_bisimulation(FIG1, pre, {("t", "t")})
+    assert "(zig) fails for (t,t) on agent 1 toward s" in trans
+    assert "(zig) fails for (t,t) on group 1,2 toward v" in trans
+    assert "(zag) fails for (t,t) on group 1 toward s" in trans
+    assert not any("on label" in v for v in trans)
 
 
 def test_witness_serialization(FIG1):

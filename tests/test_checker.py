@@ -13,6 +13,7 @@ from epiresolve.checker import (
 from epiresolve.kripke import all_groups, as_premodel
 from epiresolve.search import FormulaGen
 from epiresolve.syntax import (
+    FALSE,
     TRUE,
     And,
     Ann,
@@ -89,8 +90,11 @@ class TestSatisfiesPseudo:
         assert satisfies_pseudo(as_premodel(CORE), "t", C(grp("1,2"), p)) is True
 
     def test_announcements_rejected(self, FIG1):
-        with pytest.raises(ValueError, match="announcement"):
-            satisfies_pseudo(as_premodel(FIG1), "t", Ann(p, p))
+        # an announcement with an empty extension (false, or an atom that
+        # holds nowhere) is rejected too, not read as vacuously true
+        for f in (Ann(p, p), Ann(FALSE, p), Ann(Atom("q"), p)):
+            with pytest.raises(ValueError, match="announcement"):
+                satisfies_pseudo(as_premodel(FIG1), "t", f)
 
 
 class TestExtension:

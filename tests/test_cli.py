@@ -58,6 +58,32 @@ class TestCheck:
                            "--formula", "p")
         assert code == 2
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "model file must be a JSON object"),
+        ({"agents": 5, "states": ["t"], "relations": {}}, "agents must be a JSON array"),
+        ({"agents": ["1"], "states": "t", "relations": {"1": []}}, "states must be a JSON array"),
+        ({"agents": ["1"], "states": ["s", "t"], "relations": {"1": ["st"]}},
+         "agent 1: block must be a JSON array"),
+        ({"agents": ["1"], "states": ["s", "t"], "relations": {"1": "st"}},
+         "agent 1 must be a JSON array"),
+        ({"agents": ["1"], "states": ["s", "t"], "relations": {"1": [[["s", "t"]]]}},
+         "is not a collection of states"),
+        ({"agents": ["1"], "states": ["t"], "relations": []}, "relations must be a JSON object"),
+        ({"agents": ["1"], "states": ["t"], "relations": {"1": []}, "valuation": {"p": "t"}},
+         "valuation of p must be a JSON array"),
+        ({"agents": ["1"], "states": ["t"], "relations": {"1": []}, "group_relations": []},
+         "group_relations must be a JSON object"),
+        ({"agents": ["1"], "states": ["s", "t", "u"], "relations": {"1": [["s", "t"], ["t", "u"]]}},
+         "blocks overlap on t"),
+    ])
+    def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(capsys, "check", "--model", str(path), "--state", "t",
+                           "--formula", "p")
+        assert code == 2
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
 
 class TestResolve:
     def test_writes_the_communication_core(self, capsys, tmp_path):

@@ -63,6 +63,20 @@ class TestValidate:
         assert any(v.startswith("pseudo: singleton relation for agent 1") for v in validate(pre))
 
 
+class TestPartitionOf:
+    def test_overlapping_blocks_rejected(self):
+        with pytest.raises(ValueError, match="blocks overlap on t"):
+            Model.make(["s", "t", "u"], {"1": [["s", "t"], ["t", "u"]]})
+
+    def test_repeated_block_is_one_block(self):
+        assert Partition.of([["s", "t"], ["t", "s"]]) == Partition.of([["s", "t"]])
+
+    def test_string_block_rejected(self):
+        # "st" would otherwise be read as the block {s, t}
+        with pytest.raises(ValueError, match="string"):
+            Partition.of(["st"], ["s", "t"])
+
+
 class TestDerivedRelations:
     def test_group_relation_is_the_core(self, FIG1):
         assert blocks(group_relation(FIG1, grp("1,2"))) == [["s"], ["t", "v"], ["u"], ["w"]]
