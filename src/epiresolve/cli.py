@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # parse, render and evaluation recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Every accessibility relation is an equivalence relation and is stored as
 a partition of the state set, which makes reflexivity, symmetry and
-transitivity unviolable by construction.  Intersecting relations is the
-common refinement of partitions; closing a union of relations is a
-disjoint-set merge of their blocks.
+transitivity unviolable by construction.  Intersecting two relations
+splits each block by the other partition's block index (their common
+refinement); closing a union of relations walks the connected blocks.
+Both take time linear in the states, times the number of partitions joined.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import Agent, Group, GroupLike, as_group, delta, group_key
@@ -72,39 +73,51 @@ class Partition:
         return t in self._block_index[s]
 
     def meet(self, other: "Partition") -> "Partition":
-        """Common refinement: the intersection of the two relations."""
-        return Partition(frozenset(a & b for a in self.blocks for b in other.blocks if a & b))
+        """Common refinement: each block is kept whole if it lies in one block of
+        the other, else split by the other's block index.  Linear in the states."""
+        if len(self.blocks) * len(other.blocks) <= 64:  # few blocks: cheaper than building an index
+            return Partition(frozenset(a & b for a in self.blocks for b in other.blocks if a & b))
+        index = other._block_index
+        out = set()
+        for a in self.blocks:
+            b = index.get(next(iter(a), None))
+            if b is not None and a <= b:
+                out.add(a)
+                continue
+            pieces: dict = {}
+            for s in a:
+                pieces.setdefault(index.get(s), []).append(s)
+            pieces.pop(None, None)
+            out.update(map(frozenset, pieces.values()))
+        return Partition(frozenset(out))
 
     def join(self, other: "Partition") -> "Partition":
         return Partition.join_all([self, other])
 
     @staticmethod
     def join_all(parts: Sequence["Partition"]) -> "Partition":
-        """Transitive closure of the union of the relations (disjoint-set merge)."""
-        parent: dict = {}
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
+        """Transitive closure of the union of the relations: connected components
+        over blocks, each block entered once from one of its states and its
+        unseen states added by a set difference.  Linear in states × partitions."""
+        indexes = [part._block_index for part in parts]
+        entered: set = set()
+        out = set()
         for part in parts:
-            for block in part.blocks:
-                it = iter(block)
-                first = next(it)
-                parent.setdefault(first, first)
-                for s in it:
-                    parent.setdefault(s, s)
-                    ra, rb = find(first), find(s)
-                    if ra != rb:
-                        parent[rb] = ra
-        merged: dict = {}
-        for s in parent:
-            merged.setdefault(find(s), set()).add(s)
-        return Partition(frozenset(frozenset(b) for b in merged.values()))
+            for first in part.blocks:
+                if first in entered:
+                    continue
+                component, todo = set(first), list(first)
+                while todo:
+                    s = todo.pop()
+                    for index in indexes:
+                        block = index.get(s)
+                        if block is not None and block not in entered:
+                            entered.add(block)
+                            new = block - component
+                            component |= new
+                            todo.extend(new)
+                out.add(first if len(component) == len(first) else frozenset(component))
+        return Partition(frozenset(out))
 
     def refines(self, other: "Partition") -> bool:
         """True when this relation is contained in the other."""
@@ -344,15 +357,29 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+# a JSON string or number; true, false and null are not ids
+_ID_TYPES = frozenset([str, int, float])
+
+
 def _ids(value, what: str) -> list:
-    return [str(v) for v in _typed(value, list, what)]
+    """Ids are read as text, so 1 and "1" name the same id."""
+    ids = _typed(value, list, what)
+    kinds = set(map(type, ids))
+    if not kinds <= _ID_TYPES:
+        bad = next(v for v in ids if type(v) not in _ID_TYPES)
+        raise ValueError(f"{what}: {bad!r} is not an id (a JSON string or number)")
+    return ids if kinds <= {str} else list(map(str, ids))
 
 
 def _blocks(value, what: str) -> list:
     blocks = _typed(value, list, what)
     if not all(isinstance(block, list) for block in blocks):
         raise ValueError(f"{what}: block must be a JSON array")
-    return blocks
+    kinds = set(map(type, chain.from_iterable(blocks)))
+    if not kinds <= _ID_TYPES:
+        bad = next(b for b in blocks if not _ID_TYPES.issuperset(map(type, b)))
+        raise ValueError(f"{what}: block {bad!r} is not a collection of states")
+    return blocks if kinds <= {str} else [list(map(str, block)) for block in blocks]
 
 
 def model_from_dict(data: dict) -> AnyModel:
@@ -393,6 +420,8 @@ def load_model(path) -> AnyModel:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return model_from_dict(data)
 
 

@@ -75,6 +75,8 @@ class TestCheck:
          "group_relations must be a JSON object"),
         ({"agents": ["1"], "states": ["s", "t", "u"], "relations": {"1": [["s", "t"], ["t", "u"]]}},
          "blocks overlap on t"),
+        ({"agents": ["1"], "states": [["t"]], "relations": {"1": []}},
+         "states: ['t'] is not an id"),
     ])
     def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, data, message):
         path = tmp_path / "bad.json"
@@ -83,6 +85,26 @@ class TestCheck:
                            "--formula", "p")
         assert code == 2
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    def test_numeric_ids_read_as_text(self, capsys, tmp_path):
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps({"agents": [1], "states": [1, 2],
+                                    "relations": {"1": [[1, 2]]}, "valuation": {"p": [1, 2]}}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "check", "--model", str(path), "--state", "1",
+                             "--formula", "K1 p")
+        assert (code, out.strip(), err) == (0, "true", "")
+
+    @pytest.mark.parametrize("depth", [3000, 600])
+    def test_deep_nesting_is_usage_error(self, capsys, depth):
+        # 3000 levels exhaust the parser; 600 parse but exhaust the evaluator
+        formula = "~" * depth + "p"
+        if depth == 600:
+            parse(formula, {"1", "2"})
+        code, out, err = run(capsys, "check", "--model", FIG1_JSON, "--state", "t",
+                             "--formula", formula)
+        assert (code, out) == (2, "")
+        assert err == "error: formula nested too deeply\n"
 
 
 class TestResolve:

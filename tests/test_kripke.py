@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from epiresolve.kripke import (
@@ -101,6 +104,101 @@ class TestDerivedRelations:
                 for big in parts:
                     if small < big:
                         assert parts[big].refines(parts[small])
+
+
+def reference_meet(p, q):
+    """The definition: every non-empty intersection of a block of p with a block of q."""
+    return Partition(frozenset(a & b for a in p.blocks for b in q.blocks if a & b))
+
+
+def reference_join(parts):
+    """Plain fixpoint closure of the union: every state takes the least label
+    found in any block holding it, until no label changes."""
+    label = {s: s for p in parts for b in p.blocks for s in b}
+    changed = True
+    while changed:
+        changed = False
+        for p in parts:
+            for b in p.blocks:
+                low = min(label[s] for s in b)
+                for s in b:
+                    if label[s] != low:
+                        label[s], changed = low, True
+    classes = {}
+    for s, low in label.items():
+        classes.setdefault(low, set()).add(s)
+    return Partition(frozenset(map(frozenset, classes.values())))
+
+
+def random_partition(rng, states):
+    count = rng.randint(1, len(states))
+    buckets = {}
+    for s in states:
+        buckets.setdefault(rng.randrange(count), []).append(s)
+    return Partition.of(buckets.values())
+
+
+def partition_cases(seed):
+    """Random partitions of 1-80 states, with identical, discrete and single-block ones."""
+    rng = random.Random(seed)
+    states = [f"w{k}" for k in range(rng.randint(1, 80))]
+    p = random_partition(rng, states)
+    return rng, states, [p, p, random_partition(rng, states),
+                         Partition.discrete(states), Partition.of([states])]
+
+
+class TestRelationAlgebraReference:
+    def test_meet_is_pairwise_intersection(self):
+        for seed in range(150):
+            _, _, cases = partition_cases(seed)
+            for p in cases:
+                for q in cases:
+                    assert p.meet(q) == reference_meet(p, q)
+            assert cases[0].meet(cases[1]) == cases[0]
+
+    def test_join_all_is_closure_of_union(self):
+        for seed in range(150):
+            rng, _, cases = partition_cases(seed)
+            for count in range(1, 5):
+                parts = [rng.choice(cases) for _ in range(count)]
+                assert Partition.join_all(parts) == reference_join(parts)
+            assert Partition.join_all(cases[:2]) == cases[0]
+
+    def test_join_all_of_nothing_is_empty(self):
+        assert Partition.join_all([]) == Partition(frozenset())
+
+    def test_different_universes(self):
+        # meet keeps the states both sides have, join_all keeps every state
+        for seed in range(150):
+            rng, states, _ = partition_cases(seed)
+            cut = rng.randint(0, len(states))
+            left = random_partition(rng, states[:cut] or states)
+            right = random_partition(rng, states[cut // 2:])
+            assert left.meet(right) == reference_meet(left, right)
+            assert left.meet(right).universe == left.universe & right.universe
+            assert Partition.join_all([left, right]) == reference_join([left, right])
+            assert Partition.join_all([left, right]).universe == left.universe | right.universe
+
+    def test_derived_relations_on_a_large_model(self):
+        rng = random.Random(800)
+        states = [f"w{k}" for k in range(800)]
+        relations = {}
+        for a in ("1", "2", "3"):
+            buckets = {}
+            for s in states:
+                buckets.setdefault(rng.randrange(200), []).append(s)
+            relations[a] = list(buckets.values())
+        m = Model.make(states, relations)
+        for g in all_groups(m.agents):
+            parts = [m.relations[a] for a in sorted(g)]
+            core = parts[0]
+            for p in parts[1:]:
+                core = reference_meet(core, p)
+            assert group_relation(m, g) == core
+            assert common_relation(m, g) == reference_join(parts)
+            updated = resolve(m, g)
+            for a in m.agents:
+                assert updated.relations[a] == (core if a in g else m.relations[a])
 
 
 class TestResolve:
@@ -280,6 +378,37 @@ class TestJson:
             "relations": {"1": []}, "valuation": {"q": ["s"]},
         }
         with pytest.raises(ValueError, match="undeclared atom 'q'"):
+            model_from_dict(data)
+
+    def test_numbers_and_strings_are_the_same_ids(self):
+        data = {
+            "agents": [1, "2"], "props": ["p"], "states": [1, "2", 3.5],
+            "relations": {"1": [[1, 2]], "2": [["1"], [3.5, "2"]]},
+            "valuation": {"p": [1, "3.5"]},
+        }
+        m = model_from_dict(data)
+        assert m.states == {"1", "2", "3.5"} and m.agents == {"1", "2"}
+        assert blocks(m.relations["1"]) == [["1", "2"], ["3.5"]]
+        assert blocks(m.relations["2"]) == [["1"], ["2", "3.5"]]
+        assert m.valuation["p"] == {"1", "3.5"}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", ["s", ["t"]], "states: ['t'] is not an id"),
+        ("states", ["s", {"t": 1}], "states: {'t': 1} is not an id"),
+        ("agents", [["1"]], "agents: ['1'] is not an id"),
+        ("agents", [{"1": 1}], "agents: {'1': 1} is not an id"),
+        ("props", [["p"]], "props: ['p'] is not an id"),
+        ("valuation", {"p": [["s"]]}, "valuation of p: ['s'] is not an id"),
+        ("relations", {"1": [["s", ["t"]]]}, "agent 1: block ['s', ['t']] is not a collection"),
+        ("relations", {"1": [["s", {"t": 1}]]}, "agent 1: block ['s', {'t': 1}] is not a collection"),
+        ("states", ["s", True], "states: True is not an id"),
+        ("states", ["s", None], "states: None is not an id"),
+    ])
+    def test_array_and_object_ids_rejected(self, field, value, message):
+        data = {"agents": ["1"], "props": ["p"], "states": ["s", "t"],
+                "relations": {"1": []}, "valuation": {}}
+        data[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             model_from_dict(data)
 
     def test_missing_field_named(self):
