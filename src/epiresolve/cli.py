@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .bisim import bisimilar_pre, trans_bisimilar, witness_to_pairs
 from .checker import satisfies, satisfies_pseudo
@@ -50,19 +51,29 @@ def _load_checked(path):
     return m
 
 
+@contextmanager
+def _formula_depth():
+    """Parse, render and evaluation recurse once per nesting level of the formula."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError("formula nested too deeply") from None
+
+
 def cmd_check(args) -> int:
     m = _load_checked(args.model)
     if args.state not in m.states:
         raise ValueError(f"unknown state {args.state!r}")
-    f = parse(args.formula, agents=m.agents)
-    if isinstance(m, PreModel):
-        result = satisfies_pseudo(m, args.state, f)
-    else:
-        result = satisfies(m, args.state, f)
-    if args.json:
-        print(json.dumps({"state": args.state, "formula": render(f), "result": result}))
-    else:
-        print("true" if result else "false")
+    with _formula_depth():
+        f = parse(args.formula, agents=m.agents)
+        if isinstance(m, PreModel):
+            result = satisfies_pseudo(m, args.state, f)
+        else:
+            result = satisfies(m, args.state, f)
+        if args.json:
+            print(json.dumps({"state": args.state, "formula": render(f), "result": result}))
+        else:
+            print("true" if result else "false")
     return 0 if result else 1
 
 
@@ -82,12 +93,13 @@ def cmd_resolve(args) -> int:
 
 def cmd_reduce(args) -> int:
     universe = _split_csv(args.agents) if args.agents else None
-    f = parse(args.formula, agents=universe)
-    reduced = reduce(f)
-    if args.json:
-        print(json.dumps({"input": render(f), "reduced": render(reduced)}))
-    else:
-        print(render(reduced))
+    with _formula_depth():
+        f = parse(args.formula, agents=universe)
+        reduced = reduce(f)
+        if args.json:
+            print(json.dumps({"input": render(f), "reduced": render(reduced)}))
+        else:
+            print(render(reduced))
     return 0
 
 
@@ -104,13 +116,14 @@ def cmd_delta(args) -> int:
 
 def cmd_closure(args) -> int:
     universe = _split_csv(args.agents) if args.agents else None
-    f = parse(args.formula, agents=universe)
-    members = sorted(render(g) for g in closure(f))
-    if args.json:
-        print(json.dumps({"formula": render(f), "members": members}))
-    else:
-        for member in members:
-            print(member)
+    with _formula_depth():
+        f = parse(args.formula, agents=universe)
+        members = sorted(render(g) for g in closure(f))
+        if args.json:
+            print(json.dumps({"formula": render(f), "members": members}))
+        else:
+            for member in members:
+                print(member)
     return 0
 
 
@@ -133,13 +146,14 @@ def cmd_bisim(args) -> int:
 
 def cmd_search(args) -> int:
     agents = _split_csv(args.agents) if args.agents else None
-    f = parse(args.formula, agents=agents)
     bounds = SearchBounds(
         max_states=args.max_states,
         agents=agents,
         atoms=_split_csv(args.atoms) if args.atoms else None,
     )
-    outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
+    with _formula_depth():
+        f = parse(args.formula, agents=agents)
+        outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2))
     elif outcome.found:
@@ -262,10 +276,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # parse, render and evaluation recurse once per nesting level
-        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

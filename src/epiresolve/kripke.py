@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import Agent, Group, GroupLike, as_group, delta, group_key
@@ -75,8 +75,6 @@ class Partition:
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement: each block is kept whole if it lies in one block of
         the other, else split by the other's block index.  Linear in the states."""
-        if len(self.blocks) * len(other.blocks) <= 64:  # few blocks: cheaper than building an index
-            return Partition(frozenset(a & b for a in self.blocks for b in other.blocks if a & b))
         index = other._block_index
         out = set()
         for a in self.blocks:
@@ -364,22 +362,20 @@ _ID_TYPES = frozenset([str, int, float])
 def _ids(value, what: str) -> list:
     """Ids are read as text, so 1 and "1" name the same id."""
     ids = _typed(value, list, what)
-    kinds = set(map(type, ids))
-    if not kinds <= _ID_TYPES:
+    if not _ID_TYPES.issuperset(map(type, ids)):
         bad = next(v for v in ids if type(v) not in _ID_TYPES)
         raise ValueError(f"{what}: {bad!r} is not an id (a JSON string or number)")
-    return ids if kinds <= {str} else list(map(str, ids))
+    return list(map(str, ids))
 
 
 def _blocks(value, what: str) -> list:
     blocks = _typed(value, list, what)
-    if not all(isinstance(block, list) for block in blocks):
-        raise ValueError(f"{what}: block must be a JSON array")
-    kinds = set(map(type, chain.from_iterable(blocks)))
-    if not kinds <= _ID_TYPES:
-        bad = next(b for b in blocks if not _ID_TYPES.issuperset(map(type, b)))
-        raise ValueError(f"{what}: block {bad!r} is not a collection of states")
-    return blocks if kinds <= {str} else [list(map(str, block)) for block in blocks]
+    for block in blocks:
+        if not isinstance(block, list):
+            raise ValueError(f"{what}: block must be a JSON array")
+        if not _ID_TYPES.issuperset(map(type, block)):
+            raise ValueError(f"{what}: block {block!r} is not a collection of states")
+    return [list(map(str, block)) for block in blocks]
 
 
 def model_from_dict(data: dict) -> AnyModel:

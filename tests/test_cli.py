@@ -106,6 +106,11 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: formula nested too deeply\n"
 
+    @pytest.mark.parametrize("command", [["reduce"], ["closure"], ["search", "--max-states", "1"]])
+    def test_deep_nesting_in_other_commands(self, capsys, command):
+        code, out, err = run(capsys, *command, "--formula", "~" * 3000 + "p")
+        assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
 
 class TestResolve:
     def test_writes_the_communication_core(self, capsys, tmp_path):
