@@ -8,14 +8,19 @@ Pre-model bisimulation uses the same labels for both.  Trans-bisimulation
 answers zig along closures, because path existence over equivalence
 relations collapses to one closure computation.
 
-The greatest fixpoint is unique, so the deletion order changes only the
-number of rounds.  Scanning pairs in sorted order lets one deletion
-propagate along a chain of states within a single round; set order
-needs many more rounds.
+Every label is a partition, so a clause of a pair reads only counts: zig
+for (x, y) on (left, right) asks, for each x' in x's left block, how many
+(x', y') in the relation have y' in y's right block, and zag asks the
+mirror count.  After one in-place pass of the per-pair check, the
+fixpoint keeps those counts keyed by (state, far block) and propagates
+deletions instead of rescanning: a deleted pair decrements its keys, and
+a key that drops to 0 deletes its near block × far block.  Each pair is
+deleted at most once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Tuple, Union
 
 from .kripke import (
@@ -30,11 +35,14 @@ from .syntax import group_key
 Pair = Tuple[str, str]
 
 
-def _atoms_agree(a, x: str, b, y: str) -> bool:
-    for atom in set(a.valuation) | set(b.valuation):
-        if (x in a.valuation.get(atom, frozenset())) != (y in b.valuation.get(atom, frozenset())):
-            return False
-    return True
+def _signatures(m) -> dict:
+    """Each state's atom signature: the atoms true there."""
+    return {s: frozenset(atom for atom, ss in m.valuation.items() if s in ss) for s in m.states}
+
+
+def _known(m, s: str) -> None:
+    if s not in m.states:
+        raise ValueError(f"unknown state {s!r}")
 
 
 def _as_pre(m: Union[Model, PreModel]) -> PreModel:
@@ -43,24 +51,41 @@ def _as_pre(m: Union[Model, PreModel]) -> PreModel:
 
 def _greatest(a, b, zig: list, zag: list) -> set:
     """The greatest relation between atom-agreeing states that satisfies every clause."""
-    z = {(x, y) for x in a.states for y in b.states if _atoms_agree(a, x, b, y)}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(z):
-            x, y = pair
-            ok = all(
-                any((xp, yp) in z for yp in right.block_of(y))
-                for _, left, right in zig
-                for xp in left.block_of(x)
-            ) and all(
-                any((xp, yp) in z for xp in left.block_of(x))
-                for _, left, right in zag
-                for yp in right.block_of(y)
-            )
-            if not ok:
-                z.discard(pair)
-                changed = True
+    sig_a, by_sig = _signatures(a), {}
+    for y, sig in _signatures(b).items():
+        by_sig.setdefault(sig, []).append(y)
+    z = {(x, y) for x in a.states for y in by_sig.get(sig_a[x], ())}
+    seeded = len(z)
+    for x, y in sorted(z):
+        if not (all(any((xp, yp) in z for yp in right.block_of(y))
+                    for _, left, right in zig for xp in left.block_of(x)) and
+                all(any((xp, yp) in z for xp in left.block_of(x))
+                    for _, left, right in zag for yp in right.block_of(y))):
+            z.remove((x, y))
+    if len(z) == seeded:
+        return z
+    # clause (i, near, far): state pair[i] needs a partner in the far block of
+    # pair[1 - i]; zig reads (x, right block of y), zag (y, left block of x)
+    clauses = [(0, left, right) for _, left, right in zig]
+    clauses += [(1, right, left) for _, left, right in zag]
+    counts = [Counter((p[i], far.block_of(p[1 - i])) for p in z) for i, _, far in clauses]
+    # pairs that lost a partner to a deletion later in the pass
+    stack = [p for p in z if not all(count.get((s, far.block_of(p[1 - i])))
+                                     for (i, near, far), count in zip(clauses, counts)
+                                     for s in near.block_of(p[i]))]
+    while stack:
+        pair = stack.pop()
+        if pair not in z:
+            continue
+        z.remove(pair)
+        for (i, near, far), count in zip(clauses, counts):
+            key = (pair[i], far.block_of(pair[1 - i]))
+            count[key] -= 1
+            if not count[key]:
+                # no partner left in the far block: every pair of the near
+                # block with that far block fails this clause
+                for u in near.block_of(pair[i]):
+                    stack.extend((u, v) if i == 0 else (v, u) for v in key[1])
     return z
 
 
@@ -68,6 +93,7 @@ def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed relation; violations as data."""
     z = set(pairs)
     problems = [] if z else ["relation is empty"]
+    sig_a, sig_b = _signatures(a), _signatures(b)
     # with zig = zag each label reports zig then zag; otherwise all zig labels come first
     both = zig is zag
     labels = [(label, True, both) for label in zig]
@@ -76,7 +102,7 @@ def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
         if x not in a.states or y not in b.states:
             problems.append(f"pair ({x},{y}) mentions unknown states")
             continue
-        if not _atoms_agree(a, x, b, y):
+        if sig_a[x] != sig_b[y]:
             problems.append(f"(at) fails for ({x},{y})")
         for (name, left, right), in_zig, in_zag in labels:
             if in_zig:
@@ -135,6 +161,8 @@ def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], 
     relation as a frozenset of state pairs, or None.
     """
     a, b = _as_pre(a), _as_pre(b)
+    _known(a, s)
+    _known(b, t)
     labels = _pre_labels(a, b)
     z = _greatest(a, b, labels, labels)
     return frozenset(z) if (s, t) in z else None
@@ -150,6 +178,8 @@ def is_pre_bisimulation(a: Union[Model, PreModel], b: Union[Model, PreModel], pa
 def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
     """Greatest trans-bisimulation between a model and a pre-model, linking (s, t)."""
     n = _as_pre(n)
+    _known(m, s)
+    _known(n, t)
     z = _greatest(m, n, *_trans_labels(m, n))
     return frozenset(z) if (s, t) in z else None
 
@@ -169,8 +199,7 @@ def duplicate_state(p: Union[Model, PreModel], x: str, new_id: Optional[str] = N
     appended until it is unused.
     """
     p = _as_pre(p)
-    if x not in p.states:
-        raise ValueError(f"unknown state {x!r}")
+    _known(p, x)
     if new_id is None:
         new_id = x + "'"
         while new_id in p.states:

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 from .bisim import bisimilar_pre, trans_bisimilar, witness_to_pairs
 from .checker import satisfies, satisfies_pseudo
@@ -269,9 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process: each parse_args call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,4 +1,8 @@
+import random
+
 from epiresolve.bisim import (
+    _pre_labels,
+    _trans_labels,
     bisimilar_pre,
     duplicate_state,
     is_pre_bisimulation,
@@ -7,7 +11,7 @@ from epiresolve.bisim import (
     witness_to_pairs,
 )
 from epiresolve.checker import PseudoEvaluator, extension
-from epiresolve.kripke import all_groups, as_premodel, resolve_pre, validate
+from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, resolve_pre, validate
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
 
 import pytest
@@ -15,6 +19,69 @@ import pytest
 
 def grp(csv):
     return frozenset(csv.split(","))
+
+
+def reference_greatest(a, b, zig, zag):
+    """The plain round-based greatest fixpoint: rescan every pair until none is deleted."""
+    def agree(x, y):
+        return all((x in a.valuation.get(p, ())) == (y in b.valuation.get(p, ()))
+                   for p in set(a.valuation) | set(b.valuation))
+
+    z = {(x, y) for x in a.states for y in b.states if agree(x, y)}
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(z):
+            ok = all(any((xp, yp) in z for yp in right.block_of(y))
+                     for _, left, right in zig for xp in left.block_of(x)) and \
+                all(any((xp, yp) in z for xp in left.block_of(x))
+                    for _, left, right in zag for yp in right.block_of(y))
+            if not ok:
+                z.discard((x, y))
+                changed = True
+    return z
+
+
+def random_blocks(rng, states):
+    labels = [rng.randrange(len(states)) for _ in states]
+    return [[s for s, k in zip(states, labels) if k == c] for c in set(labels)]
+
+
+def random_model(rng, n, agents, atoms, prefix="s"):
+    states = [f"{prefix}{k}" for k in range(n)]
+    return Model.make(states, {i: random_blocks(rng, states) for i in agents},
+                      {p: rng.sample(states, rng.randrange(n + 1)) for p in atoms})
+
+
+def random_premodel(rng, n, agents, atoms, prefix="s"):
+    m = random_model(rng, n, agents, atoms, prefix)
+    states = sorted(m.states)
+    return PreModel.make(states, {i: m.relations[i].sorted_blocks() for i in agents},
+                         {",".join(sorted(g)): random_blocks(rng, states) for g in all_groups(agents)},
+                         {p: sorted(ss) for p, ss in m.valuation.items()})
+
+
+def chain(n):
+    """States in a line, agents 1 and 2 linking alternate neighbours, p at one end."""
+    states = [f"c{k:03d}" for k in range(n)]
+    return Model.make(states, {"1": [states[k:k + 2] for k in range(0, n, 2)],
+                               "2": [states[:1]] + [states[k:k + 2] for k in range(1, n, 2)]},
+                      {"p": states[:1]})
+
+
+def assert_pre_matches_reference(a, b):
+    pa, pb = (x if isinstance(x, PreModel) else as_premodel(x) for x in (a, b))
+    labels = _pre_labels(pa, pb)
+    ref = frozenset(reference_greatest(pa, pb, labels, labels))
+    s, t = min(ref, default=(min(a.states), min(b.states)))
+    assert bisimilar_pre(a, s, b, t) == (ref or None)
+
+
+def assert_trans_matches_reference(m, n):
+    pn = n if isinstance(n, PreModel) else as_premodel(n)
+    ref = frozenset(reference_greatest(m, pn, *_trans_labels(m, pn)))
+    s, t = min(ref, default=(min(m.states), min(n.states)))
+    assert trans_bisimilar(m, s, n, t) == (ref or None)
 
 
 class TestBisimilarPre:
@@ -149,3 +216,54 @@ def test_trans_bisimilar_points_agree_on_generated_formulas(FIG1):
     for _ in range(150):
         f = gen.formula()
         assert extension(FIG1, f) == pev.extension(f)
+
+
+class TestGreatestFixpointReference:
+    """Witnesses equal those of the plain round-based fixpoint kept above."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_models_and_premodels(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 14)
+            agents = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+            atoms = ["p", "q"][:rng.randint(1, 2)]
+            m = random_model(rng, n, agents, atoms)
+            pre = random_premodel(rng, n, agents, atoms, "r")
+            x = rng.choice(sorted(m.states))
+            other = random_model(rng, rng.randint(1, 14), agents, atoms, "o")
+            for a, b in [(m, m), (m, duplicate_state(m, x)), (m, other), (pre, pre),
+                         (pre, duplicate_state(pre, "r0")), (m, pre)]:
+                assert_pre_matches_reference(a, b)
+            for n_side in [m, duplicate_state(m, x), pre, other]:
+                assert_trans_matches_reference(m, n_side)
+
+    def test_resolved_premodels(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            agents = [str(i) for i in range(1, rng.randint(2, 3) + 1)]
+            m = random_model(rng, rng.randint(2, 12), agents, ["p", "q"])
+            pre = as_premodel(m)
+            for g in all_groups(agents):
+                resolved = resolve_pre(pre, g)
+                assert_pre_matches_reference(pre, resolved)
+                assert_pre_matches_reference(resolved, duplicate_state(resolved, min(m.states)))
+                assert_trans_matches_reference(m, resolved)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_chains(self, n):
+        m = chain(n)
+        names = sorted(m.states)
+        dup = duplicate_state(m, names[n // 2])
+        assert_pre_matches_reference(m, dup)
+        assert_pre_matches_reference(m, m)
+        assert_trans_matches_reference(m, dup)
+        assert_trans_matches_reference(m, as_premodel(m))
+
+    def test_c09_duplicate_pairs(self):
+        for pre in enumerate_pseudo_models(3, ["1", "2"], ["p"]):
+            for x in sorted(pre.states):
+                dup = duplicate_state(pre, x)
+                labels = _pre_labels(pre, dup)
+                assert bisimilar_pre(pre, x, dup, x + "'") == frozenset(
+                    reference_greatest(pre, dup, labels, labels))

@@ -197,6 +197,36 @@ class TestBisim:
                            "--right-state", "t")
         assert code == 2 and "genuine model" in err
 
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("flag", ["--left-state", "--right-state"])
+    def test_unknown_state_is_usage_error(self, capsys, flag, trans):
+        states = {"--left-state": "s", "--right-state": "s", flag: "zzz"}
+        code, out, err = run(capsys, "bisim", *(["--trans"] if trans else []),
+                             "--left", FIG1_JSON, "--left-state", states["--left-state"],
+                             "--right", FIG1_JSON, "--right-state", states["--right-state"])
+        assert (code, out) == (2, "")
+        assert "unknown state 'zzz'" in err
+
+
+def test_consecutive_calls_share_no_values(capsys, tmp_path, FIG1):
+    # one parser serves every call; no flag or subcommand value may carry over
+    pre_path = str(tmp_path / "pre.json")
+    save_model(as_premodel(FIG1), pre_path)
+    check = ["check", "--model", FIG1_JSON, "--state", "t", "--formula", "p"]
+    code, out, _ = run(capsys, *check, "--json")
+    assert code == 0 and json.loads(out)["result"] is True
+    assert run(capsys, *check) == (0, "true\n", "")
+    code, out, _ = run(capsys, "reduce", "--formula", "K1 p", "--json")
+    assert code == 0 and json.loads(out)["reduced"] == "K1 p"
+    assert run(capsys, "reduce", "--formula", "K1 p") == (0, "K1 p\n", "")
+    bisim = ["bisim", "--left", pre_path, "--left-state", "t", "--right", pre_path,
+             "--right-state", "t"]
+    code, _, err = run(capsys, *bisim, "--trans")
+    assert code == 2 and "genuine model" in err
+    code, out, _ = run(capsys, *bisim)
+    assert code == 0 and ["t", "t"] in json.loads(out)
+    assert run(capsys, "delta", "--target", "1", "--sequence", "1,2") == (0, "1,2\n", "")
+
 
 class TestSearch:
     def test_witness_json_revalidates(self, capsys):
