@@ -11,19 +11,19 @@ is set when states i and i+d of model k share a block.  The diamond of a
 set Y is then ``Y | OR_d ((Y >> d) & M_d) | ((Y & M_d) << d)``, and box is
 the dual.  Intersecting relations ANDs their masks offset by offset.
 
-Evaluation runs in contexts that mirror `checker.Evaluator`: ``R_G``
-opens a child whose members read the meet of their relations, and
-``[phi]psi`` opens a child restricted to an ``alive`` mask.  Meet commutes
-with restriction, so only common knowledge needs the alive mask inside
-its fixpoint.
+`_Masks` is the batch algebra of `checker.Context`, which evaluates
+models, pre-models and batches alike.  Meet commutes with restriction,
+so a relation needs no restricting: box masks with the alive set, and
+only common knowledge keeps its fixpoint inside alive.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .checker import Context
 from .kripke import Model
-from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top
+from .syntax import Formula
 
 # Models per batch.  Larger batches amortize packing further but raise
 # peak memory; 256 keeps every mask at a few hundred bytes for n <= 8.
@@ -84,29 +84,38 @@ def _pack(chunks: list) -> int:
 
 
 class _Masks:
-    """A batch's atom and base relation masks, packed on first use.
+    """The batch algebra: a batch's atom and relation masks, packed on first use.
 
     Kept apart from `Batch` so that evaluation contexts, which read these,
     never point back at the batch that owns them: without reference
     cycles, a finished batch and its models are freed at once.
     """
 
-    def __init__(self, models: list, layouts: list, agents: frozenset, n: int):
+    announces = True
+    empty = 0
+
+    def __init__(self, models: list, layouts: list, agents: frozenset, n: int, full: int):
         self.models = models
         self.layouts = layouts
         self.agents = agents
         self.n = n
+        self.full = full
         self._relations: dict = {}
+        self._bases: dict = {}
         self._atoms: dict = {}
 
-    def relation(self, agent: str) -> tuple:
+    def agent(self, agent: str) -> tuple:
         out = self._relations.get(agent)
         if out is None:
-            if agent not in self.agents:
-                raise ValueError(f"undeclared agent {agent!r}")
             patterns = [lo.partition_bytes(m.relations[agent]) for lo, m in zip(self.layouts, self.models)]
             masks = ((d, _pack([p[d - 1] for p in patterns])) for d in range(1, self.n))
             out = self._relations[agent] = tuple((d, m) for d, m in masks if m)
+        return out
+
+    def base(self, g) -> tuple:
+        out = self._bases.get(g)
+        if out is None:
+            out = self._bases[g] = _meet([self.agent(a) for a in sorted(g)])
         return out
 
     def atom(self, name: str) -> int:
@@ -116,6 +125,25 @@ class _Masks:
             out = self._atoms[name] = _pack(
                 [lo.set_bytes(m.valuation.get(name, empty)) for lo, m in zip(self.layouts, self.models)])
         return out
+
+    restrict = staticmethod(lambda rel, alive: rel)  # box and common_box mask with alive instead
+    common = staticmethod(tuple)
+
+    @staticmethod
+    def box(rel: tuple, body: int, alive: int) -> int:
+        return alive & ~_diamond(rel, alive & ~body)
+
+    @staticmethod
+    def common_box(rels: tuple, body: int, alive: int) -> int:
+        reach = alive & ~body
+        while True:
+            grown = reach
+            for rel in rels:
+                # paths must stay inside alive: restriction does not commute with join
+                grown = alive & _diamond(rel, grown)
+            if grown == reach:
+                return alive & ~reach
+            reach = grown
 
 
 class Batch:
@@ -138,7 +166,7 @@ class Batch:
                 layouts[m.states] = _Layout(m.states, self.slot_bytes)
         self._model_layouts = [layouts[m.states] for m in self.models]
         self.full = _pack([lo.set_bytes(m.states) for lo, m in zip(self._model_layouts, self.models)])
-        self._root = _Context(_Masks(self.models, self._model_layouts, agents, n), {}, self.full)
+        self._root = Context(_Masks(self.models, self._model_layouts, agents, n, self.full), (), self.full, {})
 
     def extension(self, f: Formula) -> int:
         """The extension of f over the whole batch."""
@@ -167,93 +195,6 @@ class Batch:
             folded |= bits >> 8 * j
         data = folded.to_bytes(len(self.models) * self.slot_bytes, "little")
         return data[::self.slot_bytes].count(0)
-
-
-class _Context:
-    """Memoized extensions under fixed relations, inside an alive mask."""
-
-    __slots__ = ("masks", "rels", "alive", "_ext", "_meets", "_resolved", "_restricted")
-
-    def __init__(self, masks: _Masks, rels: dict, alive: int):
-        self.masks = masks
-        self.rels = rels  # agent -> relation where it differs from the base one
-        self.alive = alive
-        self._ext: dict = {}
-        self._meets: dict = {}
-        self._resolved: dict = {}
-        self._restricted: dict = {}
-
-    def _rel(self, agent: str) -> tuple:
-        rel = self.rels.get(agent)
-        return self.masks.relation(agent) if rel is None else rel
-
-    def _group(self, g) -> list:
-        return [self._rel(a) for a in sorted(g)]
-
-    def _meet(self, g) -> tuple:
-        out = self._meets.get(g)
-        if out is None:
-            out = self._meets[g] = _meet(self._group(g))
-        return out
-
-    def _box(self, rel: tuple, body: int) -> int:
-        alive = self.alive
-        return alive & ~_diamond(rel, alive & ~body)
-
-    def _common_box(self, g, body: int) -> int:
-        rels, alive = self._group(g), self.alive
-        reach = alive & ~body
-        while True:
-            grown = reach
-            for rel in rels:
-                # paths must stay inside alive: restriction does not commute with join
-                grown = alive & _diamond(rel, grown)
-            if grown == reach:
-                return alive & ~reach
-            reach = grown
-
-    def extension(self, f: Formula) -> int:
-        cached = self._ext.get(f)
-        if cached is not None:
-            return cached
-        alive = self.alive
-        if isinstance(f, Atom):
-            out = self.masks.atom(f.name) & alive
-        elif isinstance(f, Top):
-            out = alive
-        elif isinstance(f, Bot):
-            out = 0
-        elif isinstance(f, Neg):
-            out = alive & ~self.extension(f.body)
-        elif isinstance(f, And):
-            out = self.extension(f.left) & self.extension(f.right)
-        elif isinstance(f, K):
-            out = self._box(self._rel(f.agent), self.extension(f.body))
-        elif isinstance(f, D):
-            out = self._box(self._meet(f.group), self.extension(f.body))
-        elif isinstance(f, C):
-            out = self._common_box(f.group, self.extension(f.body))
-        elif isinstance(f, R):
-            child = self._resolved.get(f.group)
-            if child is None:
-                shared = self._meet(f.group)
-                rels = dict(self.rels)
-                rels.update((a, shared) for a in f.group)
-                child = self._resolved[f.group] = _Context(self.masks, rels, alive)
-            out = child.extension(f.body)
-        elif isinstance(f, Ann):
-            announced = self.extension(f.announced)
-            if not announced:
-                out = alive
-            else:
-                child = self._restricted.get(announced)
-                if child is None:
-                    child = self._restricted[announced] = _Context(self.masks, self.rels, announced)
-                out = (alive & ~announced) | child.extension(f.body)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._ext[f] = out
-        return out
 
 
 class ModelBatches:

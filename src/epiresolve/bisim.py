@@ -35,14 +35,27 @@ from .syntax import group_key
 Pair = Tuple[str, str]
 
 
+def _signature(m, s: str) -> frozenset:
+    """The atoms true at s."""
+    return frozenset(atom for atom, ss in m.valuation.items() if s in ss)
+
+
 def _signatures(m) -> dict:
-    """Each state's atom signature: the atoms true there."""
-    return {s: frozenset(atom for atom, ss in m.valuation.items() if s in ss) for s in m.states}
+    return {s: _signature(m, s) for s in m.states}
 
 
 def _known(m, s: str) -> None:
     if s not in m.states:
         raise ValueError(f"unknown state {s!r}")
+
+
+def _atoms_agree(a, s: str, b, t: str, kind: str) -> bool:
+    """After the input checks: do s and t agree on every atom?  If not, nothing links them."""
+    _known(a, s)
+    _known(b, t)
+    if a.agents != b.agents:
+        raise ValueError(f"{kind} requires a shared agent set")
+    return _signature(a, s) == _signature(b, t)
 
 
 def _as_pre(m: Union[Model, PreModel]) -> PreModel:
@@ -160,9 +173,9 @@ def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], 
     Genuine models are embedded as pre-models first.  Returns the witness
     relation as a frozenset of state pairs, or None.
     """
+    if not _atoms_agree(a, s, b, t, "bisimulation"):
+        return None
     a, b = _as_pre(a), _as_pre(b)
-    _known(a, s)
-    _known(b, t)
     labels = _pre_labels(a, b)
     z = _greatest(a, b, labels, labels)
     return frozenset(z) if (s, t) in z else None
@@ -177,9 +190,9 @@ def is_pre_bisimulation(a: Union[Model, PreModel], b: Union[Model, PreModel], pa
 
 def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
     """Greatest trans-bisimulation between a model and a pre-model, linking (s, t)."""
+    if not _atoms_agree(m, s, n, t, "trans-bisimulation"):
+        return None
     n = _as_pre(n)
-    _known(m, s)
-    _known(n, t)
     z = _greatest(m, n, *_trans_labels(m, n))
     return frozenset(z) if (s, t) in z else None
 

@@ -10,8 +10,8 @@ formulas on batches of consecutive models at once, over the disjoint
 union of each batch (`batch.py`), and report exactly what a model-by-model
 loop would: the same first witness per formula and the same model count.
 `find_model` and `find_countermodel` stop at the first witness and
-evaluate one model at a time with `checker.Evaluator`, which is also the
-per-model oracle the batched engine is tested against.
+evaluate one model at a time with `checker.Evaluator`.  Both paths run
+the same evaluation context over different relation algebras.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        if self.instance_count < 1:
+            raise ValueError("instance_count must be at least 1")
         if self.agents is not None:
             object.__setattr__(self, "agents", tuple(sorted(self.agents)))
         if self.atoms is not None:

@@ -1,8 +1,9 @@
-"""The batched engine against the per-model Evaluator, and the sweeps built on it.
+"""The batched engine against the reference Evaluator, and the sweeps built on it.
 
-`Evaluator` is the oracle: every batched extension must equal its
-per-model extension, and every sweep report must equal the report of a
-plain model-by-model loop (kept below) over the same enumeration.
+`reference_evaluator.Evaluator`, which shares no evaluation code with the
+engine, is the oracle: every batched extension must equal its per-model
+extension, and every sweep report must equal the report of a plain
+model-by-model loop (kept below) over the same enumeration.
 """
 
 import gc
@@ -13,15 +14,16 @@ import weakref
 
 import pytest
 
-from epiresolve import search
+from epiresolve import checker, search
 from epiresolve.batch import BATCH_MODELS, Batch, ModelBatches
-from epiresolve.checker import Evaluator, PointedModel, PseudoEvaluator
+from epiresolve.checker import PointedModel
 from epiresolve.fixtures import fig1, fig1_core
 from epiresolve.kripke import Model, as_premodel
 from epiresolve.search import FormulaGen, SearchBounds, check_rule_rrc, check_schema
 from epiresolve.syntax import And, E, parse
 
 from conftest import model_list
+from reference_evaluator import Evaluator
 
 from test_search import break_c1, corrupt_rd1, drop_t_d
 
@@ -138,7 +140,8 @@ def test_batch_rejects_mixed_models():
 def test_undeclared_agent_is_a_value_error_everywhere(text):
     m = Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]})
     f = parse(text, AG)
-    evaluators = [Evaluator(m).extension, PseudoEvaluator(as_premodel(m)).extension, Batch([m]).extension]
+    evaluators = [checker.Evaluator(m).extension, checker.PseudoEvaluator(as_premodel(m)).extension,
+                  Batch([m]).extension]
     for extension in evaluators:
         with pytest.raises(ValueError, match="undeclared agent '2'"):
             extension(f)

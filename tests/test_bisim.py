@@ -140,6 +140,32 @@ class TestDuplicateState:
         assert "t2" in dup.states
 
 
+class TestAtomDisagreement:
+    """States that disagree on an atom are told apart by their signatures alone."""
+
+    @pytest.mark.parametrize("kind", [bisimilar_pre, trans_bisimilar])
+    def test_answered_without_the_fixpoint(self, monkeypatch, FIG1, kind):
+        import epiresolve.bisim as bisim
+
+        pre = as_premodel(FIG1)
+        assert kind(FIG1, "s", pre, "t") is None  # p is false at s and true at t
+        with monkeypatch.context() as patch:
+            patch.setattr(bisim, "_greatest", lambda *args: pytest.fail("fixpoint ran"))
+            assert kind(FIG1, "s", pre, "t") is None
+            assert kind(FIG1, "t", pre, "s") is None
+
+    @pytest.mark.parametrize("kind", [bisimilar_pre, trans_bisimilar])
+    def test_input_errors_come_first(self, FIG1, kind):
+        pre = as_premodel(FIG1)
+        with pytest.raises(ValueError, match="unknown state 'zz'"):
+            kind(FIG1, "zz", pre, "t")
+        with pytest.raises(ValueError, match="unknown state 'zz'"):
+            kind(FIG1, "s", pre, "zz")
+        lone = Model.make(["a"], {"1": [["a"]]}, {"p": ["a"]})
+        with pytest.raises(ValueError, match="requires a shared agent set"):
+            kind(lone, "a", pre, "s")
+
+
 class TestTransBisimilar:
     def test_embedding_is_trans_bisimilar(self, FIG1):
         z = trans_bisimilar(FIG1, "s", as_premodel(FIG1), "s")

@@ -272,6 +272,15 @@ def test_axioms_with_rrc(capsys):
     assert payload["rrc"]["verdict"] == "ok"
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("rrc", [[], ["--rrc"]])
+def test_axioms_without_instances_is_usage_error(capsys, count, rrc):
+    code, out, err = run(capsys, "axioms", "--system", "rd", "--max-states", "1",
+                         "--instances", count, *rrc)
+    assert code == 2 and out == ""
+    assert "instance_count must be at least 1" in err
+
+
 CORPUS = [
     ("t", "R{1,2}(p & K1 p)"),
     ("t", "R{1,2}(p & ~K1 p)"),

@@ -1,0 +1,115 @@
+"""The evaluation context against the reference evaluators.
+
+`reference_evaluator` builds every resolved and restricted model; the
+engine reads base relations through `delta` inside an alive set.  They
+must agree on every extension: for `Evaluator` and `Batch` on every model
+up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1, and for
+`PseudoEvaluator` on those models' embeddings resolved by every group and
+on a sample of the 3-state, 3-agent pseudo-models.
+"""
+
+import pytest
+
+import reference_evaluator as ref
+from epiresolve.batch import Batch, ModelBatches
+from epiresolve.checker import Evaluator, PseudoEvaluator
+from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, resolve_pre
+from epiresolve.search import FormulaGen, enumerate_pseudo_models
+from epiresolve.syntax import parse, render
+
+from conftest import model_list
+from test_batch import HANDPICKED, per_model
+
+# resolutions over overlapping and disjoint groups of three agents, around
+# announcements and all three modalities
+HANDPICKED_3 = [
+    "R{1,2} R{2,3} K1 p",
+    "R{2,3} R{1,2} D{1,3} p",
+    "R{1} R{2,3} (K2 p | ~K3 ~p)",
+    "R{1,2} [p] R{2,3} C{1,3} p",
+    "[~K1 p] R{1,3} R{2} C{1,2} ~p",
+    "R{3} [K2 p] R{1,2} ~D{1,2,3} p",
+    "R{1,2,3} [p] K3 p",
+]
+
+BOUNDS = [(3, ("1", "2"), ("p", "q")), (4, ("1", "2"), ("p",)), (3, ("1", "2", "3"), ("p",))]
+
+
+def formulas(agents, atoms, seed, count, allow_ann=True):
+    gen = FormulaGen(agents, atoms, seed=seed, depth=3, allow_ann=allow_ann)
+    out = [gen.formula() for _ in range(count)]
+    texts = HANDPICKED if len(agents) == 2 else HANDPICKED_3
+    out += [parse(text, agents) for text in texts if set(atoms) >= {"p", "q"} or "q" not in text]
+    if not allow_ann:
+        out = [f for f in out if "[" not in render(f)]
+    return out
+
+
+def assert_matches(engine, reference, models, fs):
+    for m in models:
+        got, want = engine(m), reference(m)
+        for f in fs:
+            assert got.extension(f) == want.extension(f), (render(f), m)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=lambda b: f"{b[0]}x{len(b[1])}x{len(b[2])}")
+def test_models_match_reference(bounds):
+    models = model_list(*bounds)
+    fs = formulas(bounds[1], bounds[2], seed=31, count=40)
+    assert_matches(Evaluator, ref.Evaluator, models, fs)
+    for batch in ModelBatches(models):
+        evaluators = [ref.Evaluator(m) for m in batch.models]
+        for f in fs:
+            assert per_model(batch, batch.extension(f)) == [ev.extension(f) for ev in evaluators], render(f)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=lambda b: f"{b[0]}x{len(b[1])}x{len(b[2])}")
+def test_resolved_premodels_match_reference(bounds):
+    fs = formulas(bounds[1], bounds[2], seed=32, count=15, allow_ann=False)
+    groups = all_groups(bounds[1])
+    premodels = []
+    for m in model_list(*bounds):
+        pre = as_premodel(m)
+        premodels += [pre] + [resolve_pre(pre, g) for g in groups]
+    assert_matches(PseudoEvaluator, ref.PseudoEvaluator, premodels, fs)
+
+
+def test_pseudo_models_match_reference():
+    agents = ("1", "2", "3")
+    sample = list(enumerate_pseudo_models(3, agents, ["p"]))[::5]
+    assert len(sample) > 1000
+    assert_matches(PseudoEvaluator, ref.PseudoEvaluator, sample,
+                   formulas(agents, ["p"], seed=33, count=40, allow_ann=False))
+
+
+def test_agent_named_by_its_own_resolution_reads_the_group_relation():
+    # not a pseudo-model: agent 1's relation differs from group {1}'s, so
+    # after R{1} agent 1 reads the stored relation of {1}, as resolve_pre
+    # does, even though delta({1}, prefix) is {1}
+    pre = PreModel.make(["a", "b"], {"1": [["a", "b"]], "2": [["a", "b"]]},
+                        {"1": [["a"], ["b"]], "2": [["a", "b"]], "1,2": [["a"], ["b"]]}, {"p": ["a"]})
+    for text in ["K1 p", "R{1} K1 p", "R{1} R{1} K1 p", "R{1} R{2} K1 p", "R{1} D{1} p", "R{1} C{1} p"]:
+        f = parse(text)
+        assert PseudoEvaluator(pre).extension(f) == ref.PseudoEvaluator(pre).extension(f), text
+    assert PseudoEvaluator(pre).extension(parse("R{1} R{2} K1 p")) == {"a"}
+
+
+@pytest.mark.parametrize("text", ["R{1} K2 p", "R{1} D{1,2} p", "R{1} C{2} p", "R{1} R{2} p",
+                                  "[p] K2 p", "[p] D{1,2} p", "[p] C{1,2} p", "[p] R{1,2} p",
+                                  "R{1} [p] R{2} p"])
+def test_undeclared_agent_in_child_contexts(text):
+    m = Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]})
+    f = parse(text)
+    engines = [Evaluator(m).extension, Batch([m]).extension]
+    if "[" not in text:
+        engines.append(PseudoEvaluator(as_premodel(m)).extension)
+    for extension in engines:
+        with pytest.raises(ValueError, match="undeclared agent '2'"):
+            extension(f)
+
+
+@pytest.mark.parametrize("text", ["[K9 p] p", "[C{1,9} p] p", "R{1} [p] p", "~(p & [p] p)"])
+def test_premodel_rejects_announcements_before_their_antecedent(text):
+    pre = as_premodel(Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]}))
+    with pytest.raises(ValueError, match="pseudo satisfaction is undefined for announcements"):
+        PseudoEvaluator(pre).extension(parse(text))

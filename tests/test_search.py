@@ -58,6 +58,13 @@ def test_bounds_validation():
         SearchBounds(max_states=0)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_bounds_need_an_instance(count):
+    # no instances would report every schema sound while checking nothing
+    with pytest.raises(ValueError, match="instance_count must be at least 1"):
+        SearchBounds(instance_count=count)
+
+
 class TestFindModel:
     def test_moore_distributed_witness(self):
         f = parse("D{1,2}(p & ~K1 p)", {"1", "2"})
