@@ -111,6 +111,18 @@ def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
     both = zig is zag
     labels = [(label, True, both) for label in zig]
     labels += [] if both else [(label, False, True) for label in zag]
+    partners: tuple = ({}, {})  # x -> its partners y in z, and y -> its partners x
+    for x, y in z:
+        partners[0].setdefault(x, set()).add(y)
+        partners[1].setdefault(y, set()).add(x)
+    ordered: dict = {}  # block -> its states, sorted once
+
+    def unmatched(near: frozenset, far: frozenset, side: int) -> list:
+        """The states of the near block with no partner in the far block."""
+        if near not in ordered:
+            ordered[near] = sorted(near)
+        return [s for s in ordered[near] if far.isdisjoint(partners[side].get(s, ()))]
+
     for x, y in sorted(z):
         if x not in a.states or y not in b.states:
             problems.append(f"pair ({x},{y}) mentions unknown states")
@@ -119,13 +131,11 @@ def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
             problems.append(f"(at) fails for ({x},{y})")
         for (name, left, right), in_zig, in_zag in labels:
             if in_zig:
-                for xp in sorted(left.block_of(x)):
-                    if not any((xp, yp) in z for yp in right.block_of(y)):
-                        problems.append(f"(zig) fails for ({x},{y}) on {name} toward {xp}")
+                for xp in unmatched(left.block_of(x), right.block_of(y), 0):
+                    problems.append(f"(zig) fails for ({x},{y}) on {name} toward {xp}")
             if in_zag:
-                for yp in sorted(right.block_of(y)):
-                    if not any((xp, yp) in z for xp in left.block_of(x)):
-                        problems.append(f"(zag) fails for ({x},{y}) on {name} toward {yp}")
+                for yp in unmatched(right.block_of(y), left.block_of(x), 1):
+                    problems.append(f"(zag) fails for ({x},{y}) on {name} toward {yp}")
     return problems
 
 

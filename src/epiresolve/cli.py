@@ -155,16 +155,15 @@ def cmd_search(args) -> int:
     with _formula_depth():
         f = parse(args.formula, agents=agents)
         outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
+    examined = f"{outcome.models_examined} models examined, {outcome.classes_examined} evaluated"
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2))
     elif outcome.found:
         kind = "countermodel" if args.countermodel else "witness"
-        print(f"{kind} at state {outcome.witness.state} "
-              f"({outcome.models_examined} models examined)")
+        print(f"{kind} at state {outcome.witness.state} ({examined})")
         print(json.dumps(model_to_dict(outcome.witness.model), indent=2))
     else:
-        print(f"exhausted up to {outcome.max_states} states "
-              f"({outcome.models_examined} models examined)")
+        print(f"exhausted up to {outcome.max_states} states ({examined})")
     return 0 if outcome.found else 1
 
 

@@ -42,6 +42,45 @@ def reference_greatest(a, b, zig, zag):
     return z
 
 
+def reference_violations(a, b, zig, zag, pairs):
+    """The validator as it stood before partner sets: sorts every near block per
+    pair and scans the far block with `any`."""
+    def signatures(m):
+        return {s: frozenset(atom for atom, ss in m.valuation.items() if s in ss) for s in m.states}
+
+    z = set(pairs)
+    problems = [] if z else ["relation is empty"]
+    sig_a, sig_b = signatures(a), signatures(b)
+    both = zig is zag
+    labels = [(label, True, both) for label in zig]
+    labels += [] if both else [(label, False, True) for label in zag]
+    for x, y in sorted(z):
+        if x not in a.states or y not in b.states:
+            problems.append(f"pair ({x},{y}) mentions unknown states")
+            continue
+        if sig_a[x] != sig_b[y]:
+            problems.append(f"(at) fails for ({x},{y})")
+        for (name, left, right), in_zig, in_zag in labels:
+            if in_zig:
+                for xp in sorted(left.block_of(x)):
+                    if not any((xp, yp) in z for yp in right.block_of(y)):
+                        problems.append(f"(zig) fails for ({x},{y}) on {name} toward {xp}")
+            if in_zag:
+                for yp in sorted(right.block_of(y)):
+                    if not any((xp, yp) in z for xp in left.block_of(x)):
+                        problems.append(f"(zag) fails for ({x},{y}) on {name} toward {yp}")
+    return problems
+
+
+def assert_validators_match_reference(a, b, pairs):
+    pa, pb = (x if isinstance(x, PreModel) else as_premodel(x) for x in (a, b))
+    labels = _pre_labels(pa, pb)
+    assert is_pre_bisimulation(a, b, pairs) == reference_violations(pa, pb, labels, labels, pairs)
+    if not isinstance(a, PreModel):
+        expected = reference_violations(a, pb, *_trans_labels(a, pb), pairs)
+        assert is_trans_bisimulation(a, b, pairs) == expected
+
+
 def random_blocks(rng, states):
     labels = [rng.randrange(len(states)) for _ in states]
     return [[s for s, k in zip(states, labels) if k == c] for c in set(labels)]
@@ -293,3 +332,36 @@ class TestGreatestFixpointReference:
                 labels = _pre_labels(pre, dup)
                 assert bisimilar_pre(pre, x, dup, x + "'") == frozenset(
                     reference_greatest(pre, dup, labels, labels))
+
+
+class TestValidatorReference:
+    """Problem lists equal those of the validator kept above, in order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_relations(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(40):
+            agents = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+            atoms = ["p", "q"][:rng.randint(1, 2)]
+            m = random_model(rng, rng.randint(1, 10), agents, atoms)
+            for b in (m, random_model(rng, rng.randint(1, 10), agents, atoms, "o"),
+                      random_premodel(rng, rng.randint(1, 10), agents, atoms, "r")):
+                pairs = [(x, y) for x in sorted(m.states) for y in sorted(b.states)]
+                for keep in (0.2, 0.6, 1.0):
+                    claimed = {pair for pair in pairs if rng.random() < keep}
+                    assert_validators_match_reference(m, b, claimed)
+                    assert_validators_match_reference(m, b, claimed | {("s0", "zzz")})
+                witness = bisimilar_pre(m, min(m.states), b, min(b.states))
+                if witness:
+                    assert_validators_match_reference(m, b, witness)
+
+    def test_c09_pairs(self):
+        for pre in enumerate_pseudo_models(3, ["1", "2"], ["p"]):
+            for x in sorted(pre.states):
+                dup = duplicate_state(pre, x)
+                z = bisimilar_pre(pre, x, dup, x + "'")
+                short = z - {min(z)}
+                assert_validators_match_reference(pre, dup, z)
+                assert_validators_match_reference(pre, dup, short)
+                for g in all_groups(pre.agents):
+                    assert_validators_match_reference(resolve_pre(pre, g), resolve_pre(dup, g), z)

@@ -1,10 +1,17 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
 
+import reference_evaluator as ref
+from conftest import model_list
 from epiresolve.checker import satisfies
 from epiresolve.kripke import validate
 from epiresolve.search import (
     FormulaGen,
     SearchBounds,
+    SearchOutcome,
+    _classes,
     check_rule_rrc,
     check_schema,
     enumerate_models,
@@ -114,6 +121,150 @@ class TestFindCountermodel:
         a = find_countermodel(f, SearchBounds(max_states=3))
         b = find_countermodel(f, SearchBounds(max_states=3))
         assert a == b
+
+
+def signature(agents, atoms):
+    return tuple(str(i) for i in range(1, agents + 1)), ("p", "q")[:atoms]
+
+
+def renamed(m, perm):
+    """The model's relations and valuation with state i renamed perm[i], as a sortable key."""
+    def image(states):
+        return tuple(sorted(perm[int(s)] for s in states))
+    return (tuple(tuple(sorted(image(b) for b in m.relations[a].blocks)) for a in sorted(m.agents)),
+            tuple(image(m.valuation[p]) for p in sorted(m.valuation)))
+
+
+def key(m):
+    return len(m.states), renamed(m, range(len(m.states)))
+
+
+def canonical(m):
+    return len(m.states), min(renamed(m, perm) for perm in permutations(range(len(m.states))))
+
+
+# (states, agents, atoms): the largest bound of each signature that is covered
+CLASS_BOUNDS = [(5, 1, 0), (5, 1, 1), (5, 2, 0), (5, 2, 1), (4, 3, 0), (4, 3, 1), (3, 1, 2), (3, 2, 2)]
+
+
+class TestIsomorphismClasses:
+    @pytest.mark.parametrize("states,agents,atoms", CLASS_BOUNDS)
+    def test_class_sizes_sum_to_the_labelled_count(self, states, agents, atoms):
+        agent_ids, atom_names = signature(agents, atoms)
+        bounds = SearchBounds(states, agent_ids, atom_names)
+        per_size = {}
+        for m, size in _classes(bounds):
+            per_size[len(m.states)] = per_size.get(len(m.states), 0) + size
+        bell = {n: sum(1 for _ in set_partitions(range(n))) for n in range(1, states + 1)}
+        # every smaller bound is a prefix of this one, so each size is checked on its own
+        assert per_size == {n: bell[n] ** agents * 2 ** (n * atoms) for n in range(1, states + 1)}
+
+    @pytest.mark.parametrize("states,agents,atoms", [(4, 2, 1), (4, 1, 2), (3, 3, 1), (3, 2, 2)])
+    def test_class_size_is_n_factorial_over_automorphisms(self, states, agents, atoms):
+        agent_ids, atom_names = signature(agents, atoms)
+        for m, size in _classes(SearchBounds(states, agent_ids, atom_names)):
+            n = len(m.states)
+            itself = renamed(m, range(n))
+            automorphisms = sum(renamed(m, perm) == itself for perm in permutations(range(n)))
+            assert size == factorial(n) // automorphisms
+
+    @pytest.mark.parametrize("states,agents,atoms", [(4, 2, 1), (3, 3, 1), (3, 2, 2)])
+    def test_every_labelled_model_has_exactly_one_representative(self, states, agents, atoms):
+        agent_ids, atom_names = signature(agents, atoms)
+        labelled = model_list(states, agent_ids, atom_names)
+        position = {key(m): k for k, m in enumerate(labelled)}
+        first = {}  # canonical form -> (index of its first labelled model, labelled models)
+        for k, m in enumerate(labelled):
+            form = canonical(m)
+            k0, count = first.get(form, (k, 0))
+            first[form] = (k0, count + 1)
+        reps = list(_classes(SearchBounds(states, agent_ids, atom_names)))
+        assert len({canonical(m) for m, _ in reps}) == len(reps) == len(first)
+        for m, size in reps:
+            # each representative is the first labelled model of its class
+            assert first[canonical(m)] == (position[key(m)], size)
+        assert [position[key(m)] for m, _ in reps] == sorted(position[key(m)] for m, _ in reps)
+
+
+def labelled_first_point(f, models, falsify):
+    for k, m in enumerate(models):
+        ext = ref.Evaluator(m).extension(f)
+        points = m.states - ext if falsify else ext
+        if points:
+            return k, m, min(points)
+    return None
+
+
+# generated formulas mostly have a one-state witness; these need two or three states
+MULTI_STATE = {
+    2: ["K1 p -> K2 p", "D{1,2} p -> C{1,2} p", "p & K1 ~K1 p", "~K1 R{1,2} p & p",
+        "[~D{1} ~p] R{1,2} p", "K2 K1 p & D{1} R{1} p & (K2 K2 p & ~C{1,2} p)"],
+    3: ["R{1,2} C{1,3} p <-> C{1,3} R{1,2} p", "~D{1,3} K2 p & p", "[~D{2} ~p] R{1,3} p",
+        "K1 R{3} p & (R{1,2} p & K2 p) & ~D{2,3} D{1,3} p"],
+}
+
+
+@pytest.mark.parametrize("states,agents,seed", [(3, 2, 0), (3, 3, 1), (4, 2, 2)])
+def test_find_verdicts_match_a_labelled_loop(states, agents, seed):
+    agent_ids = signature(agents, 0)[0]
+    bounds = SearchBounds(states, agent_ids, ("p",))
+    labelled = model_list(states, agent_ids, ("p",))
+    class_size = {}
+    for m in labelled:
+        class_size[canonical(m)] = class_size.get(canonical(m), 0) + 1
+    gen = FormulaGen(agent_ids, ["p"], seed=seed, depth=3, allow_c=True, allow_r=True, allow_ann=True)
+    formulas = [parse(text, set(agent_ids)) for text in MULTI_STATE[agents]]
+    formulas += [gen.formula() for _ in range(40 if states == 3 else 12)]
+    for f in formulas:
+        for falsify, find in ((False, find_model), (True, find_countermodel)):
+            out = find(f, bounds)
+            expected = labelled_first_point(f, labelled, falsify)
+            assert out.found == (expected is not None)
+            if expected is None:
+                assert out.models_examined == len(labelled)
+                assert out.classes_examined == len(class_size)
+                continue
+            k, m, state = expected
+            w = out.witness
+            assert (w.model, w.state) == (m, state)
+            assert validate(w.model) == []
+            assert (state in ref.Evaluator(w.model).extension(f)) != falsify
+            # every class evaluated counts whole, the witness's class included
+            seen = {canonical(x) for x in labelled[:k + 1]}
+            assert out.classes_examined == len(seen)
+            assert out.models_examined == sum(class_size[c] for c in seen)
+
+
+def test_sizes_without_tables_or_with_few_models_come_labelled():
+    # one agent, no atoms: B(n) <= n! from 3 states on, and 8 states is past the tables
+    bounds = SearchBounds(8, ("1",), ())
+    assert list(_classes(bounds)) == [(m, 1) for m in enumerate_models(bounds)]
+    # one agent, one atom: reduced up to 7 states, labelled at 8
+    weights = {}
+    for m, size in _classes(SearchBounds(8, ("1",), ("p",))):
+        n = len(m.states)
+        if n < 7:
+            continue
+        weights.setdefault(n, set()).add(size)
+        if n == 8:
+            break
+    assert weights[7] != {1} and weights[8] == {1}
+
+
+def test_searches_beyond_seven_states_exhaust_with_the_labelled_count():
+    out = find_model(parse("~K1 true"), SearchBounds(max_states=8))
+    bell = [sum(1 for _ in set_partitions(range(n))) for n in range(1, 9)]
+    assert out.verdict == "exhausted"
+    assert out.models_examined == out.classes_examined == sum(bell) == 5295
+    found = find_countermodel(parse("K1 p -> p & ~K1 p"), SearchBounds(max_states=9))
+    assert found.found and validate(found.witness.model) == []
+
+
+def test_search_outcome_classes_are_optional_and_serialized():
+    assert SearchOutcome(None, 3, 10).classes_examined is None
+    out = find_model(parse("p & ~p"), SearchBounds(max_states=2))
+    assert out.to_dict() == {"verdict": "exhausted", "max_states": 2,
+                             "models_examined": 10, "classes_examined": 8}
 
 
 SMALL = SearchBounds(max_states=2, agents=("1", "2"), atoms=("p",), instance_count=60)
