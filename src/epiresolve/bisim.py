@@ -1,26 +1,28 @@
 """Pre-model bisimulation and trans-bisimulation checking.
 
 A bisimulation is the greatest fixpoint of its back-and-forth clauses, so
-both kinds share one deletion loop and one validator and differ only in
-their labels: (name, left, right) triples of partitions, where zig moves
-along left and answers along right, and zag the other way round.
-Pre-model bisimulation uses the same labels for both.  Trans-bisimulation
-answers zig along closures, because path existence over equivalence
-relations collapses to one closure computation.
+both kinds share one fixpoint and one validator and differ only in their
+labels: (name, left, right) triples of partitions, where zig moves along
+left and answers along right, and zag the other way round.  Pre-model
+bisimulation uses the same labels for both.  Trans-bisimulation answers
+zig along closures, because path existence over equivalence relations
+collapses to one closure computation.
 
-Every label is a partition, so a clause of a pair reads only counts: zig
-for (x, y) on (left, right) asks, for each x' in x's left block, how many
-(x', y') in the relation have y' in y's right block, and zag asks the
-mirror count.  After one in-place pass of the per-pair check, the
-fixpoint keeps those counts keyed by (state, far block) and propagates
-deletions instead of rescanning: a deleted pair decrements its keys, and
-a key that drops to 0 deletes its near block × far block.  Each pair is
-deleted at most once.
+The fixpoint runs on a coded view of its two sides.  States become ints in
+sorted-name order, each distinct partition a block id per state and a
+member list per block, and the pair (x, y) the int x * |B| + y in a
+bytearray.  One in-place pass of the per-pair check comes first.  If it
+deletes anything, the fixpoint counts, per clause, the partners each state
+has left in each far block, in a flat int list, and propagates deletions
+instead of rescanning: a deleted pair decrements its counts, and a count
+that drops to 0 deletes its near block × far block.  Each pair is deleted
+at most once, and only the survivors are decoded to name pairs.  The
+validator names each clause failure, and works out the unmatched states
+of each (left block, right block) once per call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Optional, Tuple, Union
 
 from .kripke import (
@@ -35,13 +37,15 @@ from .syntax import group_key
 Pair = Tuple[str, str]
 
 
-def _signature(m, s: str) -> frozenset:
-    """The atoms true at s."""
-    return frozenset(atom for atom, ss in m.valuation.items() if s in ss)
-
-
-def _signatures(m) -> dict:
-    return {s: _signature(m, s) for s in m.states}
+def _signatures(a, b) -> tuple:
+    """Each state's atoms as bits, one bit per atom of either side: a's, then b's."""
+    bits = {atom: 1 << k for k, atom in enumerate(set(a.valuation) | set(b.valuation))}
+    out = ({s: 0 for s in a.states}, {s: 0 for s in b.states})
+    for sig, m in zip(out, (a, b)):
+        for atom, ss in m.valuation.items():
+            for s in ss & m.states:
+                sig[s] |= bits[atom]
+    return out
 
 
 def _known(m, s: str) -> None:
@@ -55,87 +59,144 @@ def _atoms_agree(a, s: str, b, t: str, kind: str) -> bool:
     _known(b, t)
     if a.agents != b.agents:
         raise ValueError(f"{kind} requires a shared agent set")
-    return _signature(a, s) == _signature(b, t)
+    return all((s in a.valuation.get(atom, ())) == (t in b.valuation.get(atom, ()))
+               for atom in set(a.valuation) | set(b.valuation))
 
 
 def _as_pre(m: Union[Model, PreModel]) -> PreModel:
     return m if isinstance(m, PreModel) else as_premodel(m)
 
 
-def _greatest(a, b, zig: list, zag: list) -> set:
+def _greatest(a, b, zig: list, zag: list) -> frozenset:
     """The greatest relation between atom-agreeing states that satisfies every clause."""
-    sig_a, by_sig = _signatures(a), {}
-    for y, sig in _signatures(b).items():
-        by_sig.setdefault(sig, []).append(y)
-    z = {(x, y) for x in a.states for y in by_sig.get(sig_a[x], ())}
-    seeded = len(z)
-    for x, y in sorted(z):
-        if not (all(any((xp, yp) in z for yp in right.block_of(y))
-                    for _, left, right in zig for xp in left.block_of(x)) and
-                all(any((xp, yp) in z for xp in left.block_of(x))
-                    for _, left, right in zag for yp in right.block_of(y))):
-            z.remove((x, y))
-    if len(z) == seeded:
-        return z
-    # clause (i, near, far): state pair[i] needs a partner in the far block of
-    # pair[1 - i]; zig reads (x, right block of y), zag (y, left block of x)
-    clauses = [(0, left, right) for _, left, right in zig]
-    clauses += [(1, right, left) for _, left, right in zag]
-    counts = [Counter((p[i], far.block_of(p[1 - i])) for p in z) for i, _, far in clauses]
+    names = sorted(a.states), sorted(b.states)
+    width = len(names[1])
+    index = [{s: k for k, s in enumerate(side)} for side in names]
+    coded: dict = {}
+
+    def code(part: Partition, side: int) -> tuple:
+        """Each state's block id, each block's members, and the members as
+        pair parts: left states as rows (index × width), so that a left row
+        plus a right index is a pair.  Blocks are numbered by least member."""
+        key = (side, part.blocks)  # one Partition object may serve both sides
+        if key not in coded:
+            blocks = sorted(sorted(map(index[side].__getitem__, block)) for block in part.blocks)
+            ids = [0] * len(names[side])
+            for k, block in enumerate(blocks):
+                for s in block:
+                    ids[s] = k
+            coded[key] = ids, blocks, blocks if side else [[s * width for s in block] for block in blocks]
+        return coded[key]
+
+    # clause (i, near, far): state pair[i] needs, for each state of its near
+    # block, a partner in the far block of pair[1 - i]; zig reads (x, right
+    # block of y), zag (y, left block of x).  Equal clauses are kept once.
+    unique: dict = {}
+    for i, near, far in ([(0, code(left, 0), code(right, 1)) for _, left, right in zig] +
+                         [(1, code(right, 1), code(left, 0)) for _, left, right in zag]):
+        unique[i, id(near), id(far)] = i, near, far
+    clauses = list(unique.values())
+    sig_a, sig_b = _signatures(a, b)
+    by_sig: dict = {}
+    for y, s in enumerate(names[1]):
+        by_sig.setdefault(sig_b[s], []).append(y)
+    seeded = [x * width + y for x, s in enumerate(names[0]) for y in by_sig.get(sig_a[s], ())]
+    alive = bytearray(len(names[0]) * width)
+    for p in seeded:
+        alive[p] = 1
+    # one in-place pass of the per-pair check, in sorted-name order
+    for p in seeded:
+        x, y = divmod(p, width)
+        st = (x, y), (y, x)
+        for i, (n_ids, _, n_rows), (f_ids, _, f_rows) in clauses:
+            s, t = st[i]
+            far = f_rows[f_ids[t]]
+            for u in n_rows[n_ids[s]]:
+                if not any(alive[u + v] for v in far):  # u has no partner in far
+                    alive[p] = 0
+                    break
+            if not alive[p]:
+                break
+    pairs = [p for p in seeded if alive[p]]
+    if len(pairs) < len(seeded):
+        _propagate(clauses, width, pairs, alive)
+    return frozenset((names[0][p // width], names[1][p % width]) for p in pairs if alive[p])
+
+
+def _propagate(clauses: list, width: int, pairs: list, alive: bytearray) -> None:
+    """Delete the pairs that fail a clause until none does.  Per clause,
+    count[s * k_far + far block] is the number of partners near state s has
+    left in that far block."""
+    xy = [divmod(p, width) for p in pairs]
+    oriented = xy, [(y, x) for x, y in xy]
+    counts = []
+    for i, (n_ids, _, _), (f_ids, f_blocks, _) in clauses:
+        k_far = len(f_blocks)
+        count = [0] * (len(n_ids) * k_far)
+        for s, t in oriented[i]:
+            count[s * k_far + f_ids[t]] += 1
+        counts.append(count)
     # pairs that lost a partner to a deletion later in the pass
-    stack = [p for p in z if not all(count.get((s, far.block_of(p[1 - i])))
-                                     for (i, near, far), count in zip(clauses, counts)
-                                     for s in near.block_of(p[i]))]
+    stack = []
+    for k, p in enumerate(pairs):
+        for (i, (n_ids, n_blocks, _), (f_ids, f_blocks, _)), count in zip(clauses, counts):
+            s, t = oriented[i][k]
+            k_far, fb = len(f_blocks), f_ids[t]
+            if not all(count[u * k_far + fb] for u in n_blocks[n_ids[s]]):
+                stack.append(p)
+                break
     while stack:
-        pair = stack.pop()
-        if pair not in z:
+        p = stack.pop()
+        if not alive[p]:
             continue
-        z.remove(pair)
-        for (i, near, far), count in zip(clauses, counts):
-            key = (pair[i], far.block_of(pair[1 - i]))
+        alive[p] = 0
+        x, y = divmod(p, width)
+        st = (x, y), (y, x)
+        for (i, (n_ids, _, n_rows), (f_ids, _, f_rows)), count in zip(clauses, counts):
+            s, t = st[i]
+            fb = f_ids[t]
+            key = s * len(f_rows) + fb
             count[key] -= 1
             if not count[key]:
                 # no partner left in the far block: every pair of the near
                 # block with that far block fails this clause
-                for u in near.block_of(pair[i]):
-                    stack.extend((u, v) if i == 0 else (v, u) for v in key[1])
-    return z
+                stack.extend(u + v for u in n_rows[n_ids[s]] for v in f_rows[fb] if alive[u + v])
 
 
 def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed relation; violations as data."""
     z = set(pairs)
     problems = [] if z else ["relation is empty"]
-    sig_a, sig_b = _signatures(a), _signatures(b)
+    sig_a, sig_b = _signatures(a, b)
     # with zig = zag each label reports zig then zag; otherwise all zig labels come first
     both = zig is zag
-    labels = [(label, True, both) for label in zig]
-    labels += [] if both else [(label, False, True) for label in zag]
+    labels = [(name, left.block_of, right.block_of, True, both) for name, left, right in zig]
+    if not both:
+        labels += [(name, left.block_of, right.block_of, False, True) for name, left, right in zag]
     partners: tuple = ({}, {})  # x -> its partners y in z, and y -> its partners x
     for x, y in z:
         partners[0].setdefault(x, set()).add(y)
         partners[1].setdefault(y, set()).add(x)
-    ordered: dict = {}  # block -> its states, sorted once
-
-    def unmatched(near: frozenset, far: frozenset, side: int) -> list:
-        """The states of the near block with no partner in the far block."""
-        if near not in ordered:
-            ordered[near] = sorted(near)
-        return [s for s in ordered[near] if far.isdisjoint(partners[side].get(s, ()))]
-
+    # (left block, right block) -> the left states with no partner in the
+    # right block, and the right states with none in the left block
+    unmatched: dict = {}
     for x, y in sorted(z):
-        if x not in a.states or y not in b.states:
+        if x not in sig_a or y not in sig_b:
             problems.append(f"pair ({x},{y}) mentions unknown states")
             continue
         if sig_a[x] != sig_b[y]:
             problems.append(f"(at) fails for ({x},{y})")
-        for (name, left, right), in_zig, in_zag in labels:
-            if in_zig:
-                for xp in unmatched(left.block_of(x), right.block_of(y), 0):
-                    problems.append(f"(zig) fails for ({x},{y}) on {name} toward {xp}")
-            if in_zag:
-                for yp in unmatched(right.block_of(y), left.block_of(x), 1):
-                    problems.append(f"(zag) fails for ({x},{y}) on {name} toward {yp}")
+        for name, left, right, in_zig, in_zag in labels:
+            key = left(x), right(y)
+            if key not in unmatched:
+                lb, rb = key
+                unmatched[key] = ([s for s in sorted(lb) if rb.isdisjoint(partners[0].get(s, ()))],
+                                  [s for s in sorted(rb) if lb.isdisjoint(partners[1].get(s, ()))])
+            zig_miss, zag_miss = unmatched[key]
+            if in_zig and zig_miss:
+                problems.extend(f"(zig) fails for ({x},{y}) on {name} toward {xp}" for xp in zig_miss)
+            if in_zag and zag_miss:
+                problems.extend(f"(zag) fails for ({x},{y}) on {name} toward {yp}" for yp in zag_miss)
     return problems
 
 
@@ -188,7 +249,7 @@ def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], 
     a, b = _as_pre(a), _as_pre(b)
     labels = _pre_labels(a, b)
     z = _greatest(a, b, labels, labels)
-    return frozenset(z) if (s, t) in z else None
+    return z if (s, t) in z else None
 
 
 def is_pre_bisimulation(a: Union[Model, PreModel], b: Union[Model, PreModel], pairs: Iterable[Pair]) -> list:
@@ -198,17 +259,30 @@ def is_pre_bisimulation(a: Union[Model, PreModel], b: Union[Model, PreModel], pa
     return _violations(a, b, labels, labels, pairs)
 
 
+def _genuine(m) -> None:
+    if isinstance(m, PreModel):
+        raise ValueError("trans-bisimulation needs a genuine model (no group_relations) on the left")
+
+
 def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
-    """Greatest trans-bisimulation between a model and a pre-model, linking (s, t)."""
+    """Greatest trans-bisimulation between a model and a pre-model, linking (s, t).
+
+    The left side must be a genuine model; a pre-model there is a ValueError.
+    When n is a pseudo-model, every zig closure is the relation itself
+    (a larger group refines each smaller group inside it), so the answer
+    equals bisimilar_pre(m, s, n, t).
+    """
+    _genuine(m)
     if not _atoms_agree(m, s, n, t, "trans-bisimulation"):
         return None
     n = _as_pre(n)
     z = _greatest(m, n, *_trans_labels(m, n))
-    return frozenset(z) if (s, t) in z else None
+    return z if (s, t) in z else None
 
 
 def is_trans_bisimulation(m: Model, n: Union[Model, PreModel], pairs: Iterable[Pair]) -> list:
-    """Clause-by-clause validation of a claimed trans-bisimulation."""
+    """Clause-by-clause validation of a claimed trans-bisimulation; m must be a genuine model."""
+    _genuine(m)
     n = _as_pre(n)
     return _violations(m, n, *_trans_labels(m, n), pairs)
 

@@ -132,8 +132,6 @@ def cmd_bisim(args) -> int:
     left = _load_checked(args.left)
     right = _load_checked(args.right)
     if args.trans:
-        if isinstance(left, PreModel):
-            raise ValueError("--trans needs a genuine model (no group_relations) on the left")
         witness = trans_bisimilar(left, args.left_state, right, args.right_state)
     else:
         witness = bisimilar_pre(left, args.left_state, right, args.right_state)

@@ -315,7 +315,7 @@ class TestGreatestFixpointReference:
                 assert_pre_matches_reference(resolved, duplicate_state(resolved, min(m.states)))
                 assert_trans_matches_reference(m, resolved)
 
-    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("n", [16, 32, 64])
     def test_chains(self, n):
         m = chain(n)
         names = sorted(m.states)
@@ -324,6 +324,26 @@ class TestGreatestFixpointReference:
         assert_pre_matches_reference(m, m)
         assert_trans_matches_reference(m, dup)
         assert_trans_matches_reference(m, as_premodel(m))
+
+    def test_sides_share_partitions_over_differently_built_state_sets(self):
+        # the right side reuses the left side's Partition objects, but its
+        # states come from a frozenset built in the opposite order and p
+        # sits at the other end, so each side codes the same partitions
+        # against its own state indexes
+        m = chain(40)
+        names = sorted(m.states)
+        flipped = Model(states=frozenset(reversed(names)), agents=m.agents, relations=m.relations,
+                        valuation={"p": frozenset(names[-1:])})
+        pre = as_premodel(m)
+        flipped_pre = PreModel(states=flipped.states, agents=m.agents, relations=pre.relations,
+                               valuation=flipped.valuation, group_relations=pre.group_relations)
+        for a, b in [(m, flipped), (pre, flipped_pre), (flipped_pre, pre), (flipped, flipped_pre)]:
+            assert_pre_matches_reference(a, b)
+        assert_trans_matches_reference(m, flipped_pre)
+        assert_trans_matches_reference(flipped, pre)
+        mid = names[20]
+        assert bisimilar_pre(pre, mid, flipped_pre, mid) is None
+        assert bisimilar_pre(pre, mid, pre, mid) == frozenset((s, s) for s in names)
 
     def test_c09_duplicate_pairs(self):
         for pre in enumerate_pseudo_models(3, ["1", "2"], ["p"]):
@@ -365,3 +385,31 @@ class TestValidatorReference:
                 assert_validators_match_reference(pre, dup, short)
                 for g in all_groups(pre.agents):
                     assert_validators_match_reference(resolve_pre(pre, g), resolve_pre(dup, g), z)
+
+
+class TestTransBisimilarity:
+    def test_premodel_on_the_left_is_rejected(self, FIG1):
+        pre = as_premodel(FIG1)
+        resolved = resolve_pre(pre, grp("1,2"))
+        with pytest.raises(ValueError, match="genuine model"):
+            trans_bisimilar(resolved, "t", pre, "t")
+        with pytest.raises(ValueError, match="genuine model"):
+            trans_bisimilar(pre, "t", pre, "t")
+        with pytest.raises(ValueError, match="genuine model"):
+            is_trans_bisimulation(resolved, pre, {("t", "t")})
+
+    @pytest.mark.parametrize("agents", [["1"], ["1", "2"]])
+    def test_equals_bisimilarity_on_pseudo_models(self, agents):
+        # on a pseudo-model each larger group refines the smaller ones, so
+        # every zig closure is the relation itself
+        rng = random.Random(len(agents))
+        linked = 0
+        for n in enumerate_pseudo_models(3, agents, ["p"]):
+            for right in [n] + [duplicate_state(n, x) for x in sorted(n.states)]:
+                m = random_model(rng, rng.randint(1, 4), agents, ["p"])
+                s = rng.choice(sorted(m.states))
+                for t in sorted(right.states):
+                    z = bisimilar_pre(m, s, right, t)
+                    assert trans_bisimilar(m, s, right, t) == z
+                    linked += z is not None
+        assert linked
