@@ -2,12 +2,16 @@
 
 Satisfaction is invariant under disjoint union, so evaluating a formula
 once over the union of a batch of models gives every model's extension.
-A batch holds models of one size n and one agent set.  Model k owns a
+A `Batch` holds models of one size n and one agent set.  Model k owns a
 slot of ``8*ceil(n/8)`` bits, and state i of the model is the i-th of
 ``sorted(states)``; an extension over the whole batch is one Python int.
+The search (`search._first_point`) packs isomorphism-class
+representatives the same way, rows of several sizes sharing a batch when
+their slots are equally wide.
 
 An agent's relation is kept as one mask per offset d in 1..n-1: bit (k, i)
-is set when states i and i+d of model k share a block.  The diamond of a
+is set when states i and i+d of model k share a block (never for d past
+the model's own size).  The diamond of a
 set Y is then ``Y | OR_d ((Y >> d) & M_d) | ((Y & M_d) << d)``, and box is
 the dual.  Intersecting relations ANDs their masks offset by offset.
 
@@ -48,12 +52,15 @@ def _meet(rels: Sequence[tuple]) -> tuple:
 
 
 class _Layout:
-    """Per state set: the state order and byte patterns of its partitions and subsets."""
+    """Per state set: the state order and byte patterns of its partitions and subsets.
 
-    def __init__(self, states: frozenset, slot_bytes: int):
+    A slot is ``ceil(n/8)`` bytes, and bit i is the state ``sorted(states)[i]``.
+    """
+
+    def __init__(self, states: frozenset):
         self.order = sorted(states)
         self.index = {s: i for i, s in enumerate(self.order)}
-        self.slot_bytes = slot_bytes
+        self.slot_bytes = (len(self.order) + 7) // 8
         self._parts: dict = {}
         self._sets: dict = {}
 
@@ -79,27 +86,47 @@ class _Layout:
         return out
 
 
-def _pack(chunks: list) -> int:
+def _pack(chunks) -> int:
     return int.from_bytes(b"".join(chunks), "little")
+
+
+def masks_context(agents: frozenset, full: int, relation_rows, atom_rows) -> Context:
+    """The root evaluation context over rows packed by `_Masks`; full holds every row's states."""
+    return Context(_Masks(agents, full, relation_rows, atom_rows), (), full, {})
+
+
+def _model_rows(models: list, layouts: list) -> tuple:
+    """(relation_rows, atom_rows) of labelled models, each read through its layout."""
+    def relation_rows(agent: str):
+        return zip(*[lo.partition_bytes(m.relations[agent]) for lo, m in zip(layouts, models)])
+
+    def atom_rows(name: str) -> list:
+        empty = frozenset()
+        return [lo.set_bytes(m.valuation.get(name, empty)) for lo, m in zip(layouts, models)]
+
+    return relation_rows, atom_rows
 
 
 class _Masks:
     """The batch algebra: a batch's atom and relation masks, packed on first use.
 
-    Kept apart from `Batch` so that evaluation contexts, which read these,
-    never point back at the batch that owns them: without reference
-    cycles, a finished batch and its models are freed at once.
+    ``relation_rows(agent)`` gives, for each offset d in 1..n-1, the rows'
+    slot patterns of pairs (i, i+d) in one block, and ``atom_rows(name)``
+    the rows' slot bits of the atom.  They read labelled models through
+    their `_Layout` (the sweeps) or index tuples through per-size tables
+    (the search).  They close over the rows, never over a batch: evaluation
+    contexts read these masks, and without reference cycles a finished
+    batch and its models are freed at once.
     """
 
     announces = True
     empty = 0
 
-    def __init__(self, models: list, layouts: list, agents: frozenset, n: int, full: int):
-        self.models = models
-        self.layouts = layouts
+    def __init__(self, agents: frozenset, full: int, relation_rows, atom_rows):
         self.agents = agents
-        self.n = n
         self.full = full
+        self._relation_rows = relation_rows
+        self._atom_rows = atom_rows
         self._relations: dict = {}
         self._bases: dict = {}
         self._atoms: dict = {}
@@ -107,8 +134,7 @@ class _Masks:
     def agent(self, agent: str) -> tuple:
         out = self._relations.get(agent)
         if out is None:
-            patterns = [lo.partition_bytes(m.relations[agent]) for lo, m in zip(self.layouts, self.models)]
-            masks = ((d, _pack([p[d - 1] for p in patterns])) for d in range(1, self.n))
+            masks = enumerate(map(_pack, self._relation_rows(agent)), 1)
             out = self._relations[agent] = tuple((d, m) for d, m in masks if m)
         return out
 
@@ -121,9 +147,7 @@ class _Masks:
     def atom(self, name: str) -> int:
         out = self._atoms.get(name)
         if out is None:
-            empty = frozenset()
-            out = self._atoms[name] = _pack(
-                [lo.set_bytes(m.valuation.get(name, empty)) for lo, m in zip(self.layouts, self.models)])
+            out = self._atoms[name] = _pack(self._atom_rows(name))
         return out
 
     restrict = staticmethod(lambda rel, alive: rel)  # box and common_box mask with alive instead
@@ -157,16 +181,16 @@ class Batch:
         agents = self.models[0].agents
         if any(len(m.states) != n or m.agents != agents for m in self.models):
             raise ValueError("a batch needs models of one size and one agent set")
-        self.slot_bytes = (n + 7) // 8
-        self.width = 8 * self.slot_bytes
-        self._slot_full = (1 << self.width) - 1
         layouts = {} if layouts is None else layouts
         for m in self.models:
             if m.states not in layouts:
-                layouts[m.states] = _Layout(m.states, self.slot_bytes)
+                layouts[m.states] = _Layout(m.states)
         self._model_layouts = [layouts[m.states] for m in self.models]
+        self.slot_bytes = self._model_layouts[0].slot_bytes
+        self.width = 8 * self.slot_bytes
+        self._slot_full = (1 << self.width) - 1
         self.full = _pack([lo.set_bytes(m.states) for lo, m in zip(self._model_layouts, self.models)])
-        self._root = Context(_Masks(self.models, self._model_layouts, agents, n, self.full), (), self.full, {})
+        self._root = masks_context(agents, self.full, *_model_rows(self.models, self._model_layouts))
 
     def extension(self, f: Formula) -> int:
         """The extension of f over the whole batch."""

@@ -9,10 +9,13 @@ class, because every operator is invariant under renaming states.  The
 representative is the class's first model in `enumerate_models` order, so
 the first witness is the one a model-by-model search would find, and
 `models_examined` counts the labelled models of every class evaluated:
-an exhausted search covers every labelled model up to the bound.  Each
-representative is evaluated on its own with `checker.Evaluator`.  A size
+an exhausted search covers every labelled model up to the bound.  A size
 past 7 states, or with no more labelled models than n!, is searched model
 by model instead, and each of its models counts as its own class.
+Representatives are packed straight from their index tuples into the
+offset masks of `batch.py`, in batches of 4 rows that double up to
+`BATCH_MODELS`, so that an early witness costs a small batch and an
+exhausted search few large ones.  Only the witness is built as a `Model`.
 
 The soundness sweeps (`check_schema`, `check_rule_rrc`) still run over
 every labelled model.  They evaluate their formulas on batches of
@@ -29,12 +32,12 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, islice, product
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .batch import ModelBatches
-from .checker import Evaluator, PointedModel
+from .batch import BATCH_MODELS, ModelBatches, _Layout, masks_context
+from .checker import PointedModel
 from .kripke import Model, Partition, PreModel, all_groups, model_to_dict
 from .syntax import (
     TRUE,
@@ -53,9 +56,7 @@ from .syntax import (
     Neg,
     Or,
     R,
-    agents as formula_agents,
-    atoms as formula_atoms,
-    group_key,
+    mentions,
     render,
 )
 
@@ -168,24 +169,28 @@ def _actions(n: int) -> tuple:
     return parts, subsets
 
 
-def _labelled(n: int, agent_ids: list, atom_names: list) -> Iterator[Model]:
-    states, parts, subsets = _values(n)
-    for combo in product(parts, repeat=len(agent_ids)):
-        relations = dict(zip(agent_ids, combo))
-        for values in product(subsets, repeat=len(atom_names)):
-            yield Model(
-                states=states,
-                agents=frozenset(agent_ids),
-                relations=relations,
-                valuation=dict(zip(atom_names, values)),
-            )
-
-
 def enumerate_models(bounds: SearchBounds) -> Iterator[Model]:
     """Every model with 1..max_states states over the bounds' agents and atoms."""
     agent_ids, atom_names = list(bounds.agents or ("1",)), list(bounds.atoms or ())
     for n in range(1, bounds.max_states + 1):
-        yield from _labelled(n, agent_ids, atom_names)
+        states, parts, subsets = _values(n)
+        for combo in product(parts, repeat=len(agent_ids)):
+            relations = dict(zip(agent_ids, combo))
+            for values in product(subsets, repeat=len(atom_names)):
+                yield Model(
+                    states=states,
+                    agents=frozenset(agent_ids),
+                    relations=relations,
+                    valuation=dict(zip(atom_names, values)),
+                )
+
+
+def _model(n: int, idx: tuple, agent_ids: Sequence[str], atom_names: Sequence[str]) -> Model:
+    """The n-state model of an index tuple: one partition per agent, then one subset per atom."""
+    states, parts, subsets = _values(n)
+    return Model(states=states, agents=frozenset(agent_ids),
+                 relations={a: parts[k] for a, k in zip(agent_ids, idx)},
+                 valuation={p: subsets[k] for p, k in zip(atom_names, idx[len(agent_ids):])})
 
 
 # the action tables hold n! * (B(n) + 2^n) entries: 5.1 M at 7 states, 177 M at 8
@@ -210,28 +215,29 @@ def _orbits(group: list, table: list) -> Iterator[tuple]:
 
 
 def _classes(bounds: SearchBounds) -> Iterator[tuple]:
-    """(model, labelled models in its isomorphism class): one model per class.
+    """(n, index tuple, labelled models in its isomorphism class): one row per class.
 
-    Coordinates (one partition per agent, then one subset per atom) are
-    chosen one at a time, each the least value in its orbit under the
-    stabilizer of the choices before it (Read 1978; McKay 1998).  The
-    result is the lexicographically least index tuple of its class, so
-    classes come in `enumerate_models` order, each represented by its first
-    labelled model, and the class has n!/|stabilizer| labelled models.
+    An index tuple holds one partition index per agent, then one subset
+    index per atom, into `_values(n)`.  Coordinates are chosen one at a
+    time, each the least value in its orbit under the stabilizer of the
+    choices before it (Read 1978; McKay 1998).  The result is the
+    lexicographically least index tuple of its class, so classes come in
+    `enumerate_models` order, each represented by its first labelled model,
+    and the class has n!/|stabilizer| labelled models.
 
     A size past `_MAX_CLASS_STATES`, or with no more labelled models than
     n! (the n! table rows would cost more than the models), comes labelled
-    instead: every model with weight 1.  The first model satisfying a
+    instead: every index tuple with weight 1.  The first model satisfying a
     formula is the same either way.
     """
     agent_ids, atom_names = list(bounds.agents or ("1",)), list(bounds.atoms or ())
-    agent_set = frozenset(agent_ids)
     for n in range(1, bounds.max_states + 1):
-        states, parts, subsets = _values(n)
+        bell = len(_values(n)[1])
         order = factorial(n)
-        if n > _MAX_CLASS_STATES or len(parts) ** len(agent_ids) * 2 ** (n * len(atom_names)) <= order:
-            for m in _labelled(n, agent_ids, atom_names):
-                yield m, 1
+        if n > _MAX_CLASS_STATES or bell ** len(agent_ids) * 2 ** (n * len(atom_names)) <= order:
+            ranges = [range(bell)] * len(agent_ids) + [range(1 << n)] * len(atom_names)
+            for idx in product(*ranges):
+                yield n, idx, 1
             continue
         part_rows, subset_rows = _actions(n)
         tables = [part_rows] * len(agent_ids) + [subset_rows] * len(atom_names)
@@ -244,12 +250,65 @@ def _classes(bounds: SearchBounds) -> Iterator[tuple]:
                 if level + 1 < len(tables):
                     stack.append(_orbits(stabilizer, tables[level + 1]))
                     break
-                relations = {a: parts[k] for a, k in zip(agent_ids, chosen)}
-                valuation = {p: subsets[k] for p, k in zip(atom_names, chosen[len(agent_ids):])}
-                yield Model(states=states, agents=agent_set, relations=relations,
-                            valuation=valuation), order // len(stabilizer)
+                yield n, tuple(chosen), order // len(stabilizer)
             else:
                 stack.pop()
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    """The batch slot layout of the n-state models."""
+    return _Layout(frozenset(str(j) for j in range(n)))
+
+
+@lru_cache(maxsize=None)
+def _pair_slots(n: int) -> tuple:
+    """For each offset d in 1..n-1, every partition's slot pattern of pairs (i, i+d) in one block."""
+    return tuple(zip(*map(_layout(n).partition_bytes, _values(n)[1])))
+
+
+@lru_cache(maxsize=None)
+def _subset_slots(n: int) -> list:
+    """Every subset's slot bits, subset k holding state str(j) when bit j of k is set."""
+    return [_layout(n).set_bytes(frozenset(str(j) for j in range(n) if k >> j & 1)) for k in range(1 << n)]
+
+
+def _batches(rows: Iterable[tuple]) -> Iterator[list]:
+    """Rows in batches of 4, doubling up to BATCH_MODELS; a batch ends early where the slot width changes.
+
+    Witness queries mostly stop within the first 16 classes, where a
+    larger first batch would evaluate classes past the witness.
+    """
+    size = 4
+    for _, run in groupby(rows, key=lambda row: _layout(row[0]).slot_bytes):
+        while batch := list(islice(run, size)):
+            yield batch
+            size = min(2 * size, BATCH_MODELS)
+
+
+def _packed(rows: list, agent_ids: list, atom_names: list) -> tuple:
+    """(root context, full mask) over a batch of rows, row k in slot k.
+
+    Rows come in runs of one size; each run packs each coordinate's column
+    of indexes through that size's tables, and zeros where an offset is
+    past its size.
+    """
+    width = _layout(rows[0][0]).slot_bytes
+    runs = [(n, list(zip(*(idx for _, idx, _ in run)))) for n, run in groupby(rows, key=lambda row: row[0])]
+    top = rows[-1][0]
+
+    def relation_rows(agent: str):
+        j = agent_ids.index(agent)
+        for d in range(top - 1):
+            yield [b"".join(map(_pair_slots(n)[d].__getitem__, cols[j])) if d < n - 1
+                   else bytes(width * len(cols[j])) for n, cols in runs]
+
+    def atom_rows(name: str) -> list:
+        j = len(agent_ids) + atom_names.index(name)
+        return [b"".join(map(_subset_slots(n).__getitem__, cols[j])) for n, cols in runs]
+
+    full = int.from_bytes(b"".join(_subset_slots(n)[-1] * len(cols[0]) for n, cols in runs), "little")
+    return masks_context(frozenset(agent_ids), full, relation_rows, atom_rows), full
 
 
 def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Sequence[str] = ()) -> Iterator[PreModel]:
@@ -293,28 +352,37 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
 
 
 def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
+    used_agents, used_atoms = mentions(f)
     agent_ids = bounds.agents
     if agent_ids is None:
-        agent_ids = tuple(sorted(formula_agents(f))) or ("1",)
-    missing = formula_agents(f) - set(agent_ids)
-    if missing:
-        raise ValueError(f"query mentions agent {sorted(missing)[0]!r} outside the search bounds")
+        agent_ids = tuple(sorted(used_agents)) or ("1",)
     atom_names = bounds.atoms
     if atom_names is None:
-        atom_names = tuple(sorted(formula_atoms(f)))
+        atom_names = tuple(sorted(used_atoms))
+    for kind, used, declared in (("agent", used_agents, agent_ids), ("atom", used_atoms, atom_names)):
+        missing = used - set(declared)
+        if missing:
+            raise ValueError(f"query mentions {kind} {sorted(missing)[0]!r} outside the search bounds")
     return SearchBounds(bounds.max_states, agent_ids, atom_names, bounds.seed, bounds.instance_count)
 
 
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
     bounds = _bounds_for_query(bounds, f)
+    agent_ids, atom_names = list(bounds.agents), list(bounds.atoms)
     examined = classes = 0
-    for m, size in _classes(bounds):
-        examined += size
-        classes += 1
-        ext = Evaluator(m).extension(f)
-        points = m.states - ext if falsify else ext
+    for rows in _batches(_classes(bounds)):
+        root, full = _packed(rows, agent_ids, atom_names)
+        ext = root.extension(f)
+        points = full & ~ext if falsify else ext
+        if points:  # the lowest bit: the first row, then its least state
+            k, i = divmod((points & -points).bit_length() - 1, 8 * _layout(rows[0][0]).slot_bytes)
+            rows = rows[:k + 1]
+        examined += sum(size for _, _, size in rows)
+        classes += len(rows)
         if points:
-            return SearchOutcome(PointedModel(m, min(points)), bounds.max_states, examined, classes)
+            n, idx, _ = rows[k]
+            witness = PointedModel(_model(n, idx, agent_ids, atom_names), _layout(n).order[i])
+            return SearchOutcome(witness, bounds.max_states, examined, classes)
     return SearchOutcome(None, bounds.max_states, examined, classes)
 
 

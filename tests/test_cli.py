@@ -243,6 +243,12 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--formula", "p & ~p", "--max-states", "2")
         assert code == 1 and "exhausted" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--countermodel"]])
+    def test_atom_outside_bounds_is_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "search", "--formula", "q", "--atoms", "p", *flags)
+        assert (code, out) == (2, "")
+        assert "atom 'q' outside the search bounds" in err
+
     def test_countermodel_flag(self, capsys):
         code, out, _ = run(capsys, "search", "--formula", "K1 p -> p",
                            "--countermodel", "--max-states", "3")

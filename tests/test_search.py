@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
@@ -6,12 +6,18 @@ import pytest
 import reference_evaluator as ref
 from conftest import model_list
 from epiresolve.checker import satisfies
-from epiresolve.kripke import validate
+from epiresolve.batch import BATCH_MODELS
+from epiresolve.kripke import all_groups, group_relation, validate
 from epiresolve.search import (
     FormulaGen,
     SearchBounds,
     SearchOutcome,
+    _batches,
     _classes,
+    _model,
+    _pair_slots,
+    _subset_slots,
+    _values,
     check_rule_rrc,
     check_schema,
     enumerate_models,
@@ -21,7 +27,7 @@ from epiresolve.search import (
     schema_builders,
     set_partitions,
 )
-from epiresolve.syntax import C, D, E, Iff, Implies, R, parse, reduce
+from epiresolve.syntax import TRUE, And, Atom, C, D, E, Iff, Implies, Neg, Or, R, parse, reduce
 
 AG3 = {"1", "2", "3"}
 
@@ -101,6 +107,16 @@ class TestFindModel:
         with pytest.raises(ValueError, match="outside the search bounds"):
             find_model(parse("K3 p", AG3), SearchBounds(max_states=2, agents=("1", "2")))
 
+    @pytest.mark.parametrize("find", [find_model, find_countermodel])
+    def test_atoms_outside_bounds_rejected(self, find):
+        # q would be false everywhere: "exhausted" would certify a satisfiable formula unsatisfiable
+        with pytest.raises(ValueError, match="query mentions atom 'q' outside the search bounds"):
+            find(parse("q"), SearchBounds(3, ("1",), ("p",)))
+        with pytest.raises(ValueError, match="atom 'q'"):
+            find(parse("p & K1 q"), SearchBounds(2, ("1",), ("p",)))
+        with pytest.raises(ValueError, match="atom 'p'"):
+            find(parse("K1 p"), SearchBounds(2, ("1",), ()))
+
 
 class TestFindCountermodel:
     def test_axiom_instances_have_none(self):
@@ -147,14 +163,21 @@ def canonical(m):
 CLASS_BOUNDS = [(5, 1, 0), (5, 1, 1), (5, 2, 0), (5, 2, 1), (4, 3, 0), (4, 3, 1), (3, 1, 2), (3, 2, 2)]
 
 
+def representatives(bounds):
+    """(model, class size) of every row of `_classes`."""
+    agent_ids, atom_names = list(bounds.agents), list(bounds.atoms)
+    return [(_model(n, idx, agent_ids, atom_names), size) for n, idx, size in _classes(bounds)]
+
+
 class TestIsomorphismClasses:
     @pytest.mark.parametrize("states,agents,atoms", CLASS_BOUNDS)
     def test_class_sizes_sum_to_the_labelled_count(self, states, agents, atoms):
         agent_ids, atom_names = signature(agents, atoms)
         bounds = SearchBounds(states, agent_ids, atom_names)
         per_size = {}
-        for m, size in _classes(bounds):
-            per_size[len(m.states)] = per_size.get(len(m.states), 0) + size
+        for n, idx, size in _classes(bounds):
+            assert len(idx) == agents + atoms
+            per_size[n] = per_size.get(n, 0) + size
         bell = {n: sum(1 for _ in set_partitions(range(n))) for n in range(1, states + 1)}
         # every smaller bound is a prefix of this one, so each size is checked on its own
         assert per_size == {n: bell[n] ** agents * 2 ** (n * atoms) for n in range(1, states + 1)}
@@ -162,7 +185,7 @@ class TestIsomorphismClasses:
     @pytest.mark.parametrize("states,agents,atoms", [(4, 2, 1), (4, 1, 2), (3, 3, 1), (3, 2, 2)])
     def test_class_size_is_n_factorial_over_automorphisms(self, states, agents, atoms):
         agent_ids, atom_names = signature(agents, atoms)
-        for m, size in _classes(SearchBounds(states, agent_ids, atom_names)):
+        for m, size in representatives(SearchBounds(states, agent_ids, atom_names)):
             n = len(m.states)
             itself = renamed(m, range(n))
             automorphisms = sum(renamed(m, perm) == itself for perm in permutations(range(n)))
@@ -178,7 +201,7 @@ class TestIsomorphismClasses:
             form = canonical(m)
             k0, count = first.get(form, (k, 0))
             first[form] = (k0, count + 1)
-        reps = list(_classes(SearchBounds(states, agent_ids, atom_names)))
+        reps = representatives(SearchBounds(states, agent_ids, atom_names))
         assert len({canonical(m) for m, _ in reps}) == len(reps) == len(first)
         for m, size in reps:
             # each representative is the first labelled model of its class
@@ -235,14 +258,107 @@ def test_find_verdicts_match_a_labelled_loop(states, agents, seed):
             assert out.models_examined == sum(class_size[c] for c in seen)
 
 
+def balanced(op, parts):
+    """op folded over the parts as a balanced tree, so that nesting stays shallow."""
+    while len(parts) > 1:
+        parts = [op(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def characteristic(m, state):
+    """A formula true exactly at points bisimilar to (m, state) for every group relation.
+
+    Its 2n rounds decide bisimilarity against any model of at most n
+    states.  When m is connected and no two of its states are bisimilar, a
+    model of at most n states with such a point is isomorphic to m, so a
+    search first meets the formula in m's own class.
+    """
+    groups = all_groups(sorted(m.agents))
+    blocks = {(g, s): sorted(group_relation(m, g).block_of(s)) for g in groups for s in m.states}
+    chi = {s: balanced(And, [Atom(p) if s in m.valuation[p] else Neg(Atom(p)) for p in sorted(m.valuation)]
+                       or [TRUE]) for s in m.states}
+    for _ in range(2 * len(m.states)):
+        chi = {s: balanced(And, [chi[s]] + [x for g in groups for x in
+                                            [Neg(D(g, Neg(chi[u]))) for u in blocks[g, s]]
+                                            + [D(g, balanced(Or, [chi[u] for u in blocks[g, s]]))]])
+               for s in m.states}
+    return chi[state]
+
+
+def assert_batched_witness(bounds, rows, row, labelled):
+    """The search meets row's characteristic formula at row, as a labelled loop does."""
+    m = _model(*rows[row][:2], list(bounds.agents), list(bounds.atoms))
+    state = max(m.states)
+    f = characteristic(m, state)
+    _, first, first_state = labelled_first_point(f, labelled, falsify=False)
+    assert (first, first_state) == (m, state)
+    for out in (find_model(f, bounds), find_countermodel(Neg(f), bounds)):
+        assert (out.witness.model, out.witness.state) == (m, state)
+        assert out.classes_examined == row + 1
+        assert out.models_examined == sum(size for _, _, size in rows[:row + 1])
+
+
+BATCH_BOUNDS = SearchBounds(3, ("1", "2"), ("p", "q"))
+
+
+# Rows whose representative is connected with no two states bisimilar: the
+# first and last rows of batches at each growth step, and a row of each
+# size in the batch where sizes change.
+@pytest.mark.parametrize("row", [0, 3, 5, 12, 27, 28, 32, 50, 251, 252])
+def test_witnesses_at_batch_edges_match_a_labelled_loop(row):
+    rows = list(_classes(BATCH_BOUNDS))
+    batches = list(_batches(rows))
+    assert [len(b) for b in batches] == [4, 8, 16, 32, 64, 128, 136]
+    assert [n for n, _, _ in batches[3]] == [2] * 16 + [3] * 16
+    assert_batched_witness(BATCH_BOUNDS, rows, row, model_list(3, ("1", "2"), ("p", "q")))
+
+
+def test_witness_inside_a_full_batch_at_five_states_three_agents():
+    bounds = SearchBounds(5, ("1", "2", "3"), ("p",))
+    rows = list(islice(_classes(bounds), 600))
+    sizes = [len(b) for b in islice(_batches(rows), 7)]
+    assert sizes == [4, 8, 16, 32, 64, 128, BATCH_MODELS] and sum(sizes[:6]) == 252
+    # row 302 is 4-state, inside the batch of rows 252-507
+    assert_batched_witness(bounds, rows, 302, enumerate_models(bounds))
+
+
+def test_exhaustion_at_nine_states_packs_two_byte_slots():
+    bounds = SearchBounds(9, ("1",), ())
+    widths = [{(n + 7) // 8 for n, _, _ in b} for b in _batches(_classes(bounds))]
+    assert all(len(w) == 1 for w in widths) and set().union(*widths) == {1, 2}
+    f = parse("~K1 true")
+    assert labelled_first_point(f, model_list(9, ("1",), ()), falsify=False) is None
+    out = find_model(f, bounds)
+    assert out.verdict == "exhausted"
+    assert out.models_examined == out.classes_examined == 26442
+
+
+def test_slot_bit_i_is_the_i_th_sorted_state_name():
+    # at 11 states, sorted names run 0, 1, 10, 2, ..., 9
+    names = sorted(str(j) for j in range(11))
+    assert names[:4] == ["0", "1", "10", "2"]
+    slots = _subset_slots(11)
+    for k in range(1 << 11):  # subset k holds state str(j) when bit j of k is set
+        members = {str(j) for j in range(11) if k >> j & 1}
+        bits = int.from_bytes(slots[k], "little")
+        assert len(slots[k]) == 2
+        assert {names[i] for i in range(11) if bits >> i & 1} == members
+    for n in (4, 9):
+        order = sorted(str(j) for j in range(n))
+        for offset, patterns in enumerate(_pair_slots(n), 1):
+            for part, pattern in zip(_values(n)[1], patterns):
+                bits = int.from_bytes(pattern, "little")
+                assert {i for i in range(n) if bits >> i & 1} == {
+                    i for i in range(n - offset) if part.block_of(order[i]) == part.block_of(order[i + offset])}
+
+
 def test_sizes_without_tables_or_with_few_models_come_labelled():
     # one agent, no atoms: B(n) <= n! from 3 states on, and 8 states is past the tables
     bounds = SearchBounds(8, ("1",), ())
-    assert list(_classes(bounds)) == [(m, 1) for m in enumerate_models(bounds)]
+    assert representatives(bounds) == [(m, 1) for m in enumerate_models(bounds)]
     # one agent, one atom: reduced up to 7 states, labelled at 8
     weights = {}
-    for m, size in _classes(SearchBounds(8, ("1",), ("p",))):
-        n = len(m.states)
+    for n, _, size in _classes(SearchBounds(8, ("1",), ("p",))):
         if n < 7:
             continue
         weights.setdefault(n, set()).add(size)
