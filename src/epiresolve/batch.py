@@ -11,9 +11,9 @@ their slots are equally wide.
 
 An agent's relation is kept as one mask per offset d in 1..n-1: bit (k, i)
 is set when states i and i+d of model k share a block (never for d past
-the model's own size).  The diamond of a
-set Y is then ``Y | OR_d ((Y >> d) & M_d) | ((Y & M_d) << d)``, and box is
-the dual.  Intersecting relations ANDs their masks offset by offset.
+the model's own size).  The diamond of a set Y is then
+``Y | OR_d ((Y >> d) & M_d) | ((Y & M_d) << d)``, and box is the dual.
+Intersecting relations ANDs their masks offset by offset.
 
 `_Masks` is the batch algebra of `checker.Context`, which evaluates
 models, pre-models and batches alike.  Meet commutes with restriction,
@@ -67,32 +67,32 @@ class _Layout:
     def set_bytes(self, members: frozenset) -> bytes:
         out = self._sets.get(members)
         if out is None:
-            bits = sum(1 << self.index[s] for s in members)
-            out = self._sets[members] = bits.to_bytes(self.slot_bytes, "little")
+            out = self._sets[members] = self.set_pattern(members)
         return out
 
     def partition_bytes(self, part) -> tuple:
-        """For each offset d in 1..n-1, the slot pattern of pairs (i, i+d) in one block."""
         out = self._parts.get(part)
         if out is None:
-            n = len(self.order)
-            patterns = [0] * n
-            for block in part.blocks:
-                idx = sorted(self.index[s] for s in block)
-                for a, i in enumerate(idx):
-                    for j in idx[a + 1:]:
-                        patterns[j - i] |= 1 << i
-            out = self._parts[part] = tuple(p.to_bytes(self.slot_bytes, "little") for p in patterns[1:])
+            out = self._parts[part] = self.pair_patterns(part)
         return out
+
+    def set_pattern(self, members: frozenset) -> bytes:
+        """The slot bits of a set of states, uncached."""
+        return sum(1 << self.index[s] for s in members).to_bytes(self.slot_bytes, "little")
+
+    def pair_patterns(self, part) -> tuple:
+        """For each offset d in 1..n-1, the slot pattern of pairs (i, i+d) in one block, uncached."""
+        patterns = [0] * len(self.order)
+        for block in part.blocks:
+            idx = sorted(self.index[s] for s in block)
+            for a, i in enumerate(idx):
+                for j in idx[a + 1:]:
+                    patterns[j - i] |= 1 << i
+        return tuple(p.to_bytes(self.slot_bytes, "little") for p in patterns[1:])
 
 
 def _pack(chunks) -> int:
     return int.from_bytes(b"".join(chunks), "little")
-
-
-def masks_context(agents: frozenset, full: int, relation_rows, atom_rows) -> Context:
-    """The root evaluation context over rows packed by `_Masks`; full holds every row's states."""
-    return Context(_Masks(agents, full, relation_rows, atom_rows), (), full, {})
 
 
 def _model_rows(models: list, layouts: list) -> tuple:
@@ -190,7 +190,8 @@ class Batch:
         self.width = 8 * self.slot_bytes
         self._slot_full = (1 << self.width) - 1
         self.full = _pack([lo.set_bytes(m.states) for lo, m in zip(self._model_layouts, self.models)])
-        self._root = masks_context(agents, self.full, *_model_rows(self.models, self._model_layouts))
+        self._root = Context(_Masks(agents, self.full, *_model_rows(self.models, self._model_layouts)),
+                             (), self.full, {})
 
     def extension(self, f: Formula) -> int:
         """The extension of f over the whole batch."""

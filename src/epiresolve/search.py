@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice, product
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .batch import BATCH_MODELS, ModelBatches, _Layout, masks_context
-from .checker import PointedModel
+from .batch import BATCH_MODELS, ModelBatches, _Layout, _Masks
+from .checker import Context, PointedModel
 from .kripke import Model, Partition, PreModel, all_groups, model_to_dict
 from .syntax import (
     TRUE,
@@ -56,7 +57,8 @@ from .syntax import (
     Neg,
     Or,
     R,
-    mentions,
+    agents as formula_agents,
+    atoms as formula_atoms,
     render,
 )
 
@@ -169,9 +171,14 @@ def _actions(n: int) -> tuple:
     return parts, subsets
 
 
+def _signature(bounds: SearchBounds) -> tuple:
+    """(agent ids, atom names) of the models within the bounds: agent 1 alone if none is declared."""
+    return list(bounds.agents or ("1",)), list(bounds.atoms or ())
+
+
 def enumerate_models(bounds: SearchBounds) -> Iterator[Model]:
     """Every model with 1..max_states states over the bounds' agents and atoms."""
-    agent_ids, atom_names = list(bounds.agents or ("1",)), list(bounds.atoms or ())
+    agent_ids, atom_names = _signature(bounds)
     for n in range(1, bounds.max_states + 1):
         states, parts, subsets = _values(n)
         for combo in product(parts, repeat=len(agent_ids)):
@@ -230,7 +237,7 @@ def _classes(bounds: SearchBounds) -> Iterator[tuple]:
     instead: every index tuple with weight 1.  The first model satisfying a
     formula is the same either way.
     """
-    agent_ids, atom_names = list(bounds.agents or ("1",)), list(bounds.atoms or ())
+    agent_ids, atom_names = _signature(bounds)
     for n in range(1, bounds.max_states + 1):
         bell = len(_values(n)[1])
         order = factorial(n)
@@ -255,32 +262,37 @@ def _classes(bounds: SearchBounds) -> Iterator[tuple]:
                 stack.pop()
 
 
+# The packing tables of the n-state models.  Bit i of a slot is the i-th
+# sorted state name, as in the sweeps; the layouts are not kept, so the
+# tables hold the only copy of their patterns.
 @lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    """The batch slot layout of the n-state models."""
-    return _Layout(frozenset(str(j) for j in range(n)))
-
-
-@lru_cache(maxsize=None)
-def _pair_slots(n: int) -> tuple:
+def _pair_table(n: int) -> tuple:
     """For each offset d in 1..n-1, every partition's slot pattern of pairs (i, i+d) in one block."""
-    return tuple(zip(*map(_layout(n).partition_bytes, _values(n)[1])))
+    states, parts, _ = _values(n)
+    return tuple(zip(*map(_Layout(states).pair_patterns, parts)))
 
 
 @lru_cache(maxsize=None)
-def _subset_slots(n: int) -> list:
+def _subset_table(n: int) -> list:
     """Every subset's slot bits, subset k holding state str(j) when bit j of k is set."""
-    return [_layout(n).set_bytes(frozenset(str(j) for j in range(n) if k >> j & 1)) for k in range(1 << n)]
+    layout = _Layout(frozenset(str(j) for j in range(n)))
+    return [layout.set_pattern(frozenset(str(j) for j in range(n) if k >> j & 1)) for k in range(1 << n)]
+
+
+def _slot_bytes(n: int) -> int:
+    """Bytes per slot of an n-state model in a batch."""
+    return (n + 7) // 8
 
 
 def _batches(rows: Iterable[tuple]) -> Iterator[list]:
     """Rows in batches of 4, doubling up to BATCH_MODELS; a batch ends early where the slot width changes.
 
     Witness queries mostly stop within the first 16 classes, where a
-    larger first batch would evaluate classes past the witness.
+    larger first batch, or one that ended at each size, would evaluate
+    more batches or more classes past the witness.
     """
     size = 4
-    for _, run in groupby(rows, key=lambda row: _layout(row[0]).slot_bytes):
+    for _, run in groupby(rows, key=lambda row: _slot_bytes(row[0])):
         while batch := list(islice(run, size)):
             yield batch
             size = min(2 * size, BATCH_MODELS)
@@ -293,22 +305,23 @@ def _packed(rows: list, agent_ids: list, atom_names: list) -> tuple:
     of indexes through that size's tables, and zeros where an offset is
     past its size.
     """
-    width = _layout(rows[0][0]).slot_bytes
-    runs = [(n, list(zip(*(idx for _, idx, _ in run)))) for n, run in groupby(rows, key=lambda row: row[0])]
+    width = _slot_bytes(rows[0][0])
+    runs = [(_pair_table(n), _subset_table(n), list(zip(*(idx for _, idx, _ in run))))
+            for n, run in groupby(rows, key=itemgetter(0))]
     top = rows[-1][0]
 
     def relation_rows(agent: str):
         j = agent_ids.index(agent)
         for d in range(top - 1):
-            yield [b"".join(map(_pair_slots(n)[d].__getitem__, cols[j])) if d < n - 1
-                   else bytes(width * len(cols[j])) for n, cols in runs]
+            yield [b"".join(map(pairs[d].__getitem__, cols[j])) if d < len(pairs) else bytes(width * len(cols[j]))
+                   for pairs, _, cols in runs]
 
     def atom_rows(name: str) -> list:
         j = len(agent_ids) + atom_names.index(name)
-        return [b"".join(map(_subset_slots(n).__getitem__, cols[j])) for n, cols in runs]
+        return [b"".join(map(subsets.__getitem__, cols[j])) for _, subsets, cols in runs]
 
-    full = int.from_bytes(b"".join(_subset_slots(n)[-1] * len(cols[0]) for n, cols in runs), "little")
-    return masks_context(frozenset(agent_ids), full, relation_rows, atom_rows), full
+    full = int.from_bytes(b"".join(subsets[-1] * len(cols[0]) for _, subsets, cols in runs), "little")
+    return Context(_Masks(frozenset(agent_ids), full, relation_rows, atom_rows), (), full, {}), full
 
 
 def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Sequence[str] = ()) -> Iterator[PreModel]:
@@ -352,7 +365,7 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
 
 
 def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
-    used_agents, used_atoms = mentions(f)
+    used_agents, used_atoms = formula_agents(f), formula_atoms(f)
     agent_ids = bounds.agents
     if agent_ids is None:
         agent_ids = tuple(sorted(used_agents)) or ("1",)
@@ -368,21 +381,20 @@ def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
 
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
     bounds = _bounds_for_query(bounds, f)
-    agent_ids, atom_names = list(bounds.agents), list(bounds.atoms)
+    agent_ids, atom_names = _signature(bounds)
     examined = classes = 0
     for rows in _batches(_classes(bounds)):
         root, full = _packed(rows, agent_ids, atom_names)
         ext = root.extension(f)
         points = full & ~ext if falsify else ext
         if points:  # the lowest bit: the first row, then its least state
-            k, i = divmod((points & -points).bit_length() - 1, 8 * _layout(rows[0][0]).slot_bytes)
+            k, i = divmod((points & -points).bit_length() - 1, 8 * _slot_bytes(rows[0][0]))
             rows = rows[:k + 1]
         examined += sum(size for _, _, size in rows)
         classes += len(rows)
         if points:
-            n, idx, _ = rows[k]
-            witness = PointedModel(_model(n, idx, agent_ids, atom_names), _layout(n).order[i])
-            return SearchOutcome(witness, bounds.max_states, examined, classes)
+            m = _model(*rows[k][:2], agent_ids, atom_names)
+            return SearchOutcome(PointedModel(m, sorted(m.states)[i]), bounds.max_states, examined, classes)
     return SearchOutcome(None, bounds.max_states, examined, classes)
 
 

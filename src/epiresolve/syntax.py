@@ -190,26 +190,19 @@ def subformulas(f: Formula) -> frozenset:
     return frozenset(seen)
 
 
-def mentions(f: Formula) -> tuple:
-    """(agents, atoms): every agent id f mentions, directly or through a group, and every atom name."""
-    agent_ids, atom_names = set(), set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            atom_names.add(g.name)
-        elif isinstance(g, K):
-            agent_ids.add(g.agent)
-        elif isinstance(g, (D, C, R)):
-            agent_ids.update(g.group)
-    return frozenset(agent_ids), frozenset(atom_names)
-
-
 def atoms(f: Formula) -> frozenset:
-    return mentions(f)[1]
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
 def agents(f: Formula) -> frozenset:
     """Every agent id mentioned by f, directly or through a group."""
-    return mentions(f)[0]
+    out = set()
+    for g in subformulas(f):
+        if isinstance(g, K):
+            out.add(g.agent)
+        elif isinstance(g, (D, C, R)):
+            out.update(g.group)
+    return frozenset(out)
 
 
 class LanguageTag(Enum):

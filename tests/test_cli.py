@@ -7,6 +7,8 @@ from epiresolve.fixtures import fixture_path
 from epiresolve.kripke import as_premodel, model_from_dict, save_model
 from epiresolve.syntax import parse, render
 
+from conftest import model_list
+
 FIG1_JSON = fixture_path("fig1.json")
 CORE_JSON = fixture_path("core.json")
 
@@ -248,6 +250,20 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--formula", "q", "--atoms", "p", *flags)
         assert (code, out) == (2, "")
         assert "atom 'q' outside the search bounds" in err
+
+    @pytest.mark.parametrize("formula,code", [("p", 0), ("p & ~p", 1)])
+    def test_no_declared_agents_search_agent_1(self, capsys, formula, code):
+        from test_search import labelled_first_point
+
+        got, out, _ = run(capsys, "search", "--formula", formula, "--agents", ",", "--atoms", "p",
+                          "--max-states", "2", "--json")
+        payload = json.loads(out)
+        first = labelled_first_point(parse(formula), model_list(2, ("1",), ("p",)), falsify=False)
+        assert got == code
+        if first is None:
+            assert payload["verdict"] == "exhausted" and payload["models_examined"] == 10
+        else:
+            assert (model_from_dict(payload["model"]), payload["state"]) == first[1:]
 
     def test_countermodel_flag(self, capsys):
         code, out, _ = run(capsys, "search", "--formula", "K1 p -> p",

@@ -15,8 +15,8 @@ from epiresolve.search import (
     _batches,
     _classes,
     _model,
-    _pair_slots,
-    _subset_slots,
+    _pair_table,
+    _subset_table,
     _values,
     check_rule_rrc,
     check_schema,
@@ -218,6 +218,25 @@ def labelled_first_point(f, models, falsify):
     return None
 
 
+@pytest.mark.parametrize("states", [1, 3])
+@pytest.mark.parametrize("text", ["p", "~p", "p | ~p", "p & ~p"])
+@pytest.mark.parametrize("find", [find_model, find_countermodel])
+def test_no_declared_agents_search_agent_1_as_a_labelled_loop_does(states, text, find):
+    # the packed columns must follow the agent the models are built over
+    bounds = SearchBounds(states, (), ("p",))
+    f = parse(text)
+    labelled = list(enumerate_models(bounds))
+    assert {m.agents for m in labelled} == {frozenset({"1"})}
+    out = find(f, bounds)
+    first = labelled_first_point(f, labelled, falsify=find is find_countermodel)
+    if first is None:
+        assert (out.verdict, out.models_examined) == ("exhausted", len(labelled))
+    else:
+        assert (out.witness.model, out.witness.state) == first[1:]
+    with pytest.raises(ValueError, match="agent '1'"):
+        find(parse("K1 p"), bounds)
+
+
 # generated formulas mostly have a one-state witness; these need two or three states
 MULTI_STATE = {
     2: ["K1 p -> K2 p", "D{1,2} p -> C{1,2} p", "p & K1 ~K1 p", "~K1 R{1,2} p & p",
@@ -337,7 +356,7 @@ def test_slot_bit_i_is_the_i_th_sorted_state_name():
     # at 11 states, sorted names run 0, 1, 10, 2, ..., 9
     names = sorted(str(j) for j in range(11))
     assert names[:4] == ["0", "1", "10", "2"]
-    slots = _subset_slots(11)
+    slots = _subset_table(11)
     for k in range(1 << 11):  # subset k holds state str(j) when bit j of k is set
         members = {str(j) for j in range(11) if k >> j & 1}
         bits = int.from_bytes(slots[k], "little")
@@ -345,7 +364,7 @@ def test_slot_bit_i_is_the_i_th_sorted_state_name():
         assert {names[i] for i in range(11) if bits >> i & 1} == members
     for n in (4, 9):
         order = sorted(str(j) for j in range(n))
-        for offset, patterns in enumerate(_pair_slots(n), 1):
+        for offset, patterns in enumerate(_pair_table(n), 1):
             for part, pattern in zip(_values(n)[1], patterns):
                 bits = int.from_bytes(pattern, "little")
                 assert {i for i in range(n) if bits >> i & 1} == {
