@@ -5,7 +5,7 @@ once over the union of a batch of models gives every model's extension.
 A `Batch` holds models of one size n and one agent set.  Model k owns a
 slot of ``8*ceil(n/8)`` bits, and state i of the model is the i-th of
 ``sorted(states)``; an extension over the whole batch is one Python int.
-The search (`search._first_point`) packs isomorphism-class
+The search (`_iso.py`) packs isomorphism-class
 representatives the same way, rows of several sizes sharing a batch when
 their slots are equally wide.
 

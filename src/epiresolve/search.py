@@ -5,17 +5,13 @@ state names 0..n-1.  A bound that comes back exhausted is a certificate
 up to that bound only, never a validity proof.
 
 `find_model` and `find_countermodel` evaluate one model per isomorphism
-class, because every operator is invariant under renaming states.  The
-representative is the class's first model in `enumerate_models` order, so
-the first witness is the one a model-by-model search would find, and
-`models_examined` counts the labelled models of every class evaluated:
-an exhausted search covers every labelled model up to the bound.  A size
-past 7 states, or with no more labelled models than n!, is searched model
-by model instead, and each of its models counts as its own class.
-Representatives are packed straight from their index tuples into the
-offset masks of `batch.py`, in batches of 4 rows that double up to
-`BATCH_MODELS`, so that an early witness costs a small batch and an
-exhausted search few large ones.  Only the witness is built as a `Model`.
+class (`_iso.py`), in batches packed into the offset masks of
+`batch.py`, and `models_examined` counts the labelled models of every
+class evaluated: an exhausted search covers every labelled model up to
+the bound, and the first witness is the one a model-by-model search would
+find.  Only the witness is built as a `Model`.  The class rows and packed
+batches of a signature are kept for the process, so a query after the
+first over the same agents and atoms only evaluates its formula.
 
 The soundness sweeps (`check_schema`, `check_rule_rrc`) still run over
 every labelled model.  They evaluate their formulas on batches of
@@ -29,17 +25,14 @@ from __future__ import annotations
 
 import json
 import random
-from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby, islice, product
-from math import factorial
-from operator import itemgetter
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .batch import BATCH_MODELS, ModelBatches, _Layout, _Masks
+from .batch import ModelBatches
 from .checker import Context, PointedModel
-from .kripke import Model, Partition, PreModel, all_groups, model_to_dict
+from .kripke import Model, PreModel, all_groups, model_to_dict
+from ._iso import _model, _query_batches, _signature, _slot_bytes, _values, set_partitions
 from .syntax import (
     TRUE,
     FALSE,
@@ -57,9 +50,8 @@ from .syntax import (
     Neg,
     Or,
     R,
-    agents as formula_agents,
-    atoms as formula_atoms,
     render,
+    subformulas,
 )
 
 
@@ -77,9 +69,9 @@ class SearchBounds:
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
         if self.agents is not None:
-            object.__setattr__(self, "agents", tuple(sorted(self.agents)))
+            object.__setattr__(self, "agents", tuple(sorted(set(self.agents))))
         if self.atoms is not None:
-            object.__setattr__(self, "atoms", tuple(sorted(self.atoms)))
+            object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
 
 
 @dataclass(frozen=True)
@@ -106,76 +98,6 @@ class SearchOutcome:
         return out
 
 
-def set_partitions(items: Sequence[str]) -> Iterator[list]:
-    """All partitions of the items, deterministically ordered."""
-    items = list(items)
-
-    def rec(i, blocks):
-        if i == len(items):
-            yield [frozenset(b) for b in blocks]
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
-
-
-@lru_cache(maxsize=None)
-def _values(n: int) -> tuple:
-    """(states, partitions, subsets) an n-state model is built from.
-
-    Partitions come in `set_partitions` order and subsets in bitmask order
-    (subset k holds state i when bit i of k is set), so index tuples in
-    lexicographic order are `enumerate_models`' order.
-    """
-    names = [str(i) for i in range(n)]
-    parts = [Partition(frozenset(blocks)) for blocks in set_partitions(names)]
-    subsets = [frozenset(s for i, s in enumerate(names) if k >> i & 1) for k in range(1 << n)]
-    return frozenset(names), parts, subsets
-
-
-@lru_cache(maxsize=None)
-def _actions(n: int) -> tuple:
-    """(partition table, subset table) of S_n: row g of a table maps the
-    index of each value to the index of its image under permutation g.
-
-    Row 0 is the identity.  Every other permutation is an adjacent
-    transposition after an earlier one, so its rows are the earlier rows
-    read through the transposition's.
-    """
-    masks = [frozenset(sum(1 << int(s) for s in b) for b in p.blocks) for p in _values(n)[1]]
-    index = {m: k for k, m in enumerate(masks)}
-
-    def swapped(k: int, i: int) -> int:  # bits i and i + 1 of k exchanged
-        return k ^ ((k >> i ^ k >> i + 1) & 1) * (3 << i)
-
-    swaps = [([index[frozenset(swapped(b, i) for b in m)] for m in masks],
-              [swapped(k, i) for k in range(1 << n)]) for i in range(n - 1)]
-    perms = [tuple(range(n))]
-    parts, subsets = [array("H", range(len(masks)))], [array("H", range(1 << n))]
-    known = set(perms)
-    for j, perm in enumerate(perms):  # grows while it is read
-        for i, (part_swap, subset_swap) in enumerate(swaps):
-            after = tuple(i + 1 if y == i else i if y == i + 1 else y for y in perm)
-            if after not in known:
-                known.add(after)
-                perms.append(after)
-                parts.append(array("H", [part_swap[k] for k in parts[j]]))
-                subsets.append(array("H", [subset_swap[k] for k in subsets[j]]))
-    return parts, subsets
-
-
-def _signature(bounds: SearchBounds) -> tuple:
-    """(agent ids, atom names) of the models within the bounds: agent 1 alone if none is declared."""
-    return list(bounds.agents or ("1",)), list(bounds.atoms or ())
-
-
 def enumerate_models(bounds: SearchBounds) -> Iterator[Model]:
     """Every model with 1..max_states states over the bounds' agents and atoms."""
     agent_ids, atom_names = _signature(bounds)
@@ -190,138 +112,6 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[Model]:
                     relations=relations,
                     valuation=dict(zip(atom_names, values)),
                 )
-
-
-def _model(n: int, idx: tuple, agent_ids: Sequence[str], atom_names: Sequence[str]) -> Model:
-    """The n-state model of an index tuple: one partition per agent, then one subset per atom."""
-    states, parts, subsets = _values(n)
-    return Model(states=states, agents=frozenset(agent_ids),
-                 relations={a: parts[k] for a, k in zip(agent_ids, idx)},
-                 valuation={p: subsets[k] for p, k in zip(atom_names, idx[len(agent_ids):])})
-
-
-# the action tables hold n! * (B(n) + 2^n) entries: 5.1 M at 7 states, 177 M at 8
-_MAX_CLASS_STATES = 7
-
-
-def _orbits(group: list, table: list) -> Iterator[tuple]:
-    """(v, stabilizer of v in group) for the least value v of each orbit of
-    the group (row indices of the table) on the table's values."""
-    if len(group) == 1:  # the identity alone: every value is its own orbit
-        for v in range(len(table[0])):
-            yield v, group
-        return
-    rows = [table[g] for g in group]
-    seen = bytearray(len(rows[0]))
-    for v in range(len(seen)):
-        if not seen[v]:
-            moved = [row[v] for row in rows]
-            for w in moved:
-                seen[w] = 1
-            yield v, [g for g, w in zip(group, moved) if w == v]
-
-
-def _classes(bounds: SearchBounds) -> Iterator[tuple]:
-    """(n, index tuple, labelled models in its isomorphism class): one row per class.
-
-    An index tuple holds one partition index per agent, then one subset
-    index per atom, into `_values(n)`.  Coordinates are chosen one at a
-    time, each the least value in its orbit under the stabilizer of the
-    choices before it (Read 1978; McKay 1998).  The result is the
-    lexicographically least index tuple of its class, so classes come in
-    `enumerate_models` order, each represented by its first labelled model,
-    and the class has n!/|stabilizer| labelled models.
-
-    A size past `_MAX_CLASS_STATES`, or with no more labelled models than
-    n! (the n! table rows would cost more than the models), comes labelled
-    instead: every index tuple with weight 1.  The first model satisfying a
-    formula is the same either way.
-    """
-    agent_ids, atom_names = _signature(bounds)
-    for n in range(1, bounds.max_states + 1):
-        bell = len(_values(n)[1])
-        order = factorial(n)
-        if n > _MAX_CLASS_STATES or bell ** len(agent_ids) * 2 ** (n * len(atom_names)) <= order:
-            ranges = [range(bell)] * len(agent_ids) + [range(1 << n)] * len(atom_names)
-            for idx in product(*ranges):
-                yield n, idx, 1
-            continue
-        part_rows, subset_rows = _actions(n)
-        tables = [part_rows] * len(agent_ids) + [subset_rows] * len(atom_names)
-        chosen = [0] * len(tables)
-        # depth-first over the levels: one orbit iterator per level chosen so far
-        stack = [_orbits(list(range(order)), tables[0])]
-        while stack:
-            level = len(stack) - 1
-            for chosen[level], stabilizer in stack[-1]:
-                if level + 1 < len(tables):
-                    stack.append(_orbits(stabilizer, tables[level + 1]))
-                    break
-                yield n, tuple(chosen), order // len(stabilizer)
-            else:
-                stack.pop()
-
-
-# The packing tables of the n-state models.  Bit i of a slot is the i-th
-# sorted state name, as in the sweeps; the layouts are not kept, so the
-# tables hold the only copy of their patterns.
-@lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple:
-    """For each offset d in 1..n-1, every partition's slot pattern of pairs (i, i+d) in one block."""
-    states, parts, _ = _values(n)
-    return tuple(zip(*map(_Layout(states).pair_patterns, parts)))
-
-
-@lru_cache(maxsize=None)
-def _subset_table(n: int) -> list:
-    """Every subset's slot bits, subset k holding state str(j) when bit j of k is set."""
-    layout = _Layout(frozenset(str(j) for j in range(n)))
-    return [layout.set_pattern(frozenset(str(j) for j in range(n) if k >> j & 1)) for k in range(1 << n)]
-
-
-def _slot_bytes(n: int) -> int:
-    """Bytes per slot of an n-state model in a batch."""
-    return (n + 7) // 8
-
-
-def _batches(rows: Iterable[tuple]) -> Iterator[list]:
-    """Rows in batches of 4, doubling up to BATCH_MODELS; a batch ends early where the slot width changes.
-
-    Witness queries mostly stop within the first 16 classes, where a
-    larger first batch, or one that ended at each size, would evaluate
-    more batches or more classes past the witness.
-    """
-    size = 4
-    for _, run in groupby(rows, key=lambda row: _slot_bytes(row[0])):
-        while batch := list(islice(run, size)):
-            yield batch
-            size = min(2 * size, BATCH_MODELS)
-
-
-def _packed(rows: list, agent_ids: list, atom_names: list) -> tuple:
-    """(root context, full mask) over a batch of rows, row k in slot k.
-
-    Rows come in runs of one size; each run packs each coordinate's column
-    of indexes through that size's tables, and zeros where an offset is
-    past its size.
-    """
-    width = _slot_bytes(rows[0][0])
-    runs = [(_pair_table(n), _subset_table(n), list(zip(*(idx for _, idx, _ in run))))
-            for n, run in groupby(rows, key=itemgetter(0))]
-    top = rows[-1][0]
-
-    def relation_rows(agent: str):
-        j = agent_ids.index(agent)
-        for d in range(top - 1):
-            yield [b"".join(map(pairs[d].__getitem__, cols[j])) if d < len(pairs) else bytes(width * len(cols[j]))
-                   for pairs, _, cols in runs]
-
-    def atom_rows(name: str) -> list:
-        j = len(agent_ids) + atom_names.index(name)
-        return [b"".join(map(subsets.__getitem__, cols[j])) for _, subsets, cols in runs]
-
-    full = int.from_bytes(b"".join(subsets[-1] * len(cols[0]) for _, subsets, cols in runs), "little")
-    return Context(_Masks(frozenset(agent_ids), full, relation_rows, atom_rows), (), full, {}), full
 
 
 def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Sequence[str] = ()) -> Iterator[PreModel]:
@@ -365,7 +155,15 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
 
 
 def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
-    used_agents, used_atoms = formula_agents(f), formula_atoms(f)
+    used_agents, used_atoms = set(), set()
+    for g in subformulas(f):  # one walk for both
+        cls = type(g)
+        if cls is Atom:
+            used_atoms.add(g.name)
+        elif cls is K:
+            used_agents.add(g.agent)
+        elif cls is D or cls is C or cls is R:
+            used_agents.update(g.group)
     agent_ids = bounds.agents
     if agent_ids is None:
         agent_ids = tuple(sorted(used_agents)) or ("1",)
@@ -381,19 +179,19 @@ def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
 
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
     bounds = _bounds_for_query(bounds, f)
-    agent_ids, atom_names = _signature(bounds)
     examined = classes = 0
-    for rows in _batches(_classes(bounds)):
-        root, full = _packed(rows, agent_ids, atom_names)
-        ext = root.extension(f)
-        points = full & ~ext if falsify else ext
+    for runs, columns, weights, masks in _query_batches(bounds):
+        start, stop = runs[0][1], runs[-1][2]
+        ext = Context(masks, (), masks.full, {}).extension(f)
+        points = masks.full & ~ext if falsify else ext
         if points:  # the lowest bit: the first row, then its least state
-            k, i = divmod((points & -points).bit_length() - 1, 8 * _slot_bytes(rows[0][0]))
-            rows = rows[:k + 1]
-        examined += sum(size for _, _, size in rows)
-        classes += len(rows)
+            k, i = divmod((points & -points).bit_length() - 1, 8 * _slot_bytes(runs[0][0]))
+            stop = start + k + 1
+        examined += sum(weights[start:stop])
+        classes += stop - start
         if points:
-            m = _model(*rows[k][:2], agent_ids, atom_names)
+            n = next(n for n, _, b in runs if stop <= b)
+            m = _model(n, tuple(column[stop - 1] for column in columns), *_signature(bounds))
             return SearchOutcome(PointedModel(m, sorted(m.states)[i]), bounds.max_states, examined, classes)
     return SearchOutcome(None, bounds.max_states, examined, classes)
 
@@ -445,6 +243,8 @@ class FormulaGen:
         return self.rng.choice(self.group_list)
 
     def disjoint_pair(self) -> tuple:
+        if len(self.agent_ids) < 2:  # no two groups are disjoint: the draw would never end
+            raise ValueError("RD2 needs at least two agents in the bounds")
         while True:
             g, h = self.group(), self.group()
             if not g & h:

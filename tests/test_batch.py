@@ -258,7 +258,11 @@ def test_reimports_do_not_leak_model_classes():
         for _ in range(20):
             for name in [n for n in sys.modules if n == "epiresolve" or n.startswith("epiresolve.")]:
                 del sys.modules[name]
-            refs.append(weakref.ref(importlib.import_module("epiresolve").Model))
+            package = importlib.import_module("epiresolve")
+            # a witness query fills the copy's search store and leaves its class generator suspended
+            assert package.find_model(package.parse("p & ~K1 p"), package.SearchBounds(3)).found
+            assert package._iso._store(("1",), ("p",))._rows is not None
+            refs.append(weakref.ref(package.Model))
     finally:
         for name in [n for n in sys.modules if n == "epiresolve" or n.startswith("epiresolve.")]:
             del sys.modules[name]

@@ -270,6 +270,12 @@ class TestSearch:
                            "--countermodel", "--max-states", "3")
         assert code == 1 and "exhausted" in out
 
+    def test_repeated_agents_and_atoms_count_once(self, capsys):
+        query = ["search", "--formula", "K1 p -> p", "--countermodel", "--max-states", "3"]
+        once = run(capsys, *query, "--agents", "1", "--atoms", "p")
+        assert once == (1, "exhausted up to 3 states (50 models examined, 22 evaluated)\n", "")
+        assert run(capsys, *query, "--agents", "1,1", "--atoms", "p,p") == once
+
 
 def test_axioms_command_small(capsys):
     code = main(["axioms", "--system", "rd", "--max-states", "2", "--instances", "30"])
@@ -292,6 +298,14 @@ def test_axioms_with_rrc(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["rrc"]["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("system", ["rd", "rcd"])
+def test_axioms_with_one_agent_is_usage_error(capsys, system):
+    # RD2 needs two disjoint groups: with one agent, drawing them never ended
+    code, out, err = run(capsys, "axioms", "--system", system, "--agents", "1", "--max-states", "2")
+    assert (code, out) == (2, "")
+    assert "RD2 needs at least two agents" in err
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

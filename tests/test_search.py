@@ -1,23 +1,23 @@
+import os
+import random
+import threading
+import time
 from itertools import islice, permutations
 from math import factorial
 
 import pytest
 
 import reference_evaluator as ref
+from epiresolve import _iso
 from conftest import model_list
 from epiresolve.checker import satisfies
 from epiresolve.batch import BATCH_MODELS
 from epiresolve.kripke import all_groups, group_relation, validate
+from epiresolve._iso import _batches, _classes, _model, _pair_table, _store, _subset_table, _values
 from epiresolve.search import (
     FormulaGen,
     SearchBounds,
     SearchOutcome,
-    _batches,
-    _classes,
-    _model,
-    _pair_table,
-    _subset_table,
-    _values,
     check_rule_rrc,
     check_schema,
     enumerate_models,
@@ -69,6 +69,15 @@ def test_single_state_models_are_reflexive_points():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(max_states=0)
+
+
+def test_bounds_keep_each_agent_and_atom_once():
+    bounds = SearchBounds(3, ("2", "1", "1"), ("p", "p"))
+    assert (bounds.agents, bounds.atoms) == (("1", "2"), ("p",))
+    f = parse("K1 p -> p")
+    once = find_countermodel(f, SearchBounds(3, ("1",), ("p",)))
+    assert once.models_examined == 50
+    assert find_countermodel(f, SearchBounds(3, ("1", "1"), ("p", "p"))) == once
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -400,6 +409,121 @@ def test_search_outcome_classes_are_optional_and_serialized():
     out = find_model(parse("p & ~p"), SearchBounds(max_states=2))
     assert out.to_dict() == {"verdict": "exhausted", "max_states": 2,
                              "models_examined": 10, "classes_examined": 8}
+
+
+# Queries over signatures sharing stores: larger then smaller bounds, a
+# witness then an exhaustion on the same bounds, the same counts under
+# other names, sizes searched labelled (one agent, no atoms, from 3 states
+# on) and a size past the store (8 states).
+STORE_QUERIES = [
+    (find_countermodel, "K1 p -> p", SearchBounds(4, ("1", "2"), ("p",))),
+    (find_model, "p & ~K1 p", SearchBounds(4, ("1", "2"), ("p",))),
+    (find_countermodel, "K1 p -> K2 p", SearchBounds(2, ("1", "2"), ("p",))),
+    (find_model, "C{1,2} p & ~p", SearchBounds(3, ("1", "2"), ("p",))),
+    (find_countermodel, "D{1,2} p -> C{1,2} p", SearchBounds(3, ("1", "2"), ("p",))),
+    (find_countermodel, "Ka p -> Kb p", SearchBounds(3, ("a", "b"), ("p",))),
+    (find_countermodel, "Ka p -> p", SearchBounds(4, ("a", "b"), ("p",))),
+    (find_model, "~K1 true", SearchBounds(5, ("1",), ())),
+    (find_model, "K1 ~K1 true", SearchBounds(3, ("1",), ())),
+    (find_model, "~K1 true", SearchBounds(8, ("1",), ())),
+    (find_countermodel, "K1 p -> p & ~K1 p", SearchBounds(4, ("1",), ("p",))),
+    (find_countermodel, "R{1,2} C{1,3} p <-> C{1,3} R{1,2} p", SearchBounds(5, ("1", "2", "3"), ("p",))),
+    (find_countermodel, "K1 p -> p", SearchBounds(3, ("1", "2", "3"), ("p",))),
+    (find_model, "p & ~K2 p", SearchBounds(4, ("1", "2", "3"), ("p",))),
+]
+
+
+def run_store_queries(order):
+    outcomes = {}
+    for k in order:
+        find, text, bounds = STORE_QUERIES[k]
+        outcomes[k] = find(parse(text, set(bounds.agents)), bounds)
+    return outcomes
+
+
+@pytest.fixture
+def cold_outcomes():
+    """Each query's outcome from empty stores; the stores are emptied again afterwards."""
+    outcomes = {}
+    for k in range(len(STORE_QUERIES)):
+        _store.cache_clear()
+        outcomes.update(run_store_queries([k]))
+    yield outcomes
+    _store.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_outcomes_do_not_depend_on_what_the_store_holds(cold_outcomes, seed):
+    order = list(range(len(STORE_QUERIES)))
+    if seed is None:
+        order.reverse()  # smaller bounds first, exhaustion before the witness
+    else:
+        random.Random(seed).shuffle(order)
+    _store.cache_clear()
+    assert run_store_queries(order) == cold_outcomes
+    assert run_store_queries(range(len(STORE_QUERIES))) == cold_outcomes
+    assert cold_outcomes[0].models_examined == 3818 and cold_outcomes[5].found
+
+
+@pytest.mark.parametrize("cap", [1, 7, 30, 300])
+def test_queries_past_the_store_cap_stay_right(cold_outcomes, monkeypatch, cap):
+    monkeypatch.setattr(_iso, "_STORE_ROWS", cap)
+    _store.cache_clear()
+    assert run_store_queries(range(len(STORE_QUERIES))) == cold_outcomes
+    assert run_store_queries(reversed(range(len(STORE_QUERIES)))) == cold_outcomes
+    # the last query exhausts 357 rows
+    assert len(_store(("1", "2"), ("p",)).weights) == cap
+
+
+def test_a_draw_cut_short_resumes_where_the_store_ends(cold_outcomes, monkeypatch):
+    drawn = _iso._size_classes
+
+    def interrupted(n, agents, atoms):
+        for k, row in enumerate(drawn(n, agents, atoms)):
+            if n == 4 and k == 100:
+                raise KeyboardInterrupt
+            yield row
+
+    _store.cache_clear()
+    monkeypatch.setattr(_iso, "_size_classes", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_store_queries([0])
+    monkeypatch.setattr(_iso, "_size_classes", drawn)
+    assert run_store_queries(range(len(STORE_QUERIES))) == cold_outcomes
+
+
+def test_threads_sharing_the_stores_get_the_cold_outcomes(cold_outcomes, monkeypatch):
+    drawn = _iso._size_classes
+
+    def yielding(n, agents, atoms):
+        for row in drawn(n, agents, atoms):
+            time.sleep(0)  # let another thread run inside every draw
+            yield row
+
+    monkeypatch.setattr(_iso, "_size_classes", yielding)
+    workers = (os.cpu_count() or 1) + 2
+    for seed in range(2):  # each round, every thread meets empty stores with the same query order
+        order = list(range(len(STORE_QUERIES)))
+        random.Random(seed).shuffle(order)
+        results, errors = [], []
+        start = threading.Barrier(workers, timeout=60)
+
+        def work():
+            try:
+                start.wait()
+                results.append(run_store_queries(order))
+            except Exception as exc:  # reported below, with every other thread's outcome
+                errors.append(exc)
+
+        _store.cache_clear()
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [cold_outcomes] * workers
 
 
 SMALL = SearchBounds(max_states=2, agents=("1", "2"), atoms=("p",), instance_count=60)
