@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import threading
@@ -27,7 +28,7 @@ from epiresolve.search import (
     schema_builders,
     set_partitions,
 )
-from epiresolve.syntax import TRUE, And, Atom, C, D, E, Iff, Implies, Neg, Or, R, parse, reduce
+from epiresolve.syntax import TRUE, And, Atom, C, D, E, Iff, Implies, K, Neg, Or, R, parse, reduce
 
 AG3 = {"1", "2", "3"}
 
@@ -631,3 +632,70 @@ def test_formula_gen_is_seed_deterministic():
     a = FormulaGen(["1", "2"], ["p"], seed=42)
     b = FormulaGen(["1", "2"], ["p"], seed=42)
     assert [a.formula() for _ in range(30)] == [b.formula() for _ in range(30)]
+
+
+# ---------------------------------------------------------------------------
+# the report shape: key order and text lines of one entry of each kind
+
+
+def test_schema_entry_shape():
+    report = check_schema("rd", SearchBounds(2, ("1", "2"), ("p",), instance_count=3),
+                          override={"T_D": drop_t_d}, schemas=["T_D"], include_rules=False)
+    model = ('{"agents": ["1", "2"], "props": ["p"], "states": ["0", "1"], '
+             '"relations": {"1": [["0", "1"]], "2": [["0", "1"]]}, "valuation": {"p": ["0"]}}')
+    instance = "~(D{1,2} true & ~p & ~D{1,2} (D{1,2} true & ~p))"
+    assert json.dumps(report.to_dict()) == (
+        '{"system": "rd", "models_examined": 18, "schemata": [{"schema": "T_D", "instances": 3, '
+        '"verdict": "violated", "violations": [{"schema": "T_D", '
+        f'"instance": "{instance}", "model": {model}, "state": "1"}}]}}], "rules": []}}')
+    assert report.text().split("\n") == [
+        "system rd: 18 models examined",
+        f"  schema T_D: VIOLATED by {instance} at state 1 of {model}",
+    ]
+
+
+def test_rule_entry_shape(monkeypatch):
+    from epiresolve import search
+
+    builders = search._rule_builders
+    monkeypatch.setattr(search, "_rule_builders", lambda system: {
+        "MP": builders(system)["MP"], "BAD": lambda gen: ([TRUE], K(gen.agent(), Atom("p")))})
+    report = check_schema("rd", SearchBounds(1, ("1", "2"), ("p",), instance_count=1), schemas=["T"])
+    model = ('{"agents": ["1", "2"], "props": ["p"], "states": ["0"], '
+             '"relations": {"1": [["0"]], "2": [["0"]]}, "valuation": {"p": []}}')
+    assert json.dumps(report.to_dict()) == (
+        '{"system": "rd", "models_examined": 2, "schemata": [{"schema": "T", "instances": 1, '
+        '"verdict": "ok", "violations": []}], "rules": [{"rule": "MP", "instances": 1, "fired": 0, '
+        '"verdict": "ok", "violations": []}, {"rule": "BAD", "instances": 1, "fired": 1, '
+        '"verdict": "violated", "violations": [{"schema": "BAD", "instance": "K1 p", '
+        f'"model": {model}, "state": "0"}}]}}]}}')
+    assert report.text().split("\n") == [
+        "system rd: 2 models examined",
+        "  schema T: ok (1 instances)",
+        "  rule MP: ok (1 instances, 0 fired)",
+        "  rule BAD: VIOLATED (1 instances, 1 fired)",
+    ]
+
+
+def test_rrc_entry_shape(monkeypatch):
+    # without E_H phi the premise no longer gives C_H: the rule turns unsound.
+    # At two states the two models of one class both violate it.
+    from epiresolve import search
+
+    monkeypatch.setattr(search, "E", lambda group, body: TRUE)
+    report = check_rule_rrc(SearchBounds(2, ("1", "2"), ("p",), instance_count=1))
+    instance = ('{"antecedent": "K2 p", "premise": "~(K2 p & ~(true & K2 K2 p))", '
+                '"conclusion": "~(K2 p & ~C{1,2} K2 K2 p)"')
+    model = ('{"agents": ["1", "2"], "props": ["p"], "states": ["0", "1"], '
+             '"relations": {"1": [["0", "1"]], "2": [["0"], ["1"]]}, "valuation": {"p": ["%s"]}}')
+    assert json.dumps(report.to_dict()) == (
+        '{"rule": "RR_C", "instances": 1, "premise_hits": 18, "models_examined": 18, '
+        '"verdict": "violated", "violations": ['
+        f'{instance}, "model": {model % 0}, "state": "0"}}, '
+        f'{instance}, "model": {model % 1}, "state": "1"}}]}}')
+    shown = instance.replace('"', "'") + "}"
+    assert report.text().split("\n") == [
+        "rule RR_C: VIOLATED (1 instances, 18 premise hits, 18 models)",
+        f"  violated by {shown} at state 0",
+        f"  violated by {shown} at state 1",
+    ]
