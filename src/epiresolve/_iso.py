@@ -100,9 +100,15 @@ def _actions(n: int) -> tuple:
     return parts, subsets
 
 
-def _signature(bounds: SearchBounds) -> tuple:
-    """(agent ids, atom names) of the models within the bounds: agent 1 alone if none is declared."""
-    return bounds.agents or ("1",), bounds.atoms or ()
+def _signature(bounds: SearchBounds, agents: Sequence[str] = ("1",), atoms: Sequence[str] = ()) -> tuple:
+    """(agent ids, atom names) of the models within the bounds.
+
+    Agents or atoms the bounds leave undeclared (None) are the given
+    defaults.  A declared empty atom list is kept; no declared agent means
+    agent 1 alone, since a model has at least one agent.
+    """
+    agent_ids = agents if bounds.agents is None else bounds.agents
+    return agent_ids or ("1",), atoms if bounds.atoms is None else bounds.atoms
 
 
 def _model(n: int, idx: tuple, agent_ids: Sequence[str], atom_names: Sequence[str]) -> Model:

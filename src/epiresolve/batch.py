@@ -5,9 +5,11 @@ once over the union of a batch of models gives every model's extension.
 A `Batch` holds models of one size n and one agent set.  Model k owns a
 slot of ``8*ceil(n/8)`` bits, and state i of the model is the i-th of
 ``sorted(states)``; an extension over the whole batch is one Python int.
-The search (`_iso.py`) packs isomorphism-class
-representatives the same way, rows of several sizes sharing a batch when
-their slots are equally wide.
+`Batch.rows` folds an extension to one bit per model in bulk (whether the
+model has a state in it), and `Batch.least` reads one model's least state,
+which is all the sweeps need to report a failing model.  The search
+(`_iso.py`) packs isomorphism-class representatives the same way, rows of
+several sizes sharing a batch when their slots are equally wide.
 
 An agent's relation is kept as one mask per offset d in 1..n-1: bit (k, i)
 is set when states i and i+d of model k share a block (never for d past
@@ -23,6 +25,7 @@ only common knowledge keeps its fixpoint inside alive.
 
 from __future__ import annotations
 
+from itertools import groupby, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .checker import Context
@@ -32,6 +35,9 @@ from .syntax import Formula
 # Models per batch.  Larger batches amortize packing further but raise
 # peak memory; 256 keeps every mask at a few hundred bytes for n <= 8.
 BATCH_MODELS = 256
+
+# a slot's folded byte as a binary digit: b'0' when empty, b'1' otherwise
+_BINARY = b"0" + b"1" * 255
 
 
 def _diamond(rel: tuple, y: int) -> int:
@@ -188,7 +194,6 @@ class Batch:
         self._model_layouts = [layouts[m.states] for m in self.models]
         self.slot_bytes = self._model_layouts[0].slot_bytes
         self.width = 8 * self.slot_bytes
-        self._slot_full = (1 << self.width) - 1
         self.full = _pack([lo.set_bytes(m.states) for lo, m in zip(self._model_layouts, self.models)])
         self._root = Context(_Masks(agents, self.full, *_model_rows(self.models, self._model_layouts)),
                              (), self.full, {})
@@ -197,56 +202,34 @@ class Batch:
         """The extension of f over the whole batch."""
         return self._root.extension(f)
 
-    def lowest(self, bits: int) -> tuple:
-        """(model index, state) of the lowest set bit: the first model, then its least state."""
-        k, i = divmod((bits & -bits).bit_length() - 1, self.width)
-        return k, self._model_layouts[k].order[i]
-
-    def firsts(self, bits: int) -> Iterator[tuple]:
-        """(model index, least state) of every model with a state in bits, in model order."""
-        while bits:
-            k, state = self.lowest(bits)
-            yield k, state
-            bits &= ~(self._slot_full << k * self.width)
-
-    def slot(self, bits: int, k: int) -> int:
-        """Model k's slot of bits, as an int over its sorted states."""
-        return bits >> k * self.width & self._slot_full
-
-    def zero_slots(self, bits: int) -> int:
-        """How many models have no state in bits."""
+    def rows(self, bits: int) -> int:
+        """One bit per model, folded in bulk: bit k is set when model k has a state in bits."""
+        if not bits:
+            return 0
         folded = bits  # OR each slot's bytes into its lowest byte
         for j in range(1, self.slot_bytes):
             folded |= bits >> 8 * j
-        data = folded.to_bytes(len(self.models) * self.slot_bytes, "little")
-        return data[::self.slot_bytes].count(0)
+        data = folded.to_bytes(len(self.models) * self.slot_bytes, "little")[::self.slot_bytes]
+        return int(data.translate(_BINARY)[::-1], 2)
+
+    def least(self, bits: int, k: int) -> str:
+        """The least state of model k in bits, which must hold one."""
+        slot = bits >> k * self.width
+        return self._model_layouts[k].order[(slot & -slot).bit_length() - 1]
 
 
 class ModelBatches:
     """Consecutive runs of equally sized models, at most BATCH_MODELS each.
 
     Batches share their packing caches, so the partitions and subsets that
-    `enumerate_models` reuses are packed once per sweep.  After a stop,
-    `more` tells whether the stream held another model.
+    `enumerate_models` reuses are packed once per sweep.
     """
 
     def __init__(self, models: Iterable[Model]):
-        self._models = iter(models)
-        self._pending = next(self._models, None)
+        self._models = models
         self._layouts: dict = {}
 
-    @property
-    def more(self) -> bool:
-        return self._pending is not None
-
     def __iter__(self) -> Iterator[Batch]:
-        while self._pending is not None:
-            batch = [self._pending]
-            n = len(batch[0].states)
-            self._pending = None
-            for m in self._models:
-                if len(m.states) != n or len(batch) == BATCH_MODELS:
-                    self._pending = m
-                    break
-                batch.append(m)
-            yield Batch(batch, self._layouts)
+        for _, run in groupby(self._models, key=lambda m: len(m.states)):
+            while batch := list(islice(run, BATCH_MODELS)):
+                yield Batch(batch, self._layouts)

@@ -168,8 +168,8 @@ def cmd_search(args) -> int:
 def cmd_axioms(args) -> int:
     bounds = SearchBounds(
         max_states=args.max_states if args.max_states is not None else DEFAULT_SCHEMA_BOUNDS.max_states,
-        agents=_split_csv(args.agents) if args.agents else DEFAULT_SCHEMA_BOUNDS.agents,
-        atoms=_split_csv(args.atoms) if args.atoms else DEFAULT_SCHEMA_BOUNDS.atoms,
+        agents=_split_csv(args.agents) if args.agents else None,
+        atoms=_split_csv(args.atoms) if args.atoms else None,
         seed=args.seed,
         instance_count=args.instances,
     )

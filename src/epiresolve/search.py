@@ -13,12 +13,18 @@ find.  Only the witness is built as a `Model`.  The class rows and packed
 batches of a signature are kept for the process, so a query after the
 first over the same agents and atoms only evaluates its formula.
 
-The soundness sweeps (`check_schema`, `check_rule_rrc`) still run over
-every labelled model.  They evaluate their formulas on batches of
-consecutive models at once, over the disjoint union of each batch
-(`batch.py`), and report exactly what a model-by-model loop would: the
-same first witness per formula and the same model count.  Both paths run
-the same evaluation context over different relation algebras.
+The soundness sweeps (`check_schema`, `check_rule_rrc`) share one loop,
+`_sweep`, over every labelled model.  It evaluates the formulas on batches
+of consecutive models at once, over the disjoint union of each batch
+(`batch.py`), and reports for each formula the models where it fails, as
+one bit per model, and the least failing state in each.  Schemata and
+class-level rules keep each formula's first failure and stop once every
+formula has failed; RR_C counts, per instance, the models where its
+premise never fails, and reports those where its conclusion does.  Both
+report what a model-by-model loop would: the same first witness per
+formula and the same model count.  Search and sweeps run the same
+evaluation context over different relation algebras, and read the bounds'
+agents and atoms through one helper (`_iso._signature`).
 """
 
 from __future__ import annotations
@@ -396,7 +402,7 @@ def _schema_builders(with_common: bool) -> dict:
 
     def ra(gen):
         if not gen.atom_names:
-            raise ValueError("RA needs at least one atom in the bounds")
+            return None
         p = Atom(gen.rng.choice(gen.atom_names))
         return Iff(R(gen.group(), p), p)
 
@@ -414,6 +420,8 @@ def _schema_builders(with_common: bool) -> dict:
         return Iff(R(g, D(h, a)), D(g | h, R(g, a)))
 
     def rd2(gen):
+        if len(gen.agent_ids) < 2:  # no two groups are disjoint
+            return None
         g, h = gen.disjoint_pair()
         a = gen.formula()
         return Iff(R(g, D(h, a)), D(h, R(g, a)))
@@ -462,42 +470,72 @@ def _rule_builders(system: str) -> dict:
 
 
 @dataclass
-class SchemaViolation:
+class Violation:
+    """A formula that fails at a state of a model: a schema instance, or a rule's conclusion."""
+
     name: str
     instance: Formula
     model: Model
     state: str
+    premise: Optional[Formula] = None  # a model-local rule: its premise, valid on the model
+
+    def about(self) -> dict:
+        if self.premise is None:
+            return {"schema": self.name, "instance": render(self.instance)}
+        # the conclusion is phi -> R..C_H psi, that is ~(phi & ~R..C_H psi)
+        return {"antecedent": render(self.instance.body.left), "premise": render(self.premise),
+                "conclusion": render(self.instance)}
 
     def to_dict(self) -> dict:
-        return {"schema": self.name, "instance": render(self.instance),
-                "model": model_to_dict(self.model), "state": self.state}
+        return {**self.about(), "model": model_to_dict(self.model), "state": self.state}
+
+
+_COUNT_LABELS = {"fired": "fired", "premise_hits": "premise hits", "models_examined": "models"}
 
 
 @dataclass
-class SchemaResult:
+class Result:
+    """A schema or rule checked over the bounded models."""
+
+    kind: str  # "schema" or "rule"
     name: str
     instances: int
     violations: list
+    fired: Optional[int] = None  # a rule: instances whose premises were all valid on the class
+    premise_hits: Optional[int] = None  # a model-local rule: (model, instance) pairs with a valid premise
+    models_examined: Optional[int] = None  # a model-local rule, reported on its own
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    def _counts(self) -> dict:
+        return {key: getattr(self, key) for key in _COUNT_LABELS if getattr(self, key) is not None}
+
+    def to_dict(self) -> dict:
+        return {self.kind: self.name, "instances": self.instances, **self._counts(),
+                "verdict": "ok" if self.ok else "violated",
+                "violations": [v.to_dict() for v in self.violations]}
+
+    def text(self) -> str:
+        if self.kind == "schema":
+            if self.ok:
+                return f"schema {self.name}: ok ({self.instances} instances)"
+            v = self.violations[0]
+            return (f"schema {self.name}: VIOLATED by {render(v.instance)} "
+                    f"at state {v.state} of {json.dumps(model_to_dict(v.model))}")
+        counts = [f"{self.instances} instances"]
+        counts += [f"{n} {_COUNT_LABELS[key]}" for key, n in self._counts().items()]
+        lines = [f"rule {self.name}: {'ok' if self.ok else 'VIOLATED'} ({', '.join(counts)})"]
+        lines += [f"  violated by {v.about()} at state {v.state}" for v in self.violations[:5]
+                  if v.premise is not None]
+        return "\n".join(lines)
+
 
 @dataclass
-class RuleResult:
-    name: str
-    instances: int
-    fired: int  # instances whose premises were all valid on the class
-    violations: list
+class Report:
+    """A soundness sweep of a proof system: every schema and rule over the same models."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class SchemaReport:
     system: str
     schemata: list
     rules: list
@@ -505,83 +543,82 @@ class SchemaReport:
 
     @property
     def ok(self) -> bool:
-        return all(s.ok for s in self.schemata) and all(r.ok for r in self.rules)
+        return all(r.ok for r in self.schemata + self.rules)
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "models_examined": self.models_examined,
-            "schemata": [
-                {"schema": s.name, "instances": s.instances,
-                 "verdict": "ok" if s.ok else "violated",
-                 "violations": [v.to_dict() for v in s.violations]}
-                for s in self.schemata
-            ],
-            "rules": [
-                {"rule": r.name, "instances": r.instances, "fired": r.fired,
-                 "verdict": "ok" if r.ok else "violated",
-                 "violations": [v.to_dict() for v in r.violations]}
-                for r in self.rules
-            ],
-        }
+        return {"system": self.system, "models_examined": self.models_examined,
+                "schemata": [s.to_dict() for s in self.schemata], "rules": [r.to_dict() for r in self.rules]}
 
     def text(self) -> str:
         lines = [f"system {self.system}: {self.models_examined} models examined"]
-        for s in self.schemata:
-            if s.ok:
-                lines.append(f"  schema {s.name}: ok ({s.instances} instances)")
-            else:
-                v = s.violations[0]
-                lines.append(
-                    f"  schema {s.name}: VIOLATED by {render(v.instance)} "
-                    f"at state {v.state} of {json.dumps(model_to_dict(v.model))}"
-                )
-        for r in self.rules:
-            status = "ok" if r.ok else "VIOLATED"
-            lines.append(f"  rule {r.name}: {status} ({r.instances} instances, {r.fired} fired)")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"  {r.text()}" for r in self.schemata + self.rules])
 
 
-def _first_failures(tracked: dict, models: Iterable[Model]) -> int:
-    """Record in `tracked` the first failing point of every formula; returns models examined.
+def _sweep(formulas: Sequence[Formula], models: Iterable[Model], first_only: bool = False) -> Iterator[tuple]:
+    """Where each formula fails over the labelled models, a batch of models at a time.
 
-    Models are evaluated in batches, but the count is the one of a
-    model-by-model sweep that stops on the model after the last first
-    failure, or runs out.
+    Yields (start, models, rows, least) per batch, models[0] being labelled
+    model `start`: bit k of rows[j] is set when models[k] falsifies
+    formulas[j] at some state, and least(j, k) is the least such state.
+    With first_only, a formula is dropped after the batch of its first
+    failure (its rows read 0 from then on), and the sweep stops once every
+    formula has failed.
     """
-    still_valid = set(tracked)
-    examined = 0
-    last_failure = -1  # index of the latest model that was some formula's first failure
-    stream = ModelBatches(models)
-    for batch in stream:
-        for f in list(still_valid):
-            bad = batch.full & ~batch.extension(f)
-            if bad:
-                k, state = batch.lowest(bad)
-                tracked[f] = PointedModel(batch.models[k], state)
-                last_failure = max(last_failure, examined + k)
-                still_valid.discard(f)
-        examined += len(batch.models)
-        if not still_valid:
+    live = set(range(len(formulas)))
+    start = 0
+    for batch in ModelBatches(models):
+        bad = [batch.full & ~batch.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
+        rows = [batch.rows(bits) for bits in bad]
+        yield start, batch.models, rows, lambda j, k: batch.least(bad[j], k)
+        start += len(batch.models)
+        if first_only:
+            live.difference_update(j for j, r in enumerate(rows) if r)
+            if not live:
+                return
+
+
+def _lowest(rows: int) -> int:
+    return (rows & -rows).bit_length() - 1
+
+
+def _model_count(agent_ids: Sequence[str], atom_names: Sequence[str], max_states: int) -> int:
+    """How many labelled models `enumerate_models` yields."""
+    return sum(len(parts) ** len(agent_ids) * len(subsets) ** len(atom_names)
+               for _, parts, subsets in map(_values, range(1, max_states + 1)))
+
+
+def _draw(builder, gen: FormulaGen, count: int) -> list:
+    """Up to count seeded instances of a builder, each once, as (premises, conclusion).
+
+    A schema instance has no premises.  A builder returns None when the
+    bounds hold no instance of it.
+    """
+    drawn: dict = {}
+    for _ in range(count):
+        inst = builder(gen)
+        if inst is None:
             break
-    if not still_valid and (last_failure + 1 < examined or stream.more):
-        examined = last_failure + 2
-    return examined
+        premises, conclusion = inst if isinstance(inst, tuple) else ((), inst)
+        drawn.setdefault((tuple(map(gen.intern, premises)), gen.intern(conclusion)), None)
+    return list(drawn)
 
 
-DEFAULT_SCHEMA_BOUNDS = SearchBounds(max_states=3, agents=("1", "2"), atoms=("p",))
+# agents and atoms of the soundness sweeps, where the bounds declare none
+_SWEEP_SIGNATURE = (("1", "2"), ("p",))
+DEFAULT_SCHEMA_BOUNDS = SearchBounds(3, *_SWEEP_SIGNATURE)
 
 
 def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
                  override: Optional[dict] = None, schemas: Optional[Iterable[str]] = None,
-                 include_rules: bool = True) -> SchemaReport:
+                 include_rules: bool = True) -> Report:
     """Soundness sweep of a proof system over all models within the bounds.
 
     Every schema gets instance_count seeded instances, deduplicated; the
     rules are checked as validity preservation over the same model class.
     An override swaps in alternative builders by schema name, which is how
     the mutation tests inject deliberately broken schemata; `schemas`
-    restricts the sweep to the named subset.
+    restricts the sweep to the named subset.  A schema with no instance in
+    the bounds (RD2 with one agent, RA without atoms) is ok with 0 instances.
     """
     builders = dict(schema_builders(system))
     if override:
@@ -595,189 +632,85 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
         if unknown:
             raise ValueError(f"unknown schema {sorted(unknown)[0]!r}")
         builders = {name: builders[name] for name in builders if name in wanted}
-    allow_c = system.lower() == "rcd"
-    agent_ids = bounds.agents or ("1", "2")
-    atom_names = bounds.atoms if bounds.atoms is not None else ("p",)
-    base = SearchBounds(bounds.max_states, agent_ids, atom_names, bounds.seed, bounds.instance_count)
-
+    agent_ids, atom_names = _signature(bounds, *_SWEEP_SIGNATURE)
     pool: dict = {}
-    schema_instances = {}
-    for offset, (name, builder) in enumerate(builders.items()):
-        gen = FormulaGen(agent_ids, atom_names, seed=base.seed + offset, allow_c=allow_c, pool=pool)
-        seen, ordered = set(), []
-        for _ in range(base.instance_count):
-            inst = gen.intern(builder(gen))
-            if inst not in seen:
-                seen.add(inst)
-                ordered.append(inst)
-        schema_instances[name] = ordered
 
-    rule_instances = {}
-    rule_table = _rule_builders(system) if include_rules else {}
-    for offset, (name, builder) in enumerate(rule_table.items()):
-        gen = FormulaGen(agent_ids, atom_names, seed=base.seed + 1000 + offset, allow_c=allow_c, pool=pool)
-        seen, ordered = set(), []
-        for _ in range(base.instance_count):
-            premises, conclusion = builder(gen)
-            inst = (tuple(gen.intern(p) for p in premises), gen.intern(conclusion))
-            if inst not in seen:
-                seen.add(inst)
-                ordered.append(inst)
-        rule_instances[name] = ordered
+    def draw(table: dict, seed: int) -> dict:
+        return {name: _draw(builder, FormulaGen(agent_ids, atom_names, seed=seed + offset,
+                                                allow_c=system.lower() == "rcd", pool=pool),
+                            bounds.instance_count)
+                for offset, (name, builder) in enumerate(table.items())}
+
+    checked = {"schema": draw(builders, bounds.seed),
+               "rule": draw(_rule_builders(system) if include_rules else {}, bounds.seed + 1000)}
 
     # one pass over the model stream decides class-validity of every formula
-    tracked: dict = {}
-    for instances in schema_instances.values():
-        for inst in instances:
-            tracked.setdefault(inst, None)
-    for instances in rule_instances.values():
-        for premises, conclusion in instances:
-            for f in list(premises) + [conclusion]:
-                tracked.setdefault(f, None)
+    formulas = list(dict.fromkeys(f for table in checked.values() for instances in table.values()
+                                  for premises, conclusion in instances for f in (*premises, conclusion)))
+    failed, last = {}, -1  # formula -> (model, state) of its first failure; that model's index
+    models = enumerate_models(SearchBounds(bounds.max_states, agent_ids, atom_names))
+    for start, batch, rows, least in _sweep(formulas, models, first_only=True):
+        for j, r in enumerate(rows):
+            if r:
+                k = _lowest(r)
+                failed[formulas[j]] = batch[k], least(j, k)
+                last = max(last, start + k)
+    # a model-by-model sweep stops on the model after the last first failure, or runs out
+    examined = _model_count(agent_ids, atom_names, bounds.max_states)
+    if len(failed) == len(formulas):
+        examined = min(examined, last + 2)
 
-    examined = _first_failures(tracked, enumerate_models(base))
-
-    schemata = []
-    for name, instances in schema_instances.items():
-        violations = [
-            SchemaViolation(name, inst, tracked[inst].model, tracked[inst].state)
-            for inst in instances
-            if tracked[inst] is not None
-        ]
-        schemata.append(SchemaResult(name, len(instances), violations))
-
-    rules = []
-    for name, instances in rule_instances.items():
-        fired = 0
-        violations = []
-        for premises, conclusion in instances:
-            if any(tracked[p] is not None for p in premises):
-                continue  # a premise fails on the class: vacuous instance
-            fired += 1
-            if tracked[conclusion] is not None:
-                witness = tracked[conclusion]
-                violations.append(SchemaViolation(name, conclusion, witness.model, witness.state))
-        rules.append(RuleResult(name, len(instances), fired, violations))
-
-    return SchemaReport(system=system.lower(), schemata=schemata, rules=rules,
-                        models_examined=examined)
+    results = {}
+    for kind, table in checked.items():
+        results[kind] = []
+        for name, instances in table.items():
+            # an instance with a premise failing on the class is vacuous
+            fired = [c for premises, c in instances if not any(p in failed for p in premises)]
+            violations = [Violation(name, c, *failed[c]) for c in fired if c in failed]
+            results[kind].append(Result(kind, name, len(instances), violations,
+                                        fired=len(fired) if kind == "rule" else None))
+    return Report(system.lower(), results["schema"], results["rule"], examined)
 
 
 # ---------------------------------------------------------------------------
 # The induction rule for resolved common knowledge, checked model-locally
 
 
-@dataclass
-class RrcInstance:
-    premise: Formula
-    conclusion: Formula
-    antecedent: Formula
-
-    def to_dict(self) -> dict:
-        return {"antecedent": render(self.antecedent), "premise": render(self.premise),
-                "conclusion": render(self.conclusion)}
+DEFAULT_RRC_BOUNDS = SearchBounds(4, *_SWEEP_SIGNATURE)
 
 
-@dataclass
-class RrcViolation:
-    instance: RrcInstance
-    model: Model
-    state: str
-
-    def to_dict(self) -> dict:
-        out = self.instance.to_dict()
-        out.update({"model": model_to_dict(self.model), "state": self.state})
-        return out
-
-
-@dataclass
-class RrcReport:
-    instances: int
-    premise_hits: int  # (model, instance) pairs whose premise held everywhere
-    violations: list
-    models_examined: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {"rule": "RR_C", "instances": self.instances,
-                "premise_hits": self.premise_hits,
-                "models_examined": self.models_examined,
-                "verdict": "ok" if self.ok else "violated",
-                "violations": [v.to_dict() for v in self.violations]}
-
-    def text(self) -> str:
-        head = (f"rule RR_C: {'ok' if self.ok else 'VIOLATED'} "
-                f"({self.instances} instances, {self.premise_hits} premise hits, "
-                f"{self.models_examined} models)")
-        lines = [head]
-        for v in self.violations[:5]:
-            lines.append(f"  violated by {v.instance.to_dict()} at state {v.state}")
-        return "\n".join(lines)
-
-
-def _rrc_sweep(instances: list, models: Iterable[Model]) -> tuple:
-    """(premise hits, violations as (model, instance index, state) in model order, models examined).
-
-    An instance is (phi, E_H phi, R_G.. psi, R_G.. C_H psi); it is hit in a
-    model where phi implies both premise conjuncts at every state.
-    """
-    premise_hits = 0
-    found = []  # (model index, instance index, model, state)
-    examined = 0
-    for batch in ModelBatches(models):
-        for j, (phi, everybody, boxed_psi, boxed_c) in enumerate(instances):
-            phi_ext = batch.extension(phi)
-            # the premise holds in every model whose slot of `missed` is empty
-            missed = phi_ext & ~(batch.extension(everybody) & batch.extension(boxed_psi))
-            premise_hits += batch.zero_slots(missed)
-            for k, state in batch.firsts(phi_ext & ~batch.extension(boxed_c)):
-                if not batch.slot(missed, k):
-                    found.append((examined + k, j, batch.models[k], state))
-        examined += len(batch.models)
-    found.sort(key=lambda hit: hit[:2])
-    return premise_hits, [(m, j, state) for _, j, m, state in found], examined
-
-
-DEFAULT_RRC_BOUNDS = SearchBounds(max_states=4, agents=("1", "2"), atoms=("p",))
-
-
-def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS, max_prefix: int = 2) -> RrcReport:
+def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS, max_prefix: int = 2) -> Result:
     """Model-local check of the induction rule for resolved common knowledge.
 
     For every enumerated model and every seeded instance (phi, psi, H,
-    G_1..G_n): whenever phi -> (E_H phi & R_G1..R_Gn psi) holds at every
-    state, phi -> R_G1..R_Gn C_H psi must hold at every state too.
+    G_1..G_n): whenever the premise phi -> (E_H phi & R_G1..R_Gn psi) holds
+    at every state, the conclusion phi -> R_G1..R_Gn C_H psi must hold at
+    every state too.
     """
-    agent_ids = bounds.agents or ("1", "2")
-    atom_names = bounds.atoms if bounds.atoms is not None else ("p",)
-    gen = FormulaGen(agent_ids, atom_names, seed=bounds.seed, allow_c=True)
+    agent_ids, atom_names = _signature(bounds, *_SWEEP_SIGNATURE)
 
-    instances = []
-    seen = set()
-    for _ in range(bounds.instance_count):
+    def rrc(gen):
         phi, psi, h = gen.formula(), gen.formula(), gen.group()
-        prefix = tuple(gen.group() for _ in range(gen.rng.randint(0, max_prefix)))
-        key = (phi, psi, h, prefix)
-        if key in seen:
-            continue
-        seen.add(key)
-        boxed_psi: Formula = psi
-        boxed_c: Formula = C(h, psi)
-        for g in reversed(prefix):
-            boxed_psi = R(g, boxed_psi)
-            boxed_c = R(g, boxed_c)
-        instances.append((phi, gen.intern(E(h, phi)), gen.intern(boxed_psi), gen.intern(boxed_c)))
+        boxed_psi, boxed_c = psi, C(h, psi)
+        for g in reversed([gen.group() for _ in range(gen.rng.randint(0, max_prefix))]):
+            boxed_psi, boxed_c = R(g, boxed_psi), R(g, boxed_c)
+        return [Implies(phi, And(E(h, phi), boxed_psi))], Implies(phi, boxed_c)
 
-    enum_bounds = SearchBounds(bounds.max_states, agent_ids, atom_names)
-    premise_hits, found, examined = _rrc_sweep(instances, enumerate_models(enum_bounds))
-    violations = []
-    for m, j, state in found:
-        phi, everybody, boxed_psi, boxed_c = instances[j]
-        inst = RrcInstance(premise=Implies(phi, And(everybody, boxed_psi)),
-                           conclusion=Implies(phi, boxed_c), antecedent=phi)
-        violations.append(RrcViolation(inst, m, state))
-    return RrcReport(instances=len(instances), premise_hits=premise_hits,
-                     violations=violations, models_examined=examined)
+    gen = FormulaGen(agent_ids, atom_names, seed=bounds.seed, allow_c=True)
+    instances = _draw(rrc, gen, bounds.instance_count)
+    formulas = [f for (premise,), conclusion in instances for f in (premise, conclusion)]
+    hits, found = 0, []
+    models = enumerate_models(SearchBounds(bounds.max_states, agent_ids, atom_names))
+    for start, batch, rows, least in _sweep(formulas, models):
+        for j in range(0, len(formulas), 2):
+            # a hit is a model where the premise never fails; a violation, a hit where the conclusion does
+            hits += len(batch) - rows[j].bit_count()
+            broken = rows[j + 1] & ~rows[j]
+            while broken:
+                k = _lowest(broken)
+                found.append((start + k, j, Violation("RR_C", formulas[j + 1], batch[k], least(j + 1, k),
+                                                      premise=formulas[j])))
+                broken &= broken - 1
+    found.sort(key=lambda hit: hit[:2])
+    return Result("rule", "RR_C", len(instances), [v for *_, v in found], premise_hits=hits,
+                  models_examined=_model_count(agent_ids, atom_names, bounds.max_states))

@@ -16,11 +16,10 @@ import pytest
 
 from epiresolve import checker, search
 from epiresolve.batch import BATCH_MODELS, Batch, ModelBatches
-from epiresolve.checker import PointedModel
 from epiresolve.fixtures import fig1, fig1_core
 from epiresolve.kripke import Model, as_premodel
-from epiresolve.search import FormulaGen, SearchBounds, check_rule_rrc, check_schema
-from epiresolve.syntax import And, E, parse
+from epiresolve.search import FormulaGen, SearchBounds, check_rule_rrc, check_schema, enumerate_models
+from epiresolve.syntax import TRUE, And, parse
 
 from conftest import model_list
 from reference_evaluator import Evaluator
@@ -53,8 +52,17 @@ def formulas(atoms, seed, count):
 
 def per_model(batch, bits):
     """Split a batch extension into each model's set of states."""
-    return [frozenset(s for i, s in enumerate(sorted(m.states)) if batch.slot(bits, k) >> i & 1)
+    return [frozenset(s for i, s in enumerate(sorted(m.states)) if bits >> k * batch.width + i & 1)
             for k, m in enumerate(batch.models)]
+
+
+def assert_rows(batch, bits):
+    """`rows` folds bits to the models holding a state, and `least` finds each one's least state."""
+    split = per_model(batch, bits)
+    assert batch.rows(bits) == sum(1 << k for k, states in enumerate(split) if states)
+    for k, states in enumerate(split):
+        if states:
+            assert batch.least(bits, k) == min(states)
 
 
 def assert_agrees(models, fs):
@@ -66,12 +74,10 @@ def assert_agrees(models, fs):
 
 def test_batches_are_consecutive_equal_sized_and_capped():
     models = model_list(4, ("1", "2"), ("p",))
-    stream = ModelBatches(models)
-    batches = list(stream)
+    batches = list(ModelBatches(models))
     assert [m for b in batches for m in b.models] == list(models)
     assert all(len({len(m.states) for m in b.models}) == 1 for b in batches)
     assert max(len(b.models) for b in batches) == BATCH_MODELS
-    assert not stream.more
 
 
 def test_agrees_with_evaluator_three_states_two_atoms():
@@ -108,7 +114,8 @@ def test_agrees_with_evaluator_on_multi_byte_slots():
     batch = Batch(models)
     for f in fs:
         bits = batch.extension(f)
-        assert batch.zero_slots(bits) == sum(not ext for ext in per_model(batch, bits))
+        assert_rows(batch, bits)
+        assert_rows(batch, batch.full & ~bits)
 
 
 def test_witness_is_first_model_and_least_state():
@@ -116,12 +123,10 @@ def test_witness_is_first_model_and_least_state():
     batch = Batch(models)
     f = parse("K1 p", AG)
     bad = batch.full & ~batch.extension(f)
-    k, state = batch.lowest(bad)
-    ext = Evaluator(models[k]).extension(f)
-    assert Evaluator(models[0]).extension(f) != models[0].states
-    assert (k, state) == (0, min(models[0].states - ext))
-    assert list(batch.firsts(bad)) == [
-        (i, min(m.states - Evaluator(m).extension(f))) for i, m in enumerate(models)]
+    assert batch.rows(bad) == 0b11
+    assert [batch.least(bad, k) for k in range(2)] == [
+        min(m.states - Evaluator(m).extension(f)) for m in models]
+    assert batch.rows(0) == 0
 
 
 def test_batch_rejects_mixed_models():
@@ -151,43 +156,38 @@ def test_undeclared_agent_is_a_value_error_everywhere(text):
 # sweeps: batched against a model-by-model reference loop
 
 
-def reference_first_failures(tracked, models):
-    still_valid = set(tracked)
-    examined = 0
-    for m in models:
-        examined += 1
+def reference_first_failures(formulas, models):
+    """`_sweep(formulas, models, first_only=True)`, model by model: each model is a batch of one."""
+    still_valid = set(range(len(formulas)))
+    for k, m in enumerate(models):
         if not still_valid:
             break
         ev = Evaluator(m)
-        for f in list(still_valid):
-            ext = ev.extension(f)
+        bad = {}
+        for j in sorted(still_valid):
+            ext = ev.extension(formulas[j])
             if ext != m.states:
-                tracked[f] = PointedModel(m, min(m.states - ext))
-                still_valid.discard(f)
-    return examined
+                bad[j] = m.states - ext
+        still_valid -= set(bad)
+        yield k, [m], [int(j in bad) for j in range(len(formulas))], lambda j, _, bad=bad: min(bad[j])
 
 
-def reference_rrc_sweep(instances, models):
-    premise_hits, found, examined = 0, [], 0
-    for m in models:
-        examined += 1
+def reference_rrc_sweep(formulas, models):
+    """`_sweep(formulas, models)`, model by model: every model where each formula fails."""
+    for k, m in enumerate(models):
         ev = Evaluator(m)
-        for j, (phi, everybody, boxed_psi, boxed_c) in enumerate(instances):
-            phi_ext = ev.extension(phi)
-            if not (phi_ext <= ev.extension(everybody) and phi_ext <= ev.extension(boxed_psi)):
-                continue
-            premise_hits += 1
-            conclusion_ext = ev.extension(boxed_c)
-            if not phi_ext <= conclusion_ext:
-                found.append((m, j, min(phi_ext - conclusion_ext)))
-    return premise_hits, found, examined
+        bad = [m.states - ev.extension(f) for f in formulas]
+        yield k, [m], [int(bool(b)) for b in bad], lambda j, _, bad=bad: min(bad[j])
+
+
+def reference_sweep(formulas, models, first_only=False):
+    return (reference_first_failures if first_only else reference_rrc_sweep)(formulas, models)
 
 
 def both_ways(monkeypatch, run):
     batched = run().to_dict()
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_first_failures", reference_first_failures)
-        patch.setattr(search, "_rrc_sweep", reference_rrc_sweep)
+        patch.setattr(search, "_sweep", reference_sweep)
         reference = run().to_dict()
     return batched, reference
 
@@ -216,13 +216,19 @@ def test_models_examined_when_every_instance_fails(monkeypatch, max_states):
     def never_valid(gen):
         return gen.rng.choice([parse("p"), parse("~p"), parse("K1 p"), parse("~K2 ~p"), And(parse("p"), gen.formula())])
 
+    def run():
+        return check_schema("rd", bounds, override={"T": never_valid}, schemas=["T"], include_rules=False)
+
     bounds = SearchBounds(max_states, ("1", "2"), ("p",), instance_count=12)
-    batched, reference = both_ways(monkeypatch, lambda: check_schema(
-        "rd", bounds, override={"T": never_valid}, schemas=["T"], include_rules=False))
+    batched, reference = both_ways(monkeypatch, run)
     (result,) = batched["schemata"]
     assert len(result["violations"]) == result["instances"]
     assert "~p" in [v["instance"] for v in result["violations"]]
     assert batched == reference
+    models = list(enumerate_models(bounds))
+    firsts = [next(k for k, m in enumerate(models) if Evaluator(m).extension(v.instance) != m.states)
+              for v in run().schemata[0].violations]
+    assert batched["models_examined"] == min(max(firsts) + 2, len(models))
     if max_states == 1:
         assert batched["models_examined"] == 2
 
@@ -234,17 +240,19 @@ def test_rrc_report_matches_reference(monkeypatch):
     assert batched == reference
 
 
-def test_rrc_sweep_violations_match_reference():
-    # unsound "conclusions" make violations in many (model, instance) pairs
-    gen = FormulaGen(["1", "2"], ["p"], seed=3, depth=2)
-    instances = []
-    for _ in range(12):
-        phi, h = gen.formula(), gen.group()
-        instances.append((phi, E(h, phi), gen.formula(), gen.formula()))
-    models = model_list(3, ("1", "2"), ("p",))
-    batched = search._rrc_sweep(instances, models)
-    assert batched[1]
-    assert batched == reference_rrc_sweep(instances, models)
+def test_rrc_sweep_violations_match_reference(monkeypatch):
+    # without E_H phi in the premise the conclusion is unsound: violations
+    # in many (model, instance) pairs
+    monkeypatch.setattr(search, "E", lambda group, body: TRUE)
+    bounds = SearchBounds(3, ("1", "2"), ("p",), seed=3, instance_count=12)
+    batched, reference = both_ways(monkeypatch, lambda: check_rule_rrc(bounds))
+    violations = batched["violations"]
+    assert len(violations) > 40 and len({v["conclusion"] for v in violations}) > 1
+    assert batched == reference
+    for v in check_rule_rrc(bounds).violations:
+        ev = Evaluator(v.model)
+        assert ev.extension(v.premise) == v.model.states
+        assert v.state == min(v.model.states - ev.extension(v.instance))
 
 
 # ---------------------------------------------------------------------------

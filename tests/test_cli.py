@@ -301,11 +301,32 @@ def test_axioms_with_rrc(capsys):
 
 
 @pytest.mark.parametrize("system", ["rd", "rcd"])
-def test_axioms_with_one_agent_is_usage_error(capsys, system):
-    # RD2 needs two disjoint groups: with one agent, drawing them never ended
+def test_axioms_with_one_agent_sweeps_rd2_with_no_instance(capsys, system):
+    # RD2 needs two disjoint groups: with one agent it has no instance, and the rest is swept
     code, out, err = run(capsys, "axioms", "--system", system, "--agents", "1", "--max-states", "2")
-    assert (code, out) == (2, "")
-    assert "RD2 needs at least two agents" in err
+    assert (code, err) == (0, "")
+    assert out.startswith(f"system {system}: 10 models examined\n")
+    assert "  schema RD2: ok (0 instances)\n" in out
+    assert "  schema RD1: ok (" in out and "  schema RD1: ok (0 instances)" not in out
+
+
+def test_axioms_without_atoms_sweeps_ra_with_no_instance(capsys):
+    code, out, err = run(capsys, "axioms", "--system", "rd", "--atoms", ",", "--max-states", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("system rd: 5 models examined\n")
+    assert "  schema RA: ok (0 instances)\n" in out
+
+
+@pytest.mark.parametrize("flags, models", [([], 18), (["--agents", "1,2", "--atoms", "p"], 18),
+                                           (["--agents", ","], 10), (["--agents", ",", "--atoms", ","], 3)])
+def test_axioms_sweep_the_models_search_would(capsys, flags, models):
+    # no declared agent means agent 1 alone, as in search; undeclared means agents 1, 2 and atom p
+    code, out, _ = run(capsys, "axioms", "--system", "rcd", "--max-states", "2", "--instances", "5",
+                       "--rrc", *flags)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"system rcd: {models} models examined"
+    assert lines[-1].endswith(f" premise hits, {models} models)")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

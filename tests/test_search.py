@@ -28,7 +28,7 @@ from epiresolve.search import (
     schema_builders,
     set_partitions,
 )
-from epiresolve.syntax import TRUE, And, Atom, C, D, E, Iff, Implies, K, Neg, Or, R, parse, reduce
+from epiresolve.syntax import FALSE, TRUE, And, Atom, C, D, E, Iff, Implies, K, Neg, Or, R, parse, reduce
 
 AG3 = {"1", "2", "3"}
 
@@ -699,3 +699,31 @@ def test_rrc_entry_shape(monkeypatch):
         f"  violated by {shown} at state 0",
         f"  violated by {shown} at state 1",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the sweeps and the search read the bounds' agents and atoms alike
+
+
+@pytest.mark.parametrize("agents, atoms, models", [(None, None, 18), (("1", "2"), ("p",), 18),
+                                                   ((), ("p",), 10), (("1",), (), 3), ((), (), 3)])
+def test_sweeps_cover_the_models_the_search_covers(agents, atoms, models):
+    # None takes the sweeps' agents 1, 2 and atom p; a declared empty list is
+    # kept, and no agent means agent 1 alone, as in find_model
+    bounds = SearchBounds(2, agents, atoms, instance_count=4)
+    assert check_schema("rd", bounds).models_examined == models
+    assert check_rule_rrc(bounds).models_examined == models
+    if agents is not None and atoms is not None:
+        query = And(Atom(atoms[0]), Neg(Atom(atoms[0]))) if atoms else FALSE
+        assert find_model(query, bounds).models_examined == models
+        assert len(list(enumerate_models(bounds))) == models
+
+
+def test_schemata_without_instances_in_the_bounds_are_ok():
+    report = check_schema("rcd", SearchBounds(2, ("1",), (), instance_count=20))
+    counts = {s.name: s.instances for s in report.schemata}
+    assert counts["RD2"] == 0 and counts["RA"] == 0
+    assert all(n > 0 for name, n in counts.items() if name not in ("RD2", "RA"))
+    assert report.ok and all(rule.fired > 0 for rule in report.rules)
+    assert "  schema RD2: ok (0 instances)" in report.text().split("\n")
+
