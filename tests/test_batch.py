@@ -249,10 +249,23 @@ def test_rrc_sweep_violations_match_reference(monkeypatch):
     violations = batched["violations"]
     assert len(violations) > 40 and len({v["conclusion"] for v in violations}) > 1
     assert batched == reference
-    for v in check_rule_rrc(bounds).violations:
-        ev = Evaluator(v.model)
-        assert ev.extension(v.premise) == v.model.states
-        assert v.state == min(v.model.states - ev.extension(v.instance))
+
+    # a plain loop over (model, instance) pairs; each instance sweeps its premise, then its conclusion
+    real, swept = search._sweep, []
+    monkeypatch.setattr(search, "_sweep", lambda fs, models: swept.append(fs) or real(fs, models))
+    report = check_rule_rrc(bounds)
+    (formulas,) = swept
+    hits, found = 0, []
+    for m in enumerate_models(bounds):
+        ev = Evaluator(m)
+        for premise, conclusion in zip(formulas[::2], formulas[1::2]):
+            if ev.extension(premise) == m.states:
+                hits += 1
+                bad = m.states - ev.extension(conclusion)
+                if bad:
+                    found.append((m, premise, conclusion, min(bad)))
+    assert report.premise_hits == hits
+    assert [(v.model, v.premise, v.instance, v.state) for v in report.violations] == found
 
 
 # ---------------------------------------------------------------------------
