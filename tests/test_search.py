@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 import reference_evaluator as ref
-from epiresolve import _iso
+from epiresolve import _iso, search
 from conftest import model_list
 from epiresolve.checker import satisfies
 from epiresolve.batch import BATCH_MODELS
@@ -655,8 +655,6 @@ def test_schema_entry_shape():
 
 
 def test_rule_entry_shape(monkeypatch):
-    from epiresolve import search
-
     builders = search._rule_builders
     monkeypatch.setattr(search, "_rule_builders", lambda system: {
         "MP": builders(system)["MP"], "BAD": lambda gen: ([TRUE], K(gen.agent(), Atom("p")))})
@@ -680,8 +678,6 @@ def test_rule_entry_shape(monkeypatch):
 def test_rrc_entry_shape(monkeypatch):
     # without E_H phi the premise no longer gives C_H: the rule turns unsound.
     # At two states the two models of one class both violate it.
-    from epiresolve import search
-
     monkeypatch.setattr(search, "E", lambda group, body: TRUE)
     report = check_rule_rrc(SearchBounds(2, ("1", "2"), ("p",), instance_count=1))
     instance = ('{"antecedent": "K2 p", "premise": "~(K2 p & ~(true & K2 K2 p))", '
