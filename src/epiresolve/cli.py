@@ -1,13 +1,14 @@
 """Command-line surface: check, resolve, reduce, delta, closure, bisim, search, axioms.
 
 Exit codes: 0 for true / success / witness found, 1 for false / none /
-violations reported, 2 for usage or input errors.
+violations reported, 2 for usage or input errors, 141 for a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -36,7 +37,8 @@ from .syntax import as_group, closure, delta, group_key, parse, reduce, render
 
 
 def _split_csv(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    """The ids of a comma-joined option; None only when it is absent, so "", " " and "," declare none."""
+    return None if text is None else tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_sequence(text):
@@ -93,7 +95,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    universe = _split_csv(args.agents) if args.agents else None
+    universe = _split_csv(args.agents)
     with _formula_depth():
         f = parse(args.formula, agents=universe)
         reduced = reduce(f)
@@ -116,7 +118,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    universe = _split_csv(args.agents) if args.agents else None
+    universe = _split_csv(args.agents)
     with _formula_depth():
         f = parse(args.formula, agents=universe)
         members = sorted(render(g) for g in closure(f))
@@ -144,14 +146,10 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_search(args) -> int:
-    agents = _split_csv(args.agents) if args.agents else None
-    bounds = SearchBounds(
-        max_states=args.max_states,
-        agents=agents,
-        atoms=_split_csv(args.atoms) if args.atoms else None,
-    )
+    agents = _split_csv(args.agents)
+    bounds = SearchBounds(max_states=args.max_states, agents=agents, atoms=_split_csv(args.atoms))
     with _formula_depth():
-        f = parse(args.formula, agents=agents)
+        f = parse(args.formula, agents=agents or None)  # no declared agent: models over agent 1, which K1 names
         outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
     examined = f"{outcome.models_examined} models examined, {outcome.classes_examined} evaluated"
     if args.json:
@@ -168,8 +166,8 @@ def cmd_search(args) -> int:
 def cmd_axioms(args) -> int:
     bounds = SearchBounds(
         max_states=args.max_states if args.max_states is not None else DEFAULT_SCHEMA_BOUNDS.max_states,
-        agents=_split_csv(args.agents) if args.agents else None,
-        atoms=_split_csv(args.atoms) if args.atoms else None,
+        agents=_split_csv(args.agents),
+        atoms=_split_csv(args.atoms),
         seed=args.seed,
         instance_count=args.instances,
     )
@@ -276,7 +274,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader has gone: exit as SIGPIPE would (128 + 13), flushing to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

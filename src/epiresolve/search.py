@@ -170,12 +170,7 @@ def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
             used_agents.add(g.agent)
         elif cls is D or cls is C or cls is R:
             used_agents.update(g.group)
-    agent_ids = bounds.agents
-    if agent_ids is None:
-        agent_ids = tuple(sorted(used_agents)) or ("1",)
-    atom_names = bounds.atoms
-    if atom_names is None:
-        atom_names = tuple(sorted(used_atoms))
+    agent_ids, atom_names = _signature(bounds, tuple(sorted(used_agents)), tuple(sorted(used_atoms)))
     for kind, used, declared in (("agent", used_agents, agent_ids), ("atom", used_atoms, atom_names)):
         missing = used - set(declared)
         if missing:
@@ -217,19 +212,16 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()) -> Sear
 
 
 class FormulaGen:
-    """Deterministic random formulas with a depth cap."""
+    """Deterministic random formulas with a depth cap; equal subtrees are one interned node."""
 
     def __init__(self, agents: Sequence[str], atoms: Sequence[str], seed: int = 0,
                  depth: int = 2, allow_c: bool = True, allow_r: bool = True,
-                 allow_ann: bool = False, pool: Optional[dict] = None):
+                 allow_ann: bool = False):
         self.rng = random.Random(seed)
         self.agent_ids = sorted(agents)
         self.atom_names = sorted(atoms)
         self.group_list = all_groups(self.agent_ids)
         self.depth = depth
-        # structural interning: equal subtrees share identity, also across
-        # generators handed the same pool
-        self._pool: dict = {} if pool is None else pool
         ops = ["leaf", "leaf", "neg", "neg", "and", "and", "K", "K", "D", "D"]
         if allow_c:
             ops.append("C")
@@ -238,9 +230,6 @@ class FormulaGen:
         if allow_ann:
             ops.append("ann")
         self.ops = ops
-
-    def _make(self, node: Formula) -> Formula:
-        return self._pool.setdefault(node, node)
 
     def agent(self) -> str:
         return self.rng.choice(self.agent_ids)
@@ -274,7 +263,7 @@ class FormulaGen:
     def leaf(self) -> Formula:
         roll = self.rng.random()
         if self.atom_names and roll < 0.8:
-            return self._make(Atom(self.rng.choice(self.atom_names)))
+            return Atom(self.rng.choice(self.atom_names))
         return TRUE if roll < 0.9 else FALSE
 
     def formula(self, depth: Optional[int] = None) -> Formula:
@@ -285,39 +274,22 @@ class FormulaGen:
         if op == "leaf":
             return self.leaf()
         if op == "neg":
-            return self._make(Neg(self.formula(d - 1)))
+            return Neg(self.formula(d - 1))
         if op == "and":
-            return self._make(And(self.formula(d - 1), self.formula(d - 1)))
+            return And(self.formula(d - 1), self.formula(d - 1))
         if op == "K":
-            return self._make(K(self.agent(), self.formula(d - 1)))
+            return K(self.agent(), self.formula(d - 1))
         if op == "D":
-            return self._make(D(self.group(), self.formula(d - 1)))
+            return D(self.group(), self.formula(d - 1))
         if op == "C":
-            return self._make(C(self.group(), self.formula(d - 1)))
+            return C(self.group(), self.formula(d - 1))
         if op == "R":
-            return self._make(R(self.group(), self.formula(d - 1)))
-        return self._make(Ann(self.formula(d - 1), self.formula(d - 1)))
+            return R(self.group(), self.formula(d - 1))
+        return Ann(self.formula(d - 1), self.formula(d - 1))
 
     def intern(self, node: Formula) -> Formula:
-        """Canonicalize a formula built outside the generator, sharing subtrees."""
-        rebuilt: Formula
-        if isinstance(node, Neg):
-            rebuilt = Neg(self.intern(node.body))
-        elif isinstance(node, And):
-            rebuilt = And(self.intern(node.left), self.intern(node.right))
-        elif isinstance(node, K):
-            rebuilt = K(node.agent, self.intern(node.body))
-        elif isinstance(node, D):
-            rebuilt = D(node.group, self.intern(node.body))
-        elif isinstance(node, C):
-            rebuilt = C(node.group, self.intern(node.body))
-        elif isinstance(node, R):
-            rebuilt = R(node.group, self.intern(node.body))
-        elif isinstance(node, Ann):
-            rebuilt = Ann(self.intern(node.announced), self.intern(node.body))
-        else:
-            rebuilt = node
-        return self._make(rebuilt)
+        """The node itself: every formula is interned on construction."""
+        return node
 
     def tautology(self, a: Formula, b: Formula) -> Formula:
         shape = self.rng.randrange(6)
@@ -599,7 +571,7 @@ def _draw(builder, gen: FormulaGen, count: int) -> list:
         if inst is None:
             break
         premises, conclusion = inst if isinstance(inst, tuple) else ((), inst)
-        drawn.setdefault((tuple(map(gen.intern, premises)), gen.intern(conclusion)), None)
+        drawn.setdefault((tuple(premises), conclusion), None)
     return list(drawn)
 
 
@@ -633,11 +605,10 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
             raise ValueError(f"unknown schema {sorted(unknown)[0]!r}")
         builders = {name: builders[name] for name in builders if name in wanted}
     agent_ids, atom_names = _signature(bounds, *_SWEEP_SIGNATURE)
-    pool: dict = {}
 
     def draw(table: dict, seed: int) -> dict:
         return {name: _draw(builder, FormulaGen(agent_ids, atom_names, seed=seed + offset,
-                                                allow_c=system.lower() == "rcd", pool=pool),
+                                                allow_c=system.lower() == "rcd"),
                             bounds.instance_count)
                 for offset, (name, builder) in enumerate(table.items())}
 

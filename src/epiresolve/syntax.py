@@ -6,12 +6,16 @@ modalities ``K i``, ``D{..}``, ``C{..}``, the resolution modality
 implication, biconditional and the everybody-knows operator ``E{..}``
 are sugar and desugar on construction, so every consumer only ever
 sees primitive nodes.
+
+Nodes are interned on construction (hash-consing): equal formulas are one
+object, so equality is identity, the hash is the id, and neither recurses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
@@ -40,104 +44,123 @@ def group_key(g: GroupLike) -> str:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST.  The intern table maps (class, fields) to a weak reference to the node
+# with them.  A child is keyed by its id: a live node keeps its children
+# alive, so the id in a live entry's key is never reused.  Entries are added
+# and dropped under the lock, so two threads building one formula get one node.
+
+_table: dict = {}
+_lock = threading.Lock()
+_MIN_PRUNE = _prune_at = 1024
 
 
-def _cached_hash(cls):
-    # formula trees are hashed on every evaluator cache hit; memoize per node
-    generated = cls.__hash__
+def _node(key: tuple, cls: type, *values) -> Formula:
+    """The live node of the key, or a new one entered in the table."""
+    global _prune_at
+    ref = _table.get(key)
+    node = ref and ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        with _lock:
+            old = _table.get(key)
+            old = old and old()
+            if old is not None:  # another thread entered the key meanwhile
+                return old
+            _table[key] = weakref.ref(node)
+            if len(_table) >= _prune_at:  # drop the dead entries once the table has doubled
+                for k in [k for k, r in _table.items() if r() is None]:
+                    del _table[k]
+                _prune_at = max(2 * len(_table), _MIN_PRUNE)
+    return node
 
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_hash_")
-        except AttributeError:
-            h = generated(self)
-            object.__setattr__(self, "_hash_", h)
-            return h
 
-    cls.__hash__ = __hash__
-    return cls
-
-
-@dataclass(frozen=True)
 class Formula:
+    """An immutable, interned formula node: equal formulas are one object."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple = ()
+
+    def __new__(cls):  # Top and Bot
+        return _node((cls,), cls)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # so that copy, deepcopy and pickle give back the interned node
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
     def __str__(self) -> str:
         return render(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _node((cls, name), cls, name)
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class Neg(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
+
+    def __new__(cls, body: Formula):
+        return _node((cls, id(body)), cls, body)
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _node((cls, id(left), id(right)), cls, left, right)
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class K(Formula):
-    agent: Agent
-    body: Formula
+    __slots__ = _fields = ("agent", "body")
+
+    def __new__(cls, agent: Agent, body: Formula):
+        return _node((cls, agent, id(body)), cls, agent, body)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class D(Formula):
-    group: Group
-    body: Formula
+class _Grouped(Formula):  # D, C and R, whose group is normalized by `as_group`
+    __slots__ = _fields = ("group", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", as_group(self.group))
+    def __new__(cls, group: GroupLike, body: Formula):
+        group = as_group(group)
+        return _node((cls, group, id(body)), cls, group, body)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class C(Formula):
-    group: Group
-    body: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", as_group(self.group))
+class D(_Grouped):
+    __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class R(Formula):
-    group: Group
-    body: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", as_group(self.group))
+class C(_Grouped):
+    __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+class R(_Grouped):
+    __slots__ = ()
+
+
 class Ann(Formula):
-    announced: Formula
-    body: Formula
+    __slots__ = _fields = ("announced", "body")
+
+    def __new__(cls, announced: Formula, body: Formula):
+        return _node((cls, id(announced), id(body)), cls, announced, body)
 
 
 TRUE = Top()

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -97,16 +99,16 @@ class TestCheck:
                              "--formula", "K1 p")
         assert (code, out.strip(), err) == (0, "true", "")
 
-    @pytest.mark.parametrize("depth", [3000, 600])
+    @pytest.mark.parametrize("depth", [3000, 600, 900])
     def test_deep_nesting_is_usage_error(self, capsys, depth):
-        # 3000 levels exhaust the parser; 600 parse but exhaust the evaluator
-        formula = "~" * depth + "p"
-        if depth == 600:
-            parse(formula, {"1", "2"})
+        # 3000 levels exhaust the parser; 600 and 900 parse, and evaluate because
+        # interned nodes hash and compare without recursing
         code, out, err = run(capsys, "check", "--model", FIG1_JSON, "--state", "t",
-                             "--formula", formula)
-        assert (code, out) == (2, "")
-        assert err == "error: formula nested too deeply\n"
+                             "--formula", "~" * depth + "p")
+        if depth == 3000:
+            assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+        else:
+            assert (code, out, err) == (0, "true\n", "")
 
     @pytest.mark.parametrize("command", [["reduce"], ["closure"], ["search", "--max-states", "1"]])
     def test_deep_nesting_in_other_commands(self, capsys, command):
@@ -276,6 +278,13 @@ class TestSearch:
         assert once == (1, "exhausted up to 3 states (50 models examined, 22 evaluated)\n", "")
         assert run(capsys, *query, "--agents", "1,1", "--atoms", "p,p") == once
 
+    @pytest.mark.parametrize("agents", ["", " ", ","])
+    def test_empty_agent_option_declares_no_agent(self, capsys, agents):
+        # any given --agents text declares a list; an empty one searches agent 1 alone
+        code, out, err = run(capsys, "search", "--formula", "K1 p -> p", "--countermodel",
+                             "--max-states", "3", "--agents", agents)
+        assert (code, out, err) == (1, "exhausted up to 3 states (50 models examined, 22 evaluated)\n", "")
+
 
 def test_axioms_command_small(capsys):
     code = main(["axioms", "--system", "rd", "--max-states", "2", "--instances", "30"])
@@ -318,15 +327,31 @@ def test_axioms_without_atoms_sweeps_ra_with_no_instance(capsys):
 
 
 @pytest.mark.parametrize("flags, models", [([], 18), (["--agents", "1,2", "--atoms", "p"], 18),
-                                           (["--agents", ","], 10), (["--agents", ",", "--atoms", ","], 3)])
+                                           (["--agents", ","], 10), (["--agents", ",", "--atoms", ","], 3),
+                                           (["--agents", ""], 10), (["--agents", " "], 10),
+                                           (["--agents", "", "--atoms", ""], 3)])
 def test_axioms_sweep_the_models_search_would(capsys, flags, models):
-    # no declared agent means agent 1 alone, as in search; undeclared means agents 1, 2 and atom p
+    # no declared agent means agent 1 alone, as in search; undeclared means agents 1, 2 and atom p;
+    # any given option text declares a list, the empty text too
     code, out, _ = run(capsys, "axioms", "--system", "rcd", "--max-states", "2", "--instances", "5",
                        "--rrc", *flags)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == f"system rcd: {models} models examined"
     assert lines[-1].endswith(f" premise hits, {models} models)")
+
+
+@pytest.mark.parametrize("buffering", [1, -1])
+def test_closed_stdout_exits_141_silently(capsys, monkeypatch, buffering):
+    # a pipe whose reader has gone: a line-buffered write raises BrokenPipeError,
+    # a block-buffered one when main flushes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["axioms", "--system", "rd", "--max-states", "1", "--instances", "5"])
+        assert (code, capsys.readouterr().err) == (141, "")
+        closed.write("the exit flush goes to devnull\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
