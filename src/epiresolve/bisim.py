@@ -1,24 +1,29 @@
 """Pre-model bisimulation and trans-bisimulation checking.
 
 A bisimulation is the greatest fixpoint of its back-and-forth clauses, so
-both kinds share one fixpoint and one validator and differ only in their
-labels: (name, left, right) triples of partitions, where zig moves along
-left and answers along right, and zag the other way round.  Pre-model
-bisimulation uses the same labels for both.  Trans-bisimulation answers
-zig along closures, because path existence over equivalence relations
-collapses to one closure computation.
+both kinds share one entry point and one validator and differ only in
+their labels: (name, left, right) triples of partitions, where zig moves
+along left and answers along right, and zag the other way round.
+Pre-model bisimulation uses the same labels for both.  Trans-bisimulation
+answers zig along closures, because path existence over equivalence
+relations collapses to one closure computation.
 
-The fixpoint runs on a coded view of its two sides.  States become ints in
-sorted-name order, each distinct partition a block id per state and a
-member list per block, and the pair (x, y) the int x * |B| + y in a
-bytearray.  One in-place pass of the per-pair check comes first.  If it
-deletes anything, the fixpoint counts, per clause, the partners each state
-has left in each far block, in a flat int list, and propagates deletions
-instead of rescanning: a deleted pair decrements its counts, and a count
-that drops to 0 deletes its near block × far block.  Each pair is deleted
-at most once, and only the survivors are decoded to name pairs.  The
-validator names each clause failure, and works out the unmatched states
-of each (left block, right block) once per call.
+When zig and zag hold the same (left, right) pairs, as in every pre-model
+bisimulation and in trans-bisimulation into a pseudo-model, each label is
+one equivalence on the disjoint union of the sides, and the fixpoint is
+"same block" in the coarsest stable partition of the union that refines
+the atom signatures (Kanellakis & Smolka 1990; Paige & Tarjan 1987),
+computed by a splitter worklist.  Otherwise, into a pre-model whose group
+relations are not monotone, the fixpoint is not an equivalence on the
+union, and a counting fixpoint runs on a coded view of the sides: states
+become ints in sorted-name order, each distinct partition a block id per
+state and a member list per block, and the pair (x, y) the int
+x * |B| + y in a bytearray.  Per clause it counts the partners each state
+has left in each far block, and propagates deletions from the seeded
+pairs that fail a clause: a deleted pair decrements its counts, and a
+count that drops to 0 deletes its near block × far block.  The validator
+names each clause failure, and works out the unmatched states of each
+(left block, right block) once per call.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ def _as_pre(m: Union[Model, PreModel]) -> PreModel:
 
 def _greatest(a, b, zig: list, zag: list) -> frozenset:
     """The greatest relation between atom-agreeing states that satisfies every clause."""
+    sig_a, sig_b = _signatures(a, b)
+    if zig is zag or {(left, right) for _, left, right in zig} == {(left, right) for _, left, right in zag}:
+        return _refined(a, b, sig_a, sig_b, zig)
     names = sorted(a.states), sorted(b.states)
     width = len(names[1])
     index = [{s: k for k, s in enumerate(side)} for side in names]
@@ -95,8 +103,6 @@ def _greatest(a, b, zig: list, zag: list) -> frozenset:
     for i, near, far in ([(0, code(left, 0), code(right, 1)) for _, left, right in zig] +
                          [(1, code(right, 1), code(left, 0)) for _, left, right in zag]):
         unique[i, id(near), id(far)] = i, near, far
-    clauses = list(unique.values())
-    sig_a, sig_b = _signatures(a, b)
     by_sig: dict = {}
     for y, s in enumerate(names[1]):
         by_sig.setdefault(sig_b[s], []).append(y)
@@ -104,23 +110,84 @@ def _greatest(a, b, zig: list, zag: list) -> frozenset:
     alive = bytearray(len(names[0]) * width)
     for p in seeded:
         alive[p] = 1
-    # one in-place pass of the per-pair check, in sorted-name order
-    for p in seeded:
-        x, y = divmod(p, width)
-        st = (x, y), (y, x)
-        for i, (n_ids, _, n_rows), (f_ids, _, f_rows) in clauses:
-            s, t = st[i]
-            far = f_rows[f_ids[t]]
-            for u in n_rows[n_ids[s]]:
-                if not any(alive[u + v] for v in far):  # u has no partner in far
-                    alive[p] = 0
-                    break
-            if not alive[p]:
-                break
-    pairs = [p for p in seeded if alive[p]]
-    if len(pairs) < len(seeded):
-        _propagate(clauses, width, pairs, alive)
-    return frozenset((names[0][p // width], names[1][p % width]) for p in pairs if alive[p])
+    _propagate(list(unique.values()), width, seeded, alive)
+    return frozenset((names[0][p // width], names[1][p % width]) for p in seeded if alive[p])
+
+
+def _refined(a, b, sig_a: dict, sig_b: dict, labels: list) -> frozenset:
+    """The cross pairs of each block of the coarsest partition of a ⊎ b that
+    refines the atom signatures and is stable under every label: states in
+    one block reach the same blocks.  For labels whose zig and zag agree,
+    same block is the greatest bisimulation.
+
+    The union's states are a's, then b's shifted by |a|.  Each distinct
+    label is one relation on the union, its left blocks plus its right
+    blocks, as a block id per state and each block's members; singleton
+    blocks share the empty block 0, since a state that reaches only itself
+    reaches only its own block.  Splitting by block k marks the states
+    whose relation block meets k, and splits every other block with marked
+    and unmarked states: its smaller half becomes a new block, and both
+    halves are queued, the new one on top.  Once the queue is empty no
+    block splits another."""
+    names = list(a.states), list(b.states)
+    na = len(names[0])
+    index = {s: k for k, s in enumerate(names[0])}, {s: na + k for k, s in enumerate(names[1])}
+    n = na + len(names[1])
+    coded: dict = {}
+    for _, left, right in labels:
+        key = left.blocks, right.blocks
+        if key in coded:
+            continue
+        ids, members = [0] * n, [()]
+        for side, part in enumerate((left, right)):
+            for block in part.blocks:
+                if len(block) > 1:
+                    members.append([index[side][s] for s in block])
+                    for u in members[-1]:
+                        ids[u] = len(members) - 1
+        coded[key] = ids, members
+    relations = [rel for rel in coded.values() if len(rel[1]) > 1]
+    by_sig: dict = {}
+    for u, sig in enumerate([sig_a[s] for s in names[0]] + [sig_b[s] for s in names[1]]):
+        by_sig.setdefault(sig, set()).add(u)
+    blocks = list(by_sig.values())
+    block_of = [0] * n
+    for k, block in enumerate(blocks):
+        for u in block:
+            block_of[u] = k
+    queue = list(range(len(blocks)))
+    queued = [True] * len(blocks)
+    while queue:
+        k = queue.pop()
+        queued[k] = False
+        for ids, members in relations:
+            hit: dict = {}
+            for r in {ids[v] for v in blocks[k]}:
+                for u in members[r]:
+                    hit.setdefault(block_of[u], []).append(u)
+            for j, marked in hit.items():
+                block = blocks[j]
+                if j == k or len(marked) == len(block):  # all of k reaches k; its marks skip singletons
+                    continue
+                if 2 * len(marked) <= len(block):
+                    half = set(marked)
+                    block -= half
+                else:
+                    half = block.difference(marked)
+                    blocks[j] = set(marked)
+                for u in half:
+                    block_of[u] = len(blocks)
+                blocks.append(half)
+                queued.append(True)
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+                queue.append(len(blocks) - 1)
+    out = []
+    for block in blocks:
+        right = [names[1][u - na] for u in block if u >= na]
+        out.extend((names[0][u], y) for u in block if u < na for y in right)
+    return frozenset(out)
 
 
 def _propagate(clauses: list, width: int, pairs: list, alive: bytearray) -> None:
@@ -136,7 +203,7 @@ def _propagate(clauses: list, width: int, pairs: list, alive: bytearray) -> None
         for s, t in oriented[i]:
             count[s * k_far + f_ids[t]] += 1
         counts.append(count)
-    # pairs that lost a partner to a deletion later in the pass
+    # the seeded pairs that fail a clause from the start
     stack = []
     for k, p in enumerate(pairs):
         for (i, (n_ids, n_blocks, _), (f_ids, f_blocks, _)), count in zip(clauses, counts):

@@ -289,8 +289,10 @@ class _Parser:
     Precedence, loosest first: <->, -> (right associative), |, &, then
     negation / modalities / announcement.  When an agent universe is
     supplied, ``K<id>`` shorthand is recognized only for declared ids and
-    brace lists are checked against the universe; without one, agents are
-    inferred and the shorthand is restricted to numeric ids.
+    brace lists are checked against the universe; ``K<id>`` on another id
+    is an atom unless a formula follows it, which makes it an undeclared
+    agent.  Without one, agents are inferred and the shorthand is
+    restricted to numeric ids.
     """
 
     def __init__(self, text: str, universe: Optional[frozenset]):
@@ -396,6 +398,10 @@ class _Parser:
             ):
                 self.take()
                 return K(rest, self.unary())
+            following = self.tokens[self.pos + 1][0] if self.pos + 1 < len(self.tokens) else ""
+            if self.universe is not None and re.fullmatch(r"[A-Za-z0-9_]+|[~(\[]", following):
+                # an atom cannot be followed by a formula, so this is K<id> on an undeclared id
+                raise ParseError(f"undeclared agent {rest!r}", at + 1)
         if re.fullmatch(r"[A-Za-z0-9_]+", tok):
             self.take()
             return Atom(tok)

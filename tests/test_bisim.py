@@ -1,5 +1,6 @@
 import random
 
+from epiresolve import bisim
 from epiresolve.bisim import (
     _pre_labels,
     _trans_labels,
@@ -11,7 +12,7 @@ from epiresolve.bisim import (
     witness_to_pairs,
 )
 from epiresolve.checker import PseudoEvaluator, extension
-from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, resolve_pre, validate
+from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, is_pseudo, resolve_pre, validate
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
 
 import pytest
@@ -413,3 +414,68 @@ class TestTransBisimilarity:
                     assert trans_bisimilar(m, s, right, t) == z
                     linked += z is not None
         assert linked
+
+
+class TestRoutineSelection:
+    """Refinement answers when zig and zag hold the same pairs, the counting fixpoint otherwise."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the fixpoint entry, the refinement routine, and the counting fixpoint's propagation
+        counts = dict.fromkeys(["_greatest", "_refined", "_propagate"], 0)
+        for name in counts:
+            def spy(*args, real=getattr(bisim, name), name=name):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(bisim, name, spy)
+        return counts
+
+    def test_bisimilar_pre_refines(self, calls):
+        rng = random.Random(21)
+        for _ in range(60):
+            agents = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+            n = rng.randint(1, 10)
+            m = random_model(rng, n, agents, ["p"])
+            pre = random_premodel(rng, n, agents, ["p"], "r")
+            for a, b in [(m, m), (m, duplicate_state(m, "s0")), (pre, pre), (m, pre), (pre, m)]:
+                for s in sorted(a.states):
+                    bisimilar_pre(a, s, b, min(b.states))
+        assert calls["_greatest"] > 300
+        assert calls["_refined"] == calls["_greatest"] and calls["_propagate"] == 0
+
+    def test_trans_into_pseudo_models_refines(self, calls):
+        rng = random.Random(22)
+        for agents in (["1"], ["1", "2"]):
+            for n in enumerate_pseudo_models(3, agents, ["p"]):
+                m = random_model(rng, rng.randint(1, 4), agents, ["p"])
+                for t in sorted(n.states):
+                    trans_bisimilar(m, min(m.states), n, t)
+                    trans_bisimilar(m, min(m.states), duplicate_state(n, t), t)
+        assert calls["_greatest"] > 300
+        assert calls["_refined"] == calls["_greatest"] and calls["_propagate"] == 0
+
+    def test_trans_into_non_monotone_premodels_counts(self, calls):
+        rng = random.Random(23)
+        tried = 0
+        while tried < 100:
+            agents = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+            n = random_premodel(rng, rng.randint(2, 10), agents, ["p"], "r")
+            if is_pseudo(n):
+                continue
+            m = random_model(rng, rng.randint(1, 10), agents, ["p"])
+            for t in sorted(n.states):
+                trans_bisimilar(m, min(m.states), n, t)
+            tried += 1
+        assert calls["_greatest"] > 200
+        assert calls["_propagate"] == calls["_greatest"] and calls["_refined"] == 0
+
+
+def test_long_chain_exact_answer():
+    # every chain state is told apart by its distance from p, so the only
+    # link besides the identity is the duplicated state's
+    m = chain(256)
+    names = sorted(m.states)
+    x = names[128]
+    identity = frozenset((s, s) for s in names)
+    assert bisimilar_pre(m, x, duplicate_state(m, x), x + "'") == identity | {(x, x + "'")}
+    assert trans_bisimilar(m, x, as_premodel(m), x) == identity

@@ -138,6 +138,14 @@ class TestResolve:
         assert code == 2 and "undeclared agent" in err
 
 
+@pytest.mark.parametrize("argv", [["reduce", "--formula", "K1 p", "--agents", "2"],
+                                  ["closure", "--formula", "K1 p", "--agents", ""]])
+def test_fused_undeclared_agent_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "undeclared agent '1' (at position 1)" in err
+
+
 class TestReduce:
     def test_moore_example(self, capsys):
         code, out, _ = run(capsys, "reduce", "--formula", "R{1,2}(p & ~K1 p)",

@@ -95,6 +95,21 @@ class TestParse:
     def test_k_prefixed_atom_stays_atom(self):
         assert parse("King", AG) == Atom("King")
 
+    def test_fused_undeclared_agent_before_a_formula(self):
+        # K<id> on an id outside the universe is an atom, and an atom followed
+        # by a formula is an error anyway: name the agent instead of the token
+        for text in ("K4 p", "K4 (p)", "K4 ~p", "K4 [p] q", "p & K4 K1 q"):
+            with pytest.raises(ParseError, match="undeclared agent '4'"):
+                parse(text, AG)
+        with pytest.raises(ParseError, match="undeclared agent '1'") as info:
+            parse("K1 p", frozenset())
+        assert info.value.position == 1
+        assert parse("K4", AG) == Atom("K4")
+        assert parse("Kp & q", AG) == And(Atom("Kp"), q)
+        assert parse("K4 -> p", AG) == Implies(Atom("K4"), p)
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            parse("K4 &", AG)
+
     def test_inferred_agents(self):
         assert parse("K1 p & D{2,3} q") == And(K("1", p), D(grp("2,3"), q))
 
