@@ -9,13 +9,15 @@ the first witness is the one a model-by-model search would find.  A size
 past 7 states, or with no more labelled models than n!, comes model by
 model instead, each model a class of weight 1.
 
-Rows are packed straight into the offset masks of `batch.py`, in batches of
-4 rows that double up to `BATCH_MODELS`, so that an early witness costs a
-small batch and an exhausted search few large ones.  Neither the rows nor
-the batches depend on the formula, so the process keeps them per signature
-(`_Store`): each size's rows are enumerated once, as compact columns, and
-each batch is packed once; every later query over the same agents and atoms
-replays them, up to a fixed number of rows.
+Rows are packed straight into the offset masks of `batch.py` by `_packed`,
+the one packer, which the sweeps share for their labelled rows
+(`_labelled`).  The search packs in batches of 4 rows that double up to
+`BATCH_MODELS`, so that an early witness costs a small batch and an
+exhausted search few large ones.  Neither the rows nor the batches depend
+on the formula, so the process keeps them per signature (`_Store`): each
+size's rows are enumerated once, as compact columns, and each batch is
+packed once; every later query over the same agents and atoms replays
+them, up to a fixed number of rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import groupby, islice, product
 from math import factorial
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .batch import BATCH_MODELS, _Layout, _Masks
+from .batch import BATCH_MODELS, _Masks
 from .kripke import Model, Partition
 
 if TYPE_CHECKING:
@@ -111,6 +113,11 @@ def _signature(bounds: SearchBounds, agents: Sequence[str] = ("1",), atoms: Sequ
     return agent_ids or ("1",), atoms if bounds.atoms is None else bounds.atoms
 
 
+def _labelled(n: int, agents: int, atoms: int) -> Iterator[tuple]:
+    """Every index tuple of n-state models, in `enumerate_models` order."""
+    return product(*[range(len(_values(n)[1]))] * agents, *[range(1 << n)] * atoms)
+
+
 def _model(n: int, idx: tuple, agent_ids: Sequence[str], atom_names: Sequence[str]) -> Model:
     """The n-state model of an index tuple: one partition per agent, then one subset per atom."""
     states, parts, subsets = _values(n)
@@ -160,7 +167,7 @@ def _size_classes(n: int, agents: int, atoms: int) -> Iterator[tuple]:
     bell = len(_values(n)[1])
     order = factorial(n)
     if n > _MAX_CLASS_STATES or bell ** agents * 2 ** (n * atoms) <= order:
-        for idx in product(*[range(bell)] * agents, *[range(1 << n)] * atoms):
+        for idx in _labelled(n, agents, atoms):
             yield idx, 1
         return
     part_rows, subset_rows = _actions(n)
@@ -191,21 +198,35 @@ def _classes(bounds: SearchBounds, first: int = 1) -> Iterator[tuple]:
             yield n, idx, weight
 
 
-# The packing tables of the n-state models.  Bit i of a slot is the i-th
-# sorted state name, as in the sweeps; the layouts are not kept, so the
-# tables hold the only copy of their patterns.
+# The packing tables of the n-state models: bit i of a slot is the i-th
+# sorted state name.
+def _slot_index(n: int) -> dict:
+    """Each state name's bit in a slot of n states."""
+    return {s: i for i, s in enumerate(sorted(_values(n)[0]))}
+
+
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple:
     """For each offset d in 1..n-1, every partition's slot pattern of pairs (i, i+d) in one block."""
-    states, parts, _ = _values(n)
-    return tuple(zip(*map(_Layout(states).pair_patterns, parts)))
+    index = _slot_index(n)
+
+    def patterns(part: Partition) -> tuple:
+        out = [0] * n
+        for block in part.blocks:
+            idx = sorted(index[s] for s in block)
+            for a, i in enumerate(idx):
+                for j in idx[a + 1:]:
+                    out[j - i] |= 1 << i
+        return tuple(p.to_bytes(_slot_bytes(n), "little") for p in out[1:])
+
+    return tuple(zip(*map(patterns, _values(n)[1])))
 
 
 @lru_cache(maxsize=None)
 def _subset_table(n: int) -> list:
     """Every subset's slot bits, subset k holding state str(j) when bit j of k is set."""
-    layout = _Layout(frozenset(str(j) for j in range(n)))
-    return [layout.set_pattern(frozenset(str(j) for j in range(n) if k >> j & 1)) for k in range(1 << n)]
+    index = _slot_index(n)
+    return [sum(1 << index[s] for s in members).to_bytes(_slot_bytes(n), "little") for members in _values(n)[2]]
 
 
 def _slot_bytes(n: int) -> int:

@@ -163,6 +163,9 @@ class PreModel:
         grel = {}
         for key, p in group_relations.items():
             g = as_group(key)
+            stray = g - base.agents
+            if stray:
+                raise ValueError(f"group relation for undeclared agent {sorted(stray)[0]!r} in {group_key(g)!r}")
             grel[g] = p if isinstance(p, Partition) else Partition.of(p, base.states)
         missing = [g for g in all_groups(base.agents) if g not in grel]
         if missing:
@@ -396,6 +399,9 @@ def model_from_dict(data: dict) -> AnyModel:
     if stray:
         raise ValueError(f"valuation for undeclared atom {sorted(stray)[0]!r}")
     valuation = {p: frozenset(_ids(raw_valuation.get(p, []), f"valuation of {p}")) for p in props}
+    stray = set(raw_relations) - set(agents)
+    if stray:
+        raise ValueError(f"relation for undeclared agent {sorted(stray)[0]!r}")
     relations = {}
     for a in agents:
         if a not in raw_relations:

@@ -14,17 +14,19 @@ batches of a signature are kept for the process, so a query after the
 first over the same agents and atoms only evaluates its formula.
 
 The soundness sweeps (`check_schema`, `check_rule_rrc`) share one loop,
-`_sweep`, over every labelled model.  It evaluates the formulas on batches
-of consecutive models at once, over the disjoint union of each batch
-(`batch.py`), and reports for each formula the models where it fails, as
-one bit per model, and the least failing state in each.  Schemata and
-class-level rules keep each formula's first failure and stop once every
-formula has failed; RR_C counts, per instance, the models where its
-premise never fails, and reports those where its conclusion does.  Both
-report what a model-by-model loop would: the same first witness per
-formula and the same model count.  Search and sweeps run the same
-evaluation context over different relation algebras, and read the bounds'
-agents and atoms through one helper (`_iso._signature`).
+`_sweep`, over every labelled model.  It walks each size's labelled index
+rows in `enumerate_models` order, packs runs of them with the search's
+packer (`_iso._packed`), evaluates the formulas once over the disjoint
+union of each batch (`batch.py`), and reports for each formula the models
+where it fails, as one bit per model, and the least failing state in
+each.  Schemata and class-level rules keep each formula's first failure
+and stop once every formula has failed; RR_C counts, per instance, the
+models where its premise never fails, and reports those where its
+conclusion does.  Both report what a model-by-model loop would: the same
+first witness per formula and the same model count.  Search and sweeps
+read the bounds' agents and atoms through one helper (`_iso._signature`),
+and one decode (`_lowest_point`) turns a batch's lowest bit into its row
+and state.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .batch import ModelBatches
+from .batch import BATCH_MODELS
 from .checker import Context, PointedModel
 from .kripke import Model, PreModel, all_groups, model_to_dict
-from ._iso import _model, _query_batches, _signature, _slot_bytes, _values, set_partitions
+from ._iso import _labelled, _model, _packed, _query_batches, _signature, _slot_bytes, _values, set_partitions
 from .syntax import (
     TRUE,
     FALSE,
@@ -108,16 +110,8 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[Model]:
     """Every model with 1..max_states states over the bounds' agents and atoms."""
     agent_ids, atom_names = _signature(bounds)
     for n in range(1, bounds.max_states + 1):
-        states, parts, subsets = _values(n)
-        for combo in product(parts, repeat=len(agent_ids)):
-            relations = dict(zip(agent_ids, combo))
-            for values in product(subsets, repeat=len(atom_names)):
-                yield Model(
-                    states=states,
-                    agents=frozenset(agent_ids),
-                    relations=relations,
-                    valuation=dict(zip(atom_names, values)),
-                )
+        for idx in _labelled(n, len(agent_ids), len(atom_names)):
+            yield _model(n, idx, agent_ids, atom_names)
 
 
 def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Sequence[str] = ()) -> Iterator[PreModel]:
@@ -178,6 +172,11 @@ def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
     return SearchBounds(bounds.max_states, agent_ids, atom_names, bounds.seed, bounds.instance_count)
 
 
+def _lowest_point(bits: int, n: int) -> tuple:
+    """(row, state bit) of the lowest bit set in the extension of a batch packed as n-state slots."""
+    return divmod((bits & -bits).bit_length() - 1, 8 * _slot_bytes(n))
+
+
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
     bounds = _bounds_for_query(bounds, f)
     examined = classes = 0
@@ -185,8 +184,8 @@ def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutco
         start, stop = runs[0][1], runs[-1][2]
         ext = Context(masks, (), masks.full, {}).extension(f)
         points = masks.full & ~ext if falsify else ext
-        if points:  # the lowest bit: the first row, then its least state
-            k, i = divmod((points & -points).bit_length() - 1, 8 * _slot_bytes(runs[0][0]))
+        if points:
+            k, i = _lowest_point(points, runs[0][0])
             stop = start + k + 1
         examined += sum(weights[start:stop])
         classes += stop - start
@@ -526,27 +525,52 @@ class Report:
         return "\n".join(lines + [f"  {r.text()}" for r in self.schemata + self.rules])
 
 
-def _sweep(formulas: Sequence[Formula], models: Iterable[Model], first_only: bool = False) -> Iterator[tuple]:
-    """Where each formula fails over the labelled models, a batch of models at a time.
+# a slot's folded byte as a binary digit: b'0' when empty, b'1' otherwise
+_BINARY = b"0" + b"1" * 255
+
+
+def _rows(bits: int, slot_bytes: int, count: int) -> int:
+    """One bit per row of a batch of count rows, folded in bulk: bit k is set when row k has a state in bits."""
+    if not bits:
+        return 0
+    folded = bits  # OR each slot's bytes into its lowest byte
+    for j in range(1, slot_bytes):
+        folded |= bits >> 8 * j
+    data = folded.to_bytes(count * slot_bytes, "little")[::slot_bytes]
+    return int(data.translate(_BINARY)[::-1], 2)
+
+
+def _sweep(formulas: Sequence[Formula], bounds: SearchBounds, first_only: bool = False) -> Iterator[tuple]:
+    """Where each formula fails over the labelled models within the bounds, BATCH_MODELS rows at a time.
 
     Yields (start, models, rows, least) per batch, models[0] being labelled
-    model `start`: bit k of rows[j] is set when models[k] falsifies
-    formulas[j] at some state, and least(j, k) is the least such state.
-    With first_only, a formula is dropped after the batch of its first
-    failure (its rows read 0 from then on), and the sweep stops once every
-    formula has failed.
+    model `start` of `enumerate_models(bounds)`: bit k of rows[j] is set
+    when models[k] falsifies formulas[j] at some state, and least(j, k) is
+    the least such state.  With first_only, a formula is dropped after the
+    batch of its first failure (its rows read 0 from then on), and the
+    sweep stops once every formula has failed.
     """
+    agent_ids, atom_names = _signature(bounds)
     live = set(range(len(formulas)))
     start = 0
-    for batch in ModelBatches(models):
-        bad = [batch.full & ~batch.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
-        rows = [batch.rows(bits) for bits in bad]
-        yield start, batch.models, rows, lambda j, k: batch.least(bad[j], k)
-        start += len(batch.models)
-        if first_only:
-            live.difference_update(j for j, r in enumerate(rows) if r)
-            if not live:
-                return
+    for n in range(1, bounds.max_states + 1):
+        labelled = _labelled(n, len(agent_ids), len(atom_names))
+        while chunk := list(islice(labelled, BATCH_MODELS)):
+            masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agent_ids, atom_names)
+            root = Context(masks, (), masks.full, {})
+            bad = [masks.full & ~root.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
+            rows = [_rows(bits, _slot_bytes(n), len(chunk)) for bits in bad]
+            models = [_model(n, idx, agent_ids, atom_names) for idx in chunk]
+
+            def least(j: int, k: int, bad=bad, models=models, n=n) -> str:
+                return sorted(models[k].states)[_lowest_point(bad[j] >> 8 * _slot_bytes(n) * k, n)[1]]
+
+            yield start, models, rows, least
+            start += len(chunk)
+            if first_only:
+                live.difference_update(j for j, r in enumerate(rows) if r)
+                if not live:
+                    return
 
 
 def _lowest(rows: int) -> int:
@@ -619,8 +643,8 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
     formulas = list(dict.fromkeys(f for table in checked.values() for instances in table.values()
                                   for premises, conclusion in instances for f in (*premises, conclusion)))
     failed, last = {}, -1  # formula -> (model, state) of its first failure; that model's index
-    models = enumerate_models(SearchBounds(bounds.max_states, agent_ids, atom_names))
-    for start, batch, rows, least in _sweep(formulas, models, first_only=True):
+    for start, batch, rows, least in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names),
+                                            first_only=True):
         for j, r in enumerate(rows):
             if r:
                 k = _lowest(r)
@@ -648,9 +672,11 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
 
 
 DEFAULT_RRC_BOUNDS = SearchBounds(4, *_SWEEP_SIGNATURE)
+# an instance resolves G_1..G_n before psi and C_H psi, n drawn from 0..2
+_RRC_MAX_PREFIX = 2
 
 
-def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS, max_prefix: int = 2) -> Result:
+def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS) -> Result:
     """Model-local check of the induction rule for resolved common knowledge.
 
     For every enumerated model and every seeded instance (phi, psi, H,
@@ -663,7 +689,7 @@ def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS, max_prefix: int = 
     def rrc(gen):
         phi, psi, h = gen.formula(), gen.formula(), gen.group()
         boxed_psi, boxed_c = psi, C(h, psi)
-        for g in reversed([gen.group() for _ in range(gen.rng.randint(0, max_prefix))]):
+        for g in reversed([gen.group() for _ in range(gen.rng.randint(0, _RRC_MAX_PREFIX))]):
             boxed_psi, boxed_c = R(g, boxed_psi), R(g, boxed_c)
         return [Implies(phi, And(E(h, phi), boxed_psi))], Implies(phi, boxed_c)
 
@@ -671,8 +697,7 @@ def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS, max_prefix: int = 
     instances = _draw(rrc, gen, bounds.instance_count)
     formulas = [f for (premise,), conclusion in instances for f in (premise, conclusion)]
     hits, found = 0, []
-    models = enumerate_models(SearchBounds(bounds.max_states, agent_ids, atom_names))
-    for start, batch, rows, least in _sweep(formulas, models):
+    for start, batch, rows, least in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names)):
         for j in range(0, len(formulas), 2):
             # a hit is a model where the premise never fails; a violation, a hit where the conclusion does
             hits += len(batch) - rows[j].bit_count()

@@ -1,9 +1,10 @@
 """The batched engine against the reference Evaluator, and the sweeps built on it.
 
 `reference_evaluator.Evaluator`, which shares no evaluation code with the
-engine, is the oracle: every batched extension must equal its per-model
-extension, and every sweep report must equal the report of a plain
-model-by-model loop (kept below) over the same enumeration.
+engine, is the oracle: every extension of a batch of index rows packed by
+`_iso._packed` must equal its per-model extension, and every sweep report
+must equal the report of a plain model-by-model loop (kept below) over
+`enumerate_models`.
 """
 
 import gc
@@ -11,17 +12,18 @@ import importlib
 import random
 import sys
 import weakref
+from itertools import islice
 
 import pytest
 
 from epiresolve import checker, search
-from epiresolve.batch import BATCH_MODELS, Batch, ModelBatches
-from epiresolve.fixtures import fig1, fig1_core
+from epiresolve._iso import _labelled, _model, _packed, _slot_bytes, _values
+from epiresolve.batch import BATCH_MODELS
+from epiresolve.checker import Context
 from epiresolve.kripke import Model, as_premodel
 from epiresolve.search import FormulaGen, SearchBounds, check_rule_rrc, check_schema, enumerate_models
 from epiresolve.syntax import TRUE, And, parse
 
-from conftest import model_list
 from reference_evaluator import Evaluator
 
 from test_search import break_c1, corrupt_rd1, drop_t_d
@@ -50,91 +52,95 @@ def formulas(atoms, seed, count):
     return out + [parse(text, AG) for text in HANDPICKED if set(atoms) >= {"p", "q"} or "q" not in text]
 
 
-def per_model(batch, bits):
+def packed_batches(n, rows, agents, atoms):
+    """(models, root context) of each run of BATCH_MODELS n-state index rows, packed by `_packed`."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, BATCH_MODELS)):
+        masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agents, atoms)
+        yield [_model(n, idx, agents, atoms) for idx in chunk], Context(masks, (), masks.full, {})
+
+
+def labelled_batches(max_states, agents, atoms):
+    """`packed_batches` over every labelled row up to max_states, in `enumerate_models` order."""
+    for n in range(1, max_states + 1):
+        yield from packed_batches(n, _labelled(n, len(agents), len(atoms)), agents, atoms)
+
+
+def per_model(models, bits):
     """Split a batch extension into each model's set of states."""
-    return [frozenset(s for i, s in enumerate(sorted(m.states)) if bits >> k * batch.width + i & 1)
-            for k, m in enumerate(batch.models)]
+    width = 8 * _slot_bytes(len(models[0].states))
+    return [frozenset(s for i, s in enumerate(sorted(m.states)) if bits >> k * width + i & 1)
+            for k, m in enumerate(models)]
 
 
-def assert_rows(batch, bits):
-    """`rows` folds bits to the models holding a state, and `least` finds each one's least state."""
-    split = per_model(batch, bits)
-    assert batch.rows(bits) == sum(1 << k for k, states in enumerate(split) if states)
-    for k, states in enumerate(split):
-        if states:
-            assert batch.least(bits, k) == min(states)
-
-
-def assert_agrees(models, fs):
-    for batch in ModelBatches(models):
+def assert_agrees(batches, fs):
+    for models, root in batches:
         for f in fs:
-            expected = [Evaluator(m).extension(f) for m in batch.models]
-            assert per_model(batch, batch.extension(f)) == expected, f
+            expected = [Evaluator(m).extension(f) for m in models]
+            assert per_model(models, root.extension(f)) == expected, f
 
 
-def test_batches_are_consecutive_equal_sized_and_capped():
-    models = model_list(4, ("1", "2"), ("p",))
-    batches = list(ModelBatches(models))
-    assert [m for b in batches for m in b.models] == list(models)
-    assert all(len({len(m.states) for m in b.models}) == 1 for b in batches)
-    assert max(len(b.models) for b in batches) == BATCH_MODELS
+def test_labelled_batches_are_the_enumeration_in_order():
+    bounds = SearchBounds(4, ("1", "2"), ("p",))
+    batches = [models for models, _ in labelled_batches(4, ("1", "2"), ("p",))]
+    assert [m for models in batches for m in models] == list(enumerate_models(bounds))
+    assert all(len({len(m.states) for m in models}) == 1 for models in batches)
+    assert max(map(len, batches)) == BATCH_MODELS
 
 
 def test_agrees_with_evaluator_three_states_two_atoms():
-    assert_agrees(model_list(3, ("1", "2"), ("p", "q")), formulas(["p", "q"], seed=11, count=30))
+    assert_agrees(labelled_batches(3, ("1", "2"), ("p", "q")), formulas(["p", "q"], seed=11, count=30))
 
 
 def test_agrees_with_evaluator_four_states_one_atom():
-    assert_agrees(model_list(4, ("1", "2"), ("p",)), formulas(["p"], seed=12, count=30))
+    assert_agrees(labelled_batches(4, ("1", "2"), ("p",)), formulas(["p"], seed=12, count=30))
 
 
-def test_agrees_with_evaluator_on_named_states():
-    # fig1 and its core share states and agents, so they fit in one batch
-    fs = formulas(["p", "q"], seed=13, count=200)
-    assert_agrees([fig1(), fig1_core()], fs)
-    assert_agrees([fig1()], fs)
+def assert_rows(models, bits):
+    """`_rows` folds bits to the rows holding a state, and `_lowest_point` finds the first row's least state."""
+    split = per_model(models, bits)
+    n = len(models[0].states)
+    assert search._rows(bits, _slot_bytes(n), len(models)) == sum(1 << k for k, states in enumerate(split) if states)
+    width = 8 * _slot_bytes(n)
+    for k, states in enumerate(split):
+        if states:
+            row, i = search._lowest_point(bits >> k * width, n)
+            assert (row, sorted(models[k].states)[i]) == (0, min(states))
+    if bits:
+        first = next(k for k, states in enumerate(split) if states)
+        row, i = search._lowest_point(bits, n)
+        assert (row, sorted(models[row].states)[i]) == (first, min(split[first]))
 
 
 def test_agrees_with_evaluator_on_multi_byte_slots():
     # nine states need two bytes per model slot
     rng = random.Random(5)
-    states = [f"s{i}" for i in range(9)]
-    models = []
-    for _ in range(6):
-        relations = {a: [[s] for s in states] for a in ("1", "2")}
-        for a in relations:
-            blocks = {}
-            for s in states:
-                blocks.setdefault(rng.randrange(4), []).append(s)
-            relations[a] = list(blocks.values())
-        valuation = {p: [s for s in states if rng.random() < 0.5] for p in ("p", "q")}
-        models.append(Model.make(states, relations, valuation))
+    bell = len(_values(9)[1])
+    rows = [(rng.randrange(bell), rng.randrange(bell), rng.randrange(512), rng.randrange(512)) for _ in range(6)]
     fs = formulas(["p", "q"], seed=14, count=60)
-    assert_agrees(models, fs)
-    batch = Batch(models)
+    batches = list(packed_batches(9, rows, ("1", "2"), ("p", "q")))
+    assert_agrees(batches, fs)
+    ((models, root),) = batches
     for f in fs:
-        bits = batch.extension(f)
-        assert_rows(batch, bits)
-        assert_rows(batch, batch.full & ~bits)
+        bits = root.extension(f)
+        assert_rows(models, bits)
+        assert_rows(models, root.alive & ~bits)
 
 
-def test_witness_is_first_model_and_least_state():
-    models = [fig1_core(), fig1()]
-    batch = Batch(models)
-    f = parse("K1 p", AG)
-    bad = batch.full & ~batch.extension(f)
-    assert batch.rows(bad) == 0b11
-    assert [batch.least(bad, k) for k in range(2)] == [
-        min(m.states - Evaluator(m).extension(f)) for m in models]
-    assert batch.rows(0) == 0
-
-
-def test_batch_rejects_mixed_models():
-    small = model_list(1, ("1",), ())[0]
-    with pytest.raises(ValueError, match="one size"):
-        Batch([small, fig1()])
-    with pytest.raises(ValueError, match="at least one"):
-        Batch([])
+def test_sweep_rows_and_least_states_match_evaluator():
+    bounds = SearchBounds(3, ("1", "2"), ("p",))
+    fs = formulas(["p"], seed=15, count=20) + [TRUE]
+    seen = 0
+    for start, models, rows, least in search._sweep(fs, bounds):
+        for j, f in enumerate(fs):
+            bad = [m.states - Evaluator(m).extension(f) for m in models]
+            assert rows[j] == sum(1 << k for k, states in enumerate(bad) if states), f
+            assert [least(j, k) for k, states in enumerate(bad) if states] == [min(states) for states in bad if states]
+        assert rows[-1] == 0
+        assert start == seen
+        seen += len(models)
+    assert seen == len(list(enumerate_models(bounds)))
+    assert search._rows(0, 1, 4) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +151,10 @@ def test_batch_rejects_mixed_models():
 def test_undeclared_agent_is_a_value_error_everywhere(text):
     m = Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]})
     f = parse(text, AG)
+    # the same model as an index row: one block, p at state 0
+    ((_, root),) = packed_batches(2, [(0, 1)], ("1",), ("p",))
     evaluators = [checker.Evaluator(m).extension, checker.PseudoEvaluator(as_premodel(m)).extension,
-                  Batch([m]).extension]
+                  root.extension]
     for extension in evaluators:
         with pytest.raises(ValueError, match="undeclared agent '2'"):
             extension(f)
@@ -156,10 +164,10 @@ def test_undeclared_agent_is_a_value_error_everywhere(text):
 # sweeps: batched against a model-by-model reference loop
 
 
-def reference_first_failures(formulas, models):
-    """`_sweep(formulas, models, first_only=True)`, model by model: each model is a batch of one."""
+def reference_first_failures(formulas, bounds):
+    """`_sweep(formulas, bounds, first_only=True)`, model by model: each model is a batch of one."""
     still_valid = set(range(len(formulas)))
-    for k, m in enumerate(models):
+    for k, m in enumerate(enumerate_models(bounds)):
         if not still_valid:
             break
         ev = Evaluator(m)
@@ -172,16 +180,16 @@ def reference_first_failures(formulas, models):
         yield k, [m], [int(j in bad) for j in range(len(formulas))], lambda j, _, bad=bad: min(bad[j])
 
 
-def reference_rrc_sweep(formulas, models):
-    """`_sweep(formulas, models)`, model by model: every model where each formula fails."""
-    for k, m in enumerate(models):
+def reference_rrc_sweep(formulas, bounds):
+    """`_sweep(formulas, bounds)`, model by model: every model where each formula fails."""
+    for k, m in enumerate(enumerate_models(bounds)):
         ev = Evaluator(m)
         bad = [m.states - ev.extension(f) for f in formulas]
         yield k, [m], [int(bool(b)) for b in bad], lambda j, _, bad=bad: min(bad[j])
 
 
-def reference_sweep(formulas, models, first_only=False):
-    return (reference_first_failures if first_only else reference_rrc_sweep)(formulas, models)
+def reference_sweep(formulas, bounds, first_only=False):
+    return (reference_first_failures if first_only else reference_rrc_sweep)(formulas, bounds)
 
 
 def both_ways(monkeypatch, run):
@@ -252,7 +260,7 @@ def test_rrc_sweep_violations_match_reference(monkeypatch):
 
     # a plain loop over (model, instance) pairs; each instance sweeps its premise, then its conclusion
     real, swept = search._sweep, []
-    monkeypatch.setattr(search, "_sweep", lambda fs, models: swept.append(fs) or real(fs, models))
+    monkeypatch.setattr(search, "_sweep", lambda fs, swept_bounds: swept.append(fs) or real(fs, swept_bounds))
     report = check_rule_rrc(bounds)
     (formulas,) = swept
     hits, found = 0, []

@@ -81,6 +81,8 @@ class TestCheck:
          "blocks overlap on t"),
         ({"agents": ["1"], "states": [["t"]], "relations": {"1": []}},
          "states: ['t'] is not an id"),
+        ({"agents": ["1"], "states": ["t"], "relations": {"1": [], "2": [["t"]]}},
+         "relation for undeclared agent '2'"),
     ])
     def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, data, message):
         path = tmp_path / "bad.json"
@@ -89,6 +91,20 @@ class TestCheck:
                            "--formula", "p")
         assert code == 2
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["resolve", "--group", "1,2"],
+                                         ["check", "--state", "s", "--formula", "R{1,2} K1 p"]])
+    def test_stray_group_relation_is_usage_error(self, capsys, tmp_path, command):
+        # a "1,9" group relation once loaded silently: resolve crashed (exit 1), check answered
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({
+            "agents": ["1", "2"], "states": ["s", "t"],
+            "relations": {"1": [["s", "t"]], "2": [["s"], ["t"]]}, "valuation": {"p": ["s"]},
+            "group_relations": {"1": [["s", "t"]], "2": [["s"], ["t"]], "1,2": [["s"], ["t"]],
+                                "1,9": [["s"], ["t"]]}}), encoding="utf-8")
+        code, out, err = run(capsys, command[0], "--model", str(path), *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: group relation for undeclared agent '9' in '1,9'\n"
 
     def test_numeric_ids_read_as_text(self, capsys, tmp_path):
         path = tmp_path / "numeric.json"

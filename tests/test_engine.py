@@ -2,23 +2,23 @@
 
 `reference_evaluator` builds every resolved and restricted model; the
 engine reads base relations through `delta` inside an alive set.  They
-must agree on every extension: for `Evaluator` and `Batch` on every model
-up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1, and for
-`PseudoEvaluator` on those models' embeddings resolved by every group and
-on a sample of the 3-state, 3-agent pseudo-models.
+must agree on every extension: for `Evaluator` and for batches of index
+rows packed by `_iso._packed` on every model up to 3 states x 2 agents x
+2 atoms, 4 x 2 x 1 and 3 x 3 x 1, and for `PseudoEvaluator` on those
+models' embeddings resolved by every group and on a sample of the
+3-state, 3-agent pseudo-models.
 """
 
 import pytest
 
 import reference_evaluator as ref
-from epiresolve.batch import Batch, ModelBatches
 from epiresolve.checker import Evaluator, PseudoEvaluator
 from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, resolve_pre
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
 from epiresolve.syntax import parse, render
 
 from conftest import model_list
-from test_batch import HANDPICKED, per_model
+from test_batch import HANDPICKED, labelled_batches, packed_batches, per_model
 
 # resolutions over overlapping and disjoint groups of three agents, around
 # announcements and all three modalities
@@ -57,10 +57,10 @@ def test_models_match_reference(bounds):
     models = model_list(*bounds)
     fs = formulas(bounds[1], bounds[2], seed=31, count=40)
     assert_matches(Evaluator, ref.Evaluator, models, fs)
-    for batch in ModelBatches(models):
-        evaluators = [ref.Evaluator(m) for m in batch.models]
+    for batch, root in labelled_batches(*bounds):
+        evaluators = [ref.Evaluator(m) for m in batch]
         for f in fs:
-            assert per_model(batch, batch.extension(f)) == [ev.extension(f) for ev in evaluators], render(f)
+            assert per_model(batch, root.extension(f)) == [ev.extension(f) for ev in evaluators], render(f)
 
 
 @pytest.mark.parametrize("bounds", BOUNDS, ids=lambda b: f"{b[0]}x{len(b[1])}x{len(b[2])}")
@@ -100,7 +100,8 @@ def test_agent_named_by_its_own_resolution_reads_the_group_relation():
 def test_undeclared_agent_in_child_contexts(text):
     m = Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]})
     f = parse(text)
-    engines = [Evaluator(m).extension, Batch([m]).extension]
+    ((_, root),) = packed_batches(2, [(0, 1)], ("1",), ("p",))  # m as an index row
+    engines = [Evaluator(m).extension, root.extension]
     if "[" not in text:
         engines.append(PseudoEvaluator(as_premodel(m)).extension)
     for extension in engines:

@@ -380,6 +380,24 @@ class TestJson:
         with pytest.raises(ValueError, match="undeclared atom 'q'"):
             model_from_dict(data)
 
+    def test_group_relation_for_undeclared_agent_rejected(self):
+        # once loaded, resolve_pre on {1,2} would look up {1,2,9} and fail with a KeyError
+        data = {
+            "agents": ["1", "2"], "props": ["p"], "states": ["s", "t"],
+            "relations": {"1": [["s", "t"]], "2": [["s"], ["t"]]}, "valuation": {"p": ["s"]},
+            "group_relations": {"1": [["s", "t"]], "2": [["s"], ["t"]], "1,2": [["s"], ["t"]],
+                                "1,9": [["s"], ["t"]]},
+        }
+        with pytest.raises(ValueError, match="group relation for undeclared agent '9' in '1,9'"):
+            model_from_dict(data)
+        with pytest.raises(ValueError, match="undeclared agent '9' in '1,9'"):
+            PreModel.make(data["states"], data["relations"], data["group_relations"], agents=data["agents"])
+
+    def test_relation_for_undeclared_agent_rejected(self):
+        data = {"agents": ["1"], "props": [], "states": ["s"], "relations": {"1": [], "9": [["s"]]}}
+        with pytest.raises(ValueError, match="relation for undeclared agent '9'"):
+            model_from_dict(data)
+
     def test_numbers_and_strings_are_the_same_ids(self):
         data = {
             "agents": [1, "2"], "props": ["p"], "states": [1, "2", 3.5],

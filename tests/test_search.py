@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import threading
 import time
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -58,6 +59,15 @@ def test_enumeration_is_duplicate_free_and_deterministic():
         assert m not in seen[-50:]  # spot check adjacent duplicates
         seen.append(m)
     assert len(first) == 2 + 16 + 200
+
+
+def test_enumeration_order_is_partitions_then_subsets():
+    # sizes in turn, then each agent's partition and each atom's subset in `_values` order, the last fastest
+    bounds = SearchBounds(max_states=3, agents=("1", "2"), atoms=("p", "q"))
+    expected = [(n, parts, subsets) for n in range(1, 4)
+                for parts in product(_values(n)[1], repeat=2) for subsets in product(_values(n)[2], repeat=2)]
+    assert [(len(m.states), (m.relations["1"], m.relations["2"]), (m.valuation["p"], m.valuation["q"]))
+            for m in enumerate_models(bounds)] == expected
 
 
 def test_single_state_models_are_reflexive_points():
@@ -694,6 +704,40 @@ def test_rrc_entry_shape(monkeypatch):
         f"  violated by {shown} at state 0",
         f"  violated by {shown} at state 1",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the sweep reports, pinned: a change to the sweep's packing or loop must
+# leave every report byte-identical
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PINNED_REPORTS = {
+    ("rd", 0): ("54f177b2930e4b37820091ef05e1bb5ae6fbd2b180d45914eb7dda7de950412c",
+                "8ef6964b5d140839447e15b0bbab3e4173f547b3e1f817c6527faf21cbd96a92"),
+    ("rd", 1): ("239a8d8ab77ff48b728b1079a9c2610d145e305e44570f1c6859d9e60d91f8e2",
+                "e518edcd915025bdc52eab6f30b48c2e307fecaff42f6caafd1779b378fa762a"),
+    ("rcd", 0): ("fa90d658e0bc6fa2e6583586cc693ce780d1ed44fdec9458e7c3c1980b5e34ca",
+                 "bc45d9bdf3d3f246b7cbccd235474f64f5318f92deea923e7dabd6b7a5cb66f8"),
+    ("rcd", 1): ("68adf06a4450a771dacfd77c86b961b24aa654a7da40fdf2ccdef264bb05d791",
+                 "902d7e649d6ee36afee11b6c516fbf9c297c06c9f4434b992bd3178bf772bd30"),
+}
+
+
+@pytest.mark.parametrize("system, seed", list(PINNED_REPORTS))
+def test_schema_reports_are_pinned(system, seed):
+    report = check_schema(system, SearchBounds(3, ("1", "2"), ("p",), seed=seed))
+    assert (sha256(json.dumps(report.to_dict(), indent=2)), sha256(report.text())) == PINNED_REPORTS[system, seed]
+
+
+def test_rrc_report_is_pinned():
+    report = check_rule_rrc(SearchBounds(3, ("1", "2"), ("p",)))
+    assert (sha256(json.dumps(report.to_dict(), indent=2)), sha256(report.text())) == (
+        "ab1bf42f32063a3e81bf888eacebc3e919a9f112a7a63bccd455a4abb4131cb0",
+        "cc9b3017eb3a7cb67f453fe46c0c85af2cc89e30bf7b5b68fad773c79113dd90")
 
 
 # ---------------------------------------------------------------------------
