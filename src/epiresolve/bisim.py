@@ -1,29 +1,30 @@
 """Pre-model bisimulation and trans-bisimulation checking.
 
-A bisimulation is the greatest fixpoint of its back-and-forth clauses, so
-both kinds share one entry point and one validator and differ only in
-their labels: (name, left, right) triples of partitions, where zig moves
-along left and answers along right, and zag the other way round.
-Pre-model bisimulation uses the same labels for both.  Trans-bisimulation
-answers zig along closures, because path existence over equivalence
-relations collapses to one closure computation.
+A bisimulation is the greatest fixpoint of its back-and-forth clauses over
+labels: (name, left, right) triples of partitions, where zig moves along
+left and answers along right, and zag the other way round.  Both kinds
+share one fixpoint routine and one validator.  Each label is one
+equivalence on the disjoint union of the two sides, so the greatest
+relation that meets zig and zag on every label is "same block" in the
+coarsest stable partition of the union that refines the atom signatures
+(Kanellakis & Smolka 1990; Paige & Tarjan 1987), computed by a splitter
+worklist.
 
-When zig and zag hold the same (left, right) pairs, as in every pre-model
-bisimulation and in trans-bisimulation into a pseudo-model, each label is
-one equivalence on the disjoint union of the sides, and the fixpoint is
-"same block" in the coarsest stable partition of the union that refines
-the atom signatures (Kanellakis & Smolka 1990; Paige & Tarjan 1987),
-computed by a splitter worklist.  Otherwise, into a pre-model whose group
-relations are not monotone, the fixpoint is not an equivalence on the
-union, and a counting fixpoint runs on a coded view of the sides: states
-become ints in sorted-name order, each distinct partition a block id per
-state and a member list per block, and the pair (x, y) the int
-x * |B| + y in a bytearray.  Per clause it counts the partners each state
-has left in each far block, and propagates deletions from the seeded
-pairs that fail a clause: a deleted pair decrements its counts, and a
-count that drops to 0 deletes its near block × far block.  The validator
-names each clause failure, and works out the unmatched states of each
-(left block, right block) once per call.
+Pre-model bisimulation zigs and zags on the same labels.  Trans-bisimulation
+from a model M into a pre-model N zags along N's single relations but zigs
+along closures: for an agent i, C_i closes N's relation for i with every N
+group relation containing i; for a group G of two or more agents, C_G
+closes N's relations of every H ⊇ G.  Its fixpoint is refinement over the
+zig labels (R_ℓ, C_ℓ) alone, because a relation meets the zag clauses
+exactly when it meets zag along each C_ℓ, answered along M's R_ℓ:
+(⇐) each single N relation lies inside a C_ℓ answered by the same M
+relation; the singleton group {i} falls under C_i and R_i.
+(⇒) a C_ℓ path is a chain of single steps along relations κ ∋ i (or
+κ ⊇ G); each step is answered along R_κ ⊆ R_ℓ, because M's group relations
+are meets, and the transitivity of R_ℓ closes the chain.
+
+The validator keeps the zag labels to name each clause failure, and works
+out the unmatched states of each (left block, right block) once per call.
 """
 
 from __future__ import annotations
@@ -72,53 +73,11 @@ def _as_pre(m: Union[Model, PreModel]) -> PreModel:
     return m if isinstance(m, PreModel) else as_premodel(m)
 
 
-def _greatest(a, b, zig: list, zag: list) -> frozenset:
-    """The greatest relation between atom-agreeing states that satisfies every clause."""
-    sig_a, sig_b = _signatures(a, b)
-    if zig is zag or {(left, right) for _, left, right in zig} == {(left, right) for _, left, right in zag}:
-        return _refined(a, b, sig_a, sig_b, zig)
-    names = sorted(a.states), sorted(b.states)
-    width = len(names[1])
-    index = [{s: k for k, s in enumerate(side)} for side in names]
-    coded: dict = {}
-
-    def code(part: Partition, side: int) -> tuple:
-        """Each state's block id, each block's members, and the members as
-        pair parts: left states as rows (index × width), so that a left row
-        plus a right index is a pair.  Blocks are numbered by least member."""
-        key = (side, part.blocks)  # one Partition object may serve both sides
-        if key not in coded:
-            blocks = sorted(sorted(map(index[side].__getitem__, block)) for block in part.blocks)
-            ids = [0] * len(names[side])
-            for k, block in enumerate(blocks):
-                for s in block:
-                    ids[s] = k
-            coded[key] = ids, blocks, blocks if side else [[s * width for s in block] for block in blocks]
-        return coded[key]
-
-    # clause (i, near, far): state pair[i] needs, for each state of its near
-    # block, a partner in the far block of pair[1 - i]; zig reads (x, right
-    # block of y), zag (y, left block of x).  Equal clauses are kept once.
-    unique: dict = {}
-    for i, near, far in ([(0, code(left, 0), code(right, 1)) for _, left, right in zig] +
-                         [(1, code(right, 1), code(left, 0)) for _, left, right in zag]):
-        unique[i, id(near), id(far)] = i, near, far
-    by_sig: dict = {}
-    for y, s in enumerate(names[1]):
-        by_sig.setdefault(sig_b[s], []).append(y)
-    seeded = [x * width + y for x, s in enumerate(names[0]) for y in by_sig.get(sig_a[s], ())]
-    alive = bytearray(len(names[0]) * width)
-    for p in seeded:
-        alive[p] = 1
-    _propagate(list(unique.values()), width, seeded, alive)
-    return frozenset((names[0][p // width], names[1][p % width]) for p in seeded if alive[p])
-
-
-def _refined(a, b, sig_a: dict, sig_b: dict, labels: list) -> frozenset:
-    """The cross pairs of each block of the coarsest partition of a ⊎ b that
-    refines the atom signatures and is stable under every label: states in
-    one block reach the same blocks.  For labels whose zig and zag agree,
-    same block is the greatest bisimulation.
+def _refined(a, b, labels: list) -> frozenset:
+    """The greatest bisimulation on the labels, zig and zag alike: the cross
+    pairs of each block of the coarsest partition of a ⊎ b that refines the
+    atom signatures and is stable under every label, so that states in one
+    block reach the same blocks.
 
     The union's states are a's, then b's shifted by |a|.  Each distinct
     label is one relation on the union, its left blocks plus its right
@@ -129,6 +88,7 @@ def _refined(a, b, sig_a: dict, sig_b: dict, labels: list) -> frozenset:
     and unmarked states: its smaller half becomes a new block, and both
     halves are queued, the new one on top.  Once the queue is empty no
     block splits another."""
+    sig_a, sig_b = _signatures(a, b)
     names = list(a.states), list(b.states)
     na = len(names[0])
     index = {s: k for k, s in enumerate(names[0])}, {s: na + k for k, s in enumerate(names[1])}
@@ -188,46 +148,6 @@ def _refined(a, b, sig_a: dict, sig_b: dict, labels: list) -> frozenset:
         right = [names[1][u - na] for u in block if u >= na]
         out.extend((names[0][u], y) for u in block if u < na for y in right)
     return frozenset(out)
-
-
-def _propagate(clauses: list, width: int, pairs: list, alive: bytearray) -> None:
-    """Delete the pairs that fail a clause until none does.  Per clause,
-    count[s * k_far + far block] is the number of partners near state s has
-    left in that far block."""
-    xy = [divmod(p, width) for p in pairs]
-    oriented = xy, [(y, x) for x, y in xy]
-    counts = []
-    for i, (n_ids, _, _), (f_ids, f_blocks, _) in clauses:
-        k_far = len(f_blocks)
-        count = [0] * (len(n_ids) * k_far)
-        for s, t in oriented[i]:
-            count[s * k_far + f_ids[t]] += 1
-        counts.append(count)
-    # the seeded pairs that fail a clause from the start
-    stack = []
-    for k, p in enumerate(pairs):
-        for (i, (n_ids, n_blocks, _), (f_ids, f_blocks, _)), count in zip(clauses, counts):
-            s, t = oriented[i][k]
-            k_far, fb = len(f_blocks), f_ids[t]
-            if not all(count[u * k_far + fb] for u in n_blocks[n_ids[s]]):
-                stack.append(p)
-                break
-    while stack:
-        p = stack.pop()
-        if not alive[p]:
-            continue
-        alive[p] = 0
-        x, y = divmod(p, width)
-        st = (x, y), (y, x)
-        for (i, (n_ids, _, n_rows), (f_ids, _, f_rows)), count in zip(clauses, counts):
-            s, t = st[i]
-            fb = f_ids[t]
-            key = s * len(f_rows) + fb
-            count[key] -= 1
-            if not count[key]:
-                # no partner left in the far block: every pair of the near
-                # block with that far block fails this clause
-                stack.extend(u + v for u in n_rows[n_ids[s]] for v in f_rows[fb] if alive[u + v])
 
 
 def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
@@ -314,8 +234,7 @@ def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], 
     if not _atoms_agree(a, s, b, t, "bisimulation"):
         return None
     a, b = _as_pre(a), _as_pre(b)
-    labels = _pre_labels(a, b)
-    z = _greatest(a, b, labels, labels)
+    z = _refined(a, b, _pre_labels(a, b))
     return z if (s, t) in z else None
 
 
@@ -335,15 +254,20 @@ def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
     """Greatest trans-bisimulation between a model and a pre-model, linking (s, t).
 
     The left side must be a genuine model; a pre-model there is a ValueError.
-    When n is a pseudo-model, every zig closure is the relation itself
-    (a larger group refines each smaller group inside it), so the answer
-    equals bisimilar_pre(m, s, n, t).
+    The answer is the greatest bisimulation over the zig labels, zig and zag
+    alike: zag along n's single relations holds exactly when zag along each
+    zig closure does (⇐ each relation lies in a closure answered by the same
+    m relation; ⇒ each step of a closure path is answered along a meet
+    inside that relation of m, which is transitive).  When n is a
+    pseudo-model, every zig closure is the relation itself (a larger group
+    refines each smaller group inside it), so the answer equals
+    bisimilar_pre(m, s, n, t).
     """
     _genuine(m)
     if not _atoms_agree(m, s, n, t, "trans-bisimulation"):
         return None
     n = _as_pre(n)
-    z = _greatest(m, n, *_trans_labels(m, n))
+    z = _refined(m, n, _trans_labels(m, n)[0])
     return z if (s, t) in z else None
 
 

@@ -146,6 +146,9 @@ class Model:
             p = relations[a]
             rel[a] = p if isinstance(p, Partition) else Partition.of(p, states)
         val = {p: frozenset(ss) for p, ss in (valuation or {}).items()}
+        for p, ss in sorted(val.items()):
+            if not ss <= states:
+                raise ValueError(f"atom {p}: valuation contains unknown states {','.join(sorted(ss - states))}")
         return cls(states=states, agents=agents, relations=rel, valuation=val)
 
 
@@ -160,12 +163,15 @@ class PreModel:
     @classmethod
     def make(cls, states, relations, group_relations, valuation=None, agents=None) -> "PreModel":
         base = Model.make(states, relations, valuation, agents)
-        grel = {}
+        grel, spelled = {}, {}
         for key, p in group_relations.items():
             g = as_group(key)
             stray = g - base.agents
             if stray:
                 raise ValueError(f"group relation for undeclared agent {sorted(stray)[0]!r} in {group_key(g)!r}")
+            if g in spelled:
+                raise ValueError(f"group {group_key(g)} has two relations, {spelled[g]!r} and {key!r}")
+            spelled[g] = key
             grel[g] = p if isinstance(p, Partition) else Partition.of(p, base.states)
         missing = [g for g in all_groups(base.agents) if g not in grel]
         if missing:

@@ -83,6 +83,11 @@ class TestCheck:
          "states: ['t'] is not an id"),
         ({"agents": ["1"], "states": ["t"], "relations": {"1": [], "2": [["t"]]}},
          "relation for undeclared agent '2'"),
+        ({"agents": ["1"], "states": ["t"], "relations": {"1": []}, "valuation": {"p": ["z"]}},
+         "error: atom p: valuation contains unknown states z\n"),
+        ({"agents": ["1", "2"], "states": ["t"], "relations": {"1": [], "2": []},
+          "group_relations": {"1": [], "2": [], "1,2": [], "2,1": []}},
+         "error: group 1,2 has two relations, '1,2' and '2,1'\n"),
     ])
     def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, data, message):
         path = tmp_path / "bad.json"

@@ -393,6 +393,25 @@ class TestJson:
         with pytest.raises(ValueError, match="undeclared agent '9' in '1,9'"):
             PreModel.make(data["states"], data["relations"], data["group_relations"], agents=data["agents"])
 
+    def test_group_spelled_twice_rejected(self):
+        # the later spelling used to replace the earlier one without a word
+        data = {
+            "agents": ["1", "2"], "props": ["p"], "states": ["s", "t"],
+            "relations": {"1": [["s", "t"]], "2": [["s"], ["t"]]}, "valuation": {"p": ["s"]},
+            "group_relations": {"1": [["s", "t"]], "2": [["s"], ["t"]], "1,2": [["s"], ["t"]],
+                                "2,1": [["s", "t"]]},
+        }
+        with pytest.raises(ValueError, match="group 1,2 has two relations, '1,2' and '2,1'"):
+            model_from_dict(data)
+
+    def test_valuation_outside_states_rejected(self):
+        data = {"agents": ["1"], "props": ["p"], "states": ["s"], "relations": {"1": []},
+                "valuation": {"p": ["z", "s", "y"]}}
+        with pytest.raises(ValueError, match="atom p: valuation contains unknown states y,z"):
+            model_from_dict(data)
+        with pytest.raises(ValueError, match="atom p: valuation contains unknown states z"):
+            PreModel.make(["s"], {"1": []}, {"1": []}, {"p": ["z"]})
+
     def test_relation_for_undeclared_agent_rejected(self):
         data = {"agents": ["1"], "props": [], "states": ["s"], "relations": {"1": [], "9": [["s"]]}}
         with pytest.raises(ValueError, match="relation for undeclared agent '9'"):
