@@ -1,9 +1,10 @@
 """Pre-model bisimulation and trans-bisimulation checking.
 
 A bisimulation is the greatest fixpoint of its back-and-forth clauses over
-labels: (name, left, right) triples of partitions, where zig moves along
-left and answers along right, and zag the other way round.  Both kinds
-share one fixpoint routine and one validator.  Each label is one
+labels: (key, left, right) triples of partitions, where zig moves along
+left and answers along right, and zag the other way round.  A key is an
+agent id or a group, named ("agent 1", "group 1,2") only in messages.
+Both kinds share one fixpoint routine and one validator.  Each label is one
 equivalence on the disjoint union of the two sides, so the greatest
 relation that meets zig and zag on every label is "same block" in the
 coarsest stable partition of the union that refines the atom signatures
@@ -23,8 +24,11 @@ relation; the singleton group {i} falls under C_i and R_i.
 κ ⊇ G); each step is answered along R_κ ⊆ R_ℓ, because M's group relations
 are meets, and the transitivity of R_ℓ closes the chain.
 
-The validator keeps the zag labels to name each clause failure, and works
-out the unmatched states of each (left block, right block) once per call.
+The validator accepts before it explains.  `_accepts` checks each distinct
+label once, and each (left block, right block) that a claimed pair meets
+once per label, against the pairs' partner sets, with no names and no
+sorting.  Only a relation it rejects goes through the clause-by-clause
+message builder, which keeps the zag labels to name each failure.
 """
 
 from __future__ import annotations
@@ -65,8 +69,15 @@ def _atoms_agree(a, s: str, b, t: str, kind: str) -> bool:
     _known(b, t)
     if a.agents != b.agents:
         raise ValueError(f"{kind} requires a shared agent set")
-    return all((s in a.valuation.get(atom, ())) == (t in b.valuation.get(atom, ()))
-               for atom in set(a.valuation) | set(b.valuation))
+    return _agree(a, b, [(s, t)])
+
+
+def _agree(a, b, z) -> bool:
+    """Are the pairs' states known, and does each pair agree on every atom?"""
+    if not all(x in a.states and y in b.states for x, y in z):
+        return False
+    sides = [(a.valuation.get(atom, ()), b.valuation.get(atom, ())) for atom in set(a.valuation) | set(b.valuation)]
+    return all((x in va) == (y in vb) for va, vb in sides for x, y in z)
 
 
 def _as_pre(m: Union[Model, PreModel]) -> PreModel:
@@ -150,23 +161,54 @@ def _refined(a, b, labels: list) -> frozenset:
     return frozenset(out)
 
 
+def _partners(z: set) -> tuple:
+    """x -> its partners y in z, and y -> its partners x."""
+    out: tuple = ({}, {})
+    for x, y in z:
+        out[0].setdefault(x, set()).add(y)
+        out[1].setdefault(y, set()).add(x)
+    return out
+
+
+def _accepts(a, b, zig: list, zag: list, z: set) -> bool:
+    """Does z meet every clause?  Each distinct label is checked once, with
+    bit 1 if it zigs and bit 2 if it zags, and each (left block, right
+    block) that some pair meets once per label.  A singleton block needs no
+    check: the pair that meets it is its own partner."""
+    if not z or not _agree(a, b, z):
+        return False
+    partners = _partners(z)
+    needs: dict = {}
+    for bit, labels in ((3, zig),) if zig is zag else ((1, zig), (2, zag)):
+        for _, left, right in labels:
+            needs.setdefault((left.blocks, right.blocks), [left, right, 0])[2] |= bit
+    for left, right, bits in needs.values():
+        lo, ro = left._block_index, right._block_index
+        for lb, rb in {(lo[x], ro[y]) for x, y in z}:
+            if bits & 1 and len(lb) > 1 and any(rb.isdisjoint(partners[0].get(s, ())) for s in lb):
+                return False
+            if bits & 2 and len(rb) > 1 and any(lb.isdisjoint(partners[1].get(t, ())) for t in rb):
+                return False
+    return True
+
+
+def _label_name(key) -> str:
+    return "agent " + key if isinstance(key, str) else "group " + group_key(key)
+
+
 def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed relation; violations as data."""
     z = set(pairs)
+    if _accepts(a, b, zig, zag, z):
+        return []
     problems = [] if z else ["relation is empty"]
     sig_a, sig_b = _signatures(a, b)
     # with zig = zag each label reports zig then zag; otherwise all zig labels come first
     both = zig is zag
-    labels = [(name, left.block_of, right.block_of, True, both) for name, left, right in zig]
+    labels = [(_label_name(key), left.block_of, right.block_of, True, both) for key, left, right in zig]
     if not both:
-        labels += [(name, left.block_of, right.block_of, False, True) for name, left, right in zag]
-    partners: tuple = ({}, {})  # x -> its partners y in z, and y -> its partners x
-    for x, y in z:
-        partners[0].setdefault(x, set()).add(y)
-        partners[1].setdefault(y, set()).add(x)
-    # (left block, right block) -> the left states with no partner in the
-    # right block, and the right states with none in the left block
-    unmatched: dict = {}
+        labels += [(_label_name(key), left.block_of, right.block_of, False, True) for key, left, right in zag]
+    partners = _partners(z)
     for x, y in sorted(z):
         if x not in sig_a or y not in sig_b:
             problems.append(f"pair ({x},{y}) mentions unknown states")
@@ -174,27 +216,21 @@ def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:
         if sig_a[x] != sig_b[y]:
             problems.append(f"(at) fails for ({x},{y})")
         for name, left, right, in_zig, in_zag in labels:
-            key = left(x), right(y)
-            if key not in unmatched:
-                lb, rb = key
-                unmatched[key] = ([s for s in sorted(lb) if rb.isdisjoint(partners[0].get(s, ()))],
-                                  [s for s in sorted(rb) if lb.isdisjoint(partners[1].get(s, ()))])
-            zig_miss, zag_miss = unmatched[key]
-            if in_zig and zig_miss:
-                problems.extend(f"(zig) fails for ({x},{y}) on {name} toward {xp}" for xp in zig_miss)
-            if in_zag and zag_miss:
-                problems.extend(f"(zag) fails for ({x},{y}) on {name} toward {yp}" for yp in zag_miss)
+            lb, rb = left(x), right(y)
+            if in_zig:
+                problems.extend(f"(zig) fails for ({x},{y}) on {name} toward {xp}"
+                                for xp in sorted(lb) if rb.isdisjoint(partners[0].get(xp, ())))
+            if in_zag:
+                problems.extend(f"(zag) fails for ({x},{y}) on {name} toward {yp}"
+                                for yp in sorted(rb) if lb.isdisjoint(partners[1].get(yp, ())))
     return problems
 
 
 def _pre_labels(a: PreModel, b: PreModel) -> list:
     if a.agents != b.agents:
         raise ValueError("bisimulation requires a shared agent set")
-    labels = [("agent " + i, a.relations[i], b.relations[i]) for i in sorted(a.agents)]
-    labels += [
-        ("group " + group_key(g), a.group_relations[g], b.group_relations[g])
-        for g in all_groups(a.agents)
-    ]
+    labels = [(i, a.relations[i], b.relations[i]) for i in sorted(a.agents)]
+    labels += [(g, a.group_relations[g], b.group_relations[g]) for g in all_groups(a.agents)]
     return labels
 
 
@@ -213,12 +249,12 @@ def _trans_labels(m: Model, n: PreModel):
     groups = all_groups(m.agents)
     embedded = as_premodel(m)
     zig = [
-        ("agent " + i, m.relations[i],
+        (i, m.relations[i],
          Partition.join_all([n.relations[i]] + [n.group_relations[g] for g in groups if i in g]))
         for i in sorted(m.agents)
     ]
     zig += [
-        ("group " + group_key(g), embedded.group_relations[g],
+        (g, embedded.group_relations[g],
          Partition.join_all([n.group_relations[h] for h in groups if g <= h]))
         for g in groups if len(g) > 1
     ]

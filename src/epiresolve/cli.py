@@ -22,7 +22,6 @@ from .kripke import (
     resolve,
     resolve_pre,
     save_model,
-    validate,
 )
 from .search import (
     DEFAULT_RRC_BOUNDS,
@@ -47,10 +46,11 @@ def _parse_sequence(text):
 
 
 def _load_checked(path):
+    """load_model rejects every other structural defect; a pre-model need not be pseudo."""
     m = load_model(path)
-    problems = [p for p in validate(m) if not p.startswith("pseudo:")]
-    if problems:
-        raise ValueError(f"{path}: {problems[0]}")
+    for field in ("states", "agents"):
+        if not getattr(m, field):
+            raise ValueError(f"{path}: {field}: empty")
     return m
 
 

@@ -1,6 +1,7 @@
 import random
 
 from epiresolve.bisim import (
+    _accepts,
     _pre_labels,
     _trans_labels,
     bisimilar_pre,
@@ -60,7 +61,8 @@ def reference_violations(a, b, zig, zag, pairs):
             continue
         if sig_a[x] != sig_b[y]:
             problems.append(f"(at) fails for ({x},{y})")
-        for (name, left, right), in_zig, in_zag in labels:
+        for (key, left, right), in_zig, in_zag in labels:
+            name = "agent " + key if isinstance(key, str) else "group " + ",".join(sorted(key))
             if in_zig:
                 for xp in sorted(left.block_of(x)):
                     if not any((xp, yp) in z for yp in right.block_of(y)):
@@ -73,12 +75,17 @@ def reference_violations(a, b, zig, zag, pairs):
 
 
 def assert_validators_match_reference(a, b, pairs):
+    """Both validators equal the reference, and the accept path says yes exactly when it finds nothing."""
     pa, pb = (x if isinstance(x, PreModel) else as_premodel(x) for x in (a, b))
     labels = _pre_labels(pa, pb)
-    assert is_pre_bisimulation(a, b, pairs) == reference_violations(pa, pb, labels, labels, pairs)
+    expected = reference_violations(pa, pb, labels, labels, pairs)
+    assert is_pre_bisimulation(a, b, pairs) == expected
+    assert _accepts(pa, pb, labels, labels, set(pairs)) == (not expected)
     if not isinstance(a, PreModel):
-        expected = reference_violations(a, pb, *_trans_labels(a, pb), pairs)
+        zig, zag = _trans_labels(a, pb)
+        expected = reference_violations(a, pb, zig, zag, pairs)
         assert is_trans_bisimulation(a, b, pairs) == expected
+        assert _accepts(a, pb, zig, zag, set(pairs)) == (not expected)
 
 
 def random_blocks(rng, states):
@@ -421,6 +428,63 @@ class TestValidatorReference:
                 assert_validators_match_reference(pre, dup, short)
                 for g in all_groups(pre.agents):
                     assert_validators_match_reference(resolve_pre(pre, g), resolve_pre(dup, g), z)
+
+    def test_c09_witnesses_one_pair_off(self):
+        # each resolved c09 witness with each single pair removed, and with
+        # the first foreign pair added
+        for pre in enumerate_pseudo_models(3, ["1", "2"], ["p"]):
+            for x in sorted(pre.states):
+                dup = duplicate_state(pre, x)
+                z = bisimilar_pre(pre, x, dup, x + "'")
+                foreign = sorted((s, t) for s in pre.states for t in dup.states if (s, t) not in z)[:1]
+                for g in all_groups(pre.agents):
+                    left, right = resolve_pre(pre, g), resolve_pre(dup, g)
+                    assert_validators_match_reference(left, right, z | set(foreign))
+                    for pair in z:
+                        assert_validators_match_reference(left, right, z - {pair})
+
+    @pytest.mark.parametrize("agent_1, group_12, true_at", [
+        # group 1,2 is coarser than groups 1 and 2: every zig closure is the
+        # whole state set, and zig and zag share only the group 1,2 label
+        ([["s", "t"], ["u"]], [["s", "t", "u"]], ["s"]),
+        ([["s", "t"], ["u"]], [["s", "t", "u"]], []),
+        # group 1 is coarser than the discrete agent 1: zig on agent 1 answers
+        # along group 1's blocks, which zag on group 1 shares, while zag on
+        # agent 1 answers along the discrete relation alone
+        ([["s"], ["t"], ["u"]], [["s"], ["t"], ["u"]], ["s"]),
+    ])
+    def test_non_monotone_premodel_shares_a_label(self, agent_1, group_12, true_at):
+        # every relation on three states is compared with the reference
+        states = ["s", "t", "u"]
+        r1, r2 = [["s", "t"], ["u"]], [["s"], ["t", "u"]]
+        m = Model.make(states, {"1": r1, "2": r2}, {"p": true_at})
+        n = PreModel.make(states, {"1": agent_1, "2": r2}, {"1": r1, "2": r2, "1,2": group_12}, {"p": true_at})
+        zig, zag = _trans_labels(m, n)
+        blocks = [{(left.blocks, right.blocks) for _, left, right in labels} for labels in (zig, zag)]
+        assert blocks[0] & blocks[1] and blocks[0] != blocks[1]
+        pairs = [(x, y) for x in states for y in states]
+        accepted = 0
+        for k in range(1 << len(pairs)):
+            claimed = {pair for i, pair in enumerate(pairs) if k >> i & 1}
+            assert_validators_match_reference(m, n, claimed)
+            accepted += not is_trans_bisimulation(m, n, claimed)
+        assert accepted > 0 or (group_12 == [states] and true_at)
+        if agent_1 != r1:
+            # the identity meets zig along the closures, not along agent 1 itself
+            identity = {(s, s) for s in states}
+            assert is_trans_bisimulation(m, n, identity) == []
+            assert "(zig) fails for (s,s) on agent 1 toward t" in is_pre_bisimulation(m, n, identity)
+
+    def test_labels_with_equal_blocks_each_name_their_failures(self):
+        # agent 1 and group 1 hold equal blocks: the accept path checks them
+        # once, yet each names its own failures, agents first
+        m = Model.make(["s", "t"], {"1": [["s", "t"]], "2": [["s"], ["t"]]}, {})
+        pre = as_premodel(m)
+        assert pre.relations["1"].blocks == pre.group_relations[grp("1")].blocks
+        expected = ["(zig) fails for (s,s) on agent 1 toward t", "(zag) fails for (s,s) on agent 1 toward t",
+                    "(zig) fails for (s,s) on group 1 toward t", "(zag) fails for (s,s) on group 1 toward t"]
+        assert is_pre_bisimulation(pre, pre, {("s", "s")}) == expected
+        assert_validators_match_reference(m, pre, {("s", "s")})
 
 
 class TestTransBisimilarity:

@@ -97,6 +97,17 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("data, field", [
+        ({"agents": ["1"], "states": [], "relations": {"1": []}}, "states"),
+        ({"agents": [], "states": ["s"], "relations": {}}, "agents"),
+        ({"agents": [], "states": ["s"], "relations": {}, "group_relations": {}}, "agents"),
+    ])
+    def test_empty_states_or_agents_is_usage_error(self, capsys, tmp_path, data, field):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--model", str(path), "--state", "s", "--formula", "p")
+        assert (code, out, err) == (2, "", f"error: {path}: {field}: empty\n")
+
     @pytest.mark.parametrize("command", [["resolve", "--group", "1,2"],
                                          ["check", "--state", "s", "--formula", "R{1,2} K1 p"]])
     def test_stray_group_relation_is_usage_error(self, capsys, tmp_path, command):
