@@ -39,10 +39,10 @@ from .kripke import (
     Model,
     Partition,
     PreModel,
+    _label_name,
     all_groups,
     as_premodel,
 )
-from .syntax import group_key
 
 Pair = Tuple[str, str]
 
@@ -190,10 +190,6 @@ def _accepts(a, b, zig: list, zag: list, z: set) -> bool:
             if bits & 2 and len(rb) > 1 and any(lb.isdisjoint(partners[1].get(t, ())) for t in rb):
                 return False
     return True
-
-
-def _label_name(key) -> str:
-    return "agent " + key if isinstance(key, str) else "group " + group_key(key)
 
 
 def _violations(a, b, zig: list, zag: list, pairs: Iterable[Pair]) -> list:

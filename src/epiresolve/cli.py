@@ -45,15 +45,6 @@ def _parse_sequence(text):
     return [as_group(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _load_checked(path):
-    """load_model rejects every other structural defect; a pre-model need not be pseudo."""
-    m = load_model(path)
-    for field in ("states", "agents"):
-        if not getattr(m, field):
-            raise ValueError(f"{path}: {field}: empty")
-    return m
-
-
 @contextmanager
 def _formula_depth():
     """Parse, render and evaluation recurse once per nesting level of the formula."""
@@ -64,7 +55,7 @@ def _formula_depth():
 
 
 def cmd_check(args) -> int:
-    m = _load_checked(args.model)
+    m = load_model(args.model)
     if args.state not in m.states:
         raise ValueError(f"unknown state {args.state!r}")
     with _formula_depth():
@@ -81,12 +72,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    m = _load_checked(args.model)
-    g = as_group(args.group)
-    missing = g - m.agents
-    if missing:
-        raise ValueError(f"undeclared agent {sorted(missing)[0]!r}")
-    out = resolve_pre(m, g) if isinstance(m, PreModel) else resolve(m, g)
+    m = load_model(args.model)
+    out = (resolve_pre if isinstance(m, PreModel) else resolve)(m, args.group)
     if args.out:
         save_model(out, args.out)
     else:
@@ -131,8 +118,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    left = _load_checked(args.left)
-    right = _load_checked(args.right)
+    left = load_model(args.left)
+    right = load_model(args.right)
     if args.trans:
         witness = trans_bisimilar(left, args.left_state, right, args.right_state)
     else:

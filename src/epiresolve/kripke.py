@@ -6,6 +6,7 @@ transitivity unviolable by construction.  Intersecting two relations
 splits each block by the other partition's block index (their common
 refinement); closing a union of relations walks the connected blocks.
 Both take time linear in the states, times the number of partitions joined.
+The makes and `validate` share one structural check; raw constructors skip it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
@@ -29,7 +30,8 @@ class Partition:
         """Build from explicit blocks; uncovered states become implied singletons.
 
         Blocks must be collections of states (a string is not read as its
-        characters) and may repeat but not overlap.
+        characters) and may repeat but not overlap.  A defect raises the
+        message `validate` reports for it, without the relation's label.
         """
         out = set()
         for block in blocks:
@@ -40,7 +42,7 @@ class Partition:
             except TypeError:
                 raise ValueError(f"block {block!r} is not a collection of states") from None
             if not b:
-                raise ValueError("empty block in partition")
+                raise ValueError("empty block")
             out.add(b)
         covered = frozenset().union(*out)
         if sum(map(len, out)) != len(covered):
@@ -50,7 +52,7 @@ class Partition:
             universe = frozenset(states)
             stray = covered - universe
             if stray:
-                raise ValueError(f"partition mentions unknown states {sorted(stray)}")
+                raise ValueError(f"mentions unknown states {','.join(sorted(stray))}")
             out.update(frozenset([s]) for s in universe - covered)
         return Partition(frozenset(out))
 
@@ -137,19 +139,9 @@ class Model:
 
     @classmethod
     def make(cls, states, relations, valuation=None, agents=None) -> "Model":
-        states = frozenset(states)
-        agents = frozenset(agents) if agents is not None else frozenset(relations)
-        rel = {}
-        for a in sorted(agents):
-            if a not in relations:
-                raise ValueError(f"agent {a}: missing relation")
-            p = relations[a]
-            rel[a] = p if isinstance(p, Partition) else Partition.of(p, states)
-        val = {p: frozenset(ss) for p, ss in (valuation or {}).items()}
-        for p, ss in sorted(val.items()):
-            if not ss <= states:
-                raise ValueError(f"atom {p}: valuation contains unknown states {','.join(sorted(ss - states))}")
-        return cls(states=states, agents=agents, relations=rel, valuation=val)
+        """The checked constructor: a block list implies its missing singletons,
+        a Partition must cover the states exactly."""
+        return cls(**_checked(states, agents, relations, valuation))
 
 
 @dataclass(frozen=True)
@@ -162,22 +154,8 @@ class PreModel:
 
     @classmethod
     def make(cls, states, relations, group_relations, valuation=None, agents=None) -> "PreModel":
-        base = Model.make(states, relations, valuation, agents)
-        grel, spelled = {}, {}
-        for key, p in group_relations.items():
-            g = as_group(key)
-            stray = g - base.agents
-            if stray:
-                raise ValueError(f"group relation for undeclared agent {sorted(stray)[0]!r} in {group_key(g)!r}")
-            if g in spelled:
-                raise ValueError(f"group {group_key(g)} has two relations, {spelled[g]!r} and {key!r}")
-            spelled[g] = key
-            grel[g] = p if isinstance(p, Partition) else Partition.of(p, base.states)
-        missing = [g for g in all_groups(base.agents) if g not in grel]
-        if missing:
-            raise ValueError(f"group {group_key(missing[0])}: missing relation")
-        return cls(states=base.states, agents=base.agents, relations=base.relations,
-                   valuation=base.valuation, group_relations=grel)
+        """As Model.make; group_relations are keyed by groups or their spellings ("1,2")."""
+        return cls(**_checked(states, agents, relations, valuation, group_relations))
 
 
 # forward references: typing caches Union[...] for good, and real classes in
@@ -186,72 +164,104 @@ AnyModel = Union["Model", "PreModel"]
 
 
 def all_groups(agents: Iterable[Agent]) -> list:
-    """Every non-empty group over the agent set, smallest first."""
+    """Every non-empty group over the agent set, smallest first, as a fresh list."""
+    return list(_groups(frozenset(agents)))
+
+
+@lru_cache(maxsize=64)
+def _groups(agents: frozenset) -> tuple:
     ids = sorted(agents)
-    out = []
-    for size in range(1, len(ids) + 1):
-        for combo in combinations(ids, size):
-            out.append(frozenset(combo))
-    return out
+    return tuple(frozenset(combo) for size in range(1, len(ids) + 1) for combo in combinations(ids, size))
 
 
-def _partition_problems(label: str, part: Partition, states: frozenset) -> list:
-    problems = []
-    seen: dict = {}
-    for block in part.blocks:
-        if not block:
-            problems.append(f"{label}: empty block")
-            continue
-        for s in block:
-            if s in seen and seen[s] != block:
-                problems.append(f"{label}: blocks overlap on {s}")
-            seen[s] = block
-    extra = frozenset(seen) - states
-    if extra:
-        problems.append(f"{label}: mentions unknown states {','.join(sorted(extra))}")
-    uncovered = states - frozenset(seen)
-    if uncovered:
-        problems.append(f"{label} partition does not cover {','.join(sorted(uncovered))}")
-    return problems
+def _label_name(key) -> str:
+    """"agent 1" for an agent id, "group 1,2" for a group."""
+    return f"group {group_key(key)}" if isinstance(key, frozenset) else f"agent {key}"
+
+
+def _partition(key, p, states: frozenset) -> Partition:
+    """The relation of an agent or group as a partition of states: a block list
+    implies its missing singletons, a Partition must cover the states exactly.
+    A defect, or no relation (None), raises validate's message."""
+    given = isinstance(p, Partition)
+    try:
+        if p is None:
+            raise ValueError("missing relation")
+        q = Partition.of(p.blocks if given else p, states)
+    except ValueError as exc:
+        raise ValueError(f"{_label_name(key)}: {exc}") from None
+    if given and len(q.blocks) != len(p.blocks):
+        raise ValueError(f"{_label_name(key)} partition does not cover {','.join(sorted(q.universe - p.universe))}")
+    return p if given else q
+
+
+def _structure(states, agents, relations, valuation, group_relations=None) -> tuple:
+    """Structural defects in a fixed order, and the fields of the checked structure.
+
+    The one structural check: the makes raise its first message and
+    `validate` lists them all.  Each relation is read once, by `_partition`.
+    """
+    states = frozenset(states)
+    agents = frozenset(agents) if agents is not None else frozenset(relations)
+    fields = dict(states=states, agents=agents, relations={},
+                  valuation={p: frozenset(ss) for p, ss in (valuation or {}).items()})
+    problems = [f"{field}: empty" for field in ("states", "agents") if not fields[field]]
+    stray = sorted(relations.keys() - agents)
+    if stray:
+        problems.append(f"relation for undeclared agent {stray[0]!r}")
+    for atom, ss in sorted(fields["valuation"].items()):
+        if not ss <= states:
+            problems.append(f"atom {atom}: valuation contains unknown states {','.join(sorted(ss - states))}")
+    wanted = [(fields["relations"], a, relations.get(a)) for a in sorted(agents)]
+    if group_relations is not None:
+        spelled = {}
+        for key in group_relations:
+            g = as_group(key)
+            stray = sorted(g - agents)
+            if stray:
+                problems.append(f"group relation for undeclared agent {stray[0]!r} in {group_key(g)!r}")
+            elif g in spelled:
+                problems.append(f"group {group_key(g)} has two relations, {spelled[g]!r} and {key!r}")
+            else:
+                spelled[g] = key
+        fields["group_relations"] = {}
+        wanted += [(fields["group_relations"], g, group_relations[spelled[g]] if g in spelled else None)
+                   for g in _groups(agents)]
+    for out, key, p in wanted:
+        try:
+            out[key] = _partition(key, p, states)
+        except ValueError as exc:
+            problems.append(str(exc))
+    return problems, fields
+
+
+def _checked(*args) -> dict:
+    problems, fields = _structure(*args)
+    if problems:
+        raise ValueError(problems[0])
+    return fields
 
 
 def validate(m: AnyModel) -> list:
     """Invariant violations as data; an empty list means the structure is sound.
 
-    For pre-models the pseudo-model conditions are reported as well, each
-    prefixed with "pseudo:", so callers can tell structural defects apart
-    from a merely-not-pseudo pre-model.
+    The structural half matters only for raw-constructed structures
+    (`Model(...)`, `PreModel(...)`, `Partition(...)`), since the makes
+    reject every structural defect.  For pre-models the pseudo-model
+    conditions are reported as well, each prefixed with "pseudo:", so
+    callers can tell structural defects apart from a merely-not-pseudo
+    pre-model.
     """
-    problems = []
-    if not m.states:
-        problems.append("states: empty")
-    if not m.agents:
-        problems.append("agents: empty")
-    for a in sorted(m.agents):
-        if a not in m.relations:
-            problems.append(f"agent {a}: missing relation")
-            continue
-        problems.extend(_partition_problems(f"agent {a}", m.relations[a], m.states))
-    for atom, ss in sorted(m.valuation.items()):
-        stray = ss - m.states
-        if stray:
-            problems.append(f"atom {atom}: valuation contains unknown states {','.join(sorted(stray))}")
-    if isinstance(m, PreModel):
-        groups = all_groups(m.agents)
-        for g in groups:
-            if g not in m.group_relations:
-                problems.append(f"group {group_key(g)}: missing relation")
-                continue
-            problems.extend(_partition_problems(f"group {group_key(g)}", m.group_relations[g], m.states))
-        if not problems:
-            for a in sorted(m.agents):
-                if m.group_relations[frozenset([a])] != m.relations[a]:
-                    problems.append(f"pseudo: singleton relation for agent {a} differs from agent relation")
-            for small, big in combinations(groups, 2):
-                if small < big and not m.group_relations[big].refines(m.group_relations[small]):
-                    problems.append(
-                        f"pseudo: monotonicity violated for {{{group_key(small)}}}⊆{{{group_key(big)}}}"
-                    )
+    problems = _structure(m.states, m.agents, m.relations, m.valuation, getattr(m, "group_relations", None))[0]
+    if isinstance(m, PreModel) and not problems:
+        for a in sorted(m.agents):
+            if m.group_relations[frozenset([a])] != m.relations[a]:
+                problems.append(f"pseudo: singleton relation for agent {a} differs from agent relation")
+        for small, big in combinations(all_groups(m.agents), 2):
+            if small < big and not m.group_relations[big].refines(m.group_relations[small]):
+                problems.append(
+                    f"pseudo: monotonicity violated for {{{group_key(small)}}}⊆{{{group_key(big)}}}"
+                )
     return problems
 
 
@@ -390,7 +400,8 @@ def _blocks(value, what: str) -> list:
 def model_from_dict(data: dict) -> AnyModel:
     """Decode the documented model schema; "group_relations" makes it a pre-model.
 
-    A value of the wrong JSON type is a ValueError naming the field.
+    A value of the wrong JSON type is a ValueError naming the field; the
+    structure itself is checked by the makes.
     """
     _typed(data, dict, "model file")
     try:
@@ -404,33 +415,28 @@ def model_from_dict(data: dict) -> AnyModel:
     stray = set(raw_valuation) - set(props)
     if stray:
         raise ValueError(f"valuation for undeclared atom {sorted(stray)[0]!r}")
-    valuation = {p: frozenset(_ids(raw_valuation.get(p, []), f"valuation of {p}")) for p in props}
-    stray = set(raw_relations) - set(agents)
-    if stray:
-        raise ValueError(f"relation for undeclared agent {sorted(stray)[0]!r}")
-    relations = {}
-    for a in agents:
-        if a not in raw_relations:
-            raise ValueError(f"agent {a}: missing relation")
-        relations[a] = Partition.of(_blocks(raw_relations[a], f"agent {a}"), states)
+    valuation = {p: _ids(raw_valuation.get(p, []), f"valuation of {p}") for p in props}
+    relations = {a: _blocks(blocks, f"agent {a}") for a, blocks in raw_relations.items()}
     if "group_relations" not in data:
         return Model.make(states, relations, valuation, agents)
     group_relations = {
-        key: Partition.of(_blocks(blocks, f"group {key}"), states)
+        key: _blocks(blocks, f"group {key}")
         for key, blocks in _typed(data["group_relations"], dict, "group_relations").items()
     }
     return PreModel.make(states, relations, group_relations, valuation, agents)
 
 
 def load_model(path) -> AnyModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-    return model_from_dict(data)
+    """Read a model file; every decoding error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return model_from_dict(json.load(handle))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_model(m: AnyModel, path) -> None:

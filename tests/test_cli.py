@@ -84,10 +84,10 @@ class TestCheck:
         ({"agents": ["1"], "states": ["t"], "relations": {"1": [], "2": [["t"]]}},
          "relation for undeclared agent '2'"),
         ({"agents": ["1"], "states": ["t"], "relations": {"1": []}, "valuation": {"p": ["z"]}},
-         "error: atom p: valuation contains unknown states z\n"),
+         "bad.json: atom p: valuation contains unknown states z\n"),
         ({"agents": ["1", "2"], "states": ["t"], "relations": {"1": [], "2": []},
           "group_relations": {"1": [], "2": [], "1,2": [], "2,1": []}},
-         "error: group 1,2 has two relations, '1,2' and '2,1'\n"),
+         "bad.json: group 1,2 has two relations, '1,2' and '2,1'\n"),
     ])
     def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, data, message):
         path = tmp_path / "bad.json"
@@ -120,7 +120,7 @@ class TestCheck:
                                 "1,9": [["s"], ["t"]]}}), encoding="utf-8")
         code, out, err = run(capsys, command[0], "--model", str(path), *command[1:])
         assert (code, out) == (2, "")
-        assert err == "error: group relation for undeclared agent '9' in '1,9'\n"
+        assert err == f"error: {path}: group relation for undeclared agent '9' in '1,9'\n"
 
     def test_numeric_ids_read_as_text(self, capsys, tmp_path):
         path = tmp_path / "numeric.json"
@@ -250,6 +250,16 @@ class TestBisim:
                              "--right", FIG1_JSON, "--right-state", states["--right-state"])
         assert (code, out) == (2, "")
         assert "unknown state 'zzz'" in err
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_defective_right_file_is_named(self, capsys, tmp_path, trans):
+        path = tmp_path / "right.json"
+        path.write_text(json.dumps({"agents": ["1"], "states": ["s", "t"],
+                                    "relations": {"1": [["s", "t"], ["t"]]}}), encoding="utf-8")
+        code, out, err = run(capsys, "bisim", *(["--trans"] if trans else []),
+                             "--left", FIG1_JSON, "--left-state", "s",
+                             "--right", str(path), "--right-state", "s")
+        assert (code, out, err) == (2, "", f"error: {path}: agent 1: blocks overlap on t\n")
 
 
 def test_consecutive_calls_share_no_values(capsys, tmp_path, FIG1):

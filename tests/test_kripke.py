@@ -22,7 +22,8 @@ from epiresolve.kripke import (
     save_model,
     validate,
 )
-from epiresolve.syntax import delta
+from epiresolve.checker import satisfies
+from epiresolve.syntax import as_group, delta, parse
 
 from conftest import model_list
 
@@ -64,6 +65,126 @@ class TestValidate:
             group_relations={"1": [["a"], ["b"]], "2": [["a"], ["b"]], "1,2": [["a"], ["b"]]},
         )
         assert any(v.startswith("pseudo: singleton relation for agent 1") for v in validate(pre))
+
+
+def _sound_spec(pre):
+    spec = {"states": ["s", "t", "u"], "agents": ["1", "2"],
+            "relations": {"1": [["s", "t"], ["u"]], "2": [["s"], ["t"], ["u"]]},
+            "valuation": {"p": ["s"]}}
+    if pre:
+        spec["group_relations"] = {"1": [["s", "t"], ["u"]], "2": [["s"], ["t"], ["u"]],
+                                   "1,2": [["s"], ["t"], ["u"]]}
+    return spec
+
+
+def _set(field, key, value):
+    def edit(spec):
+        spec[field][key] = value
+    return edit
+
+
+def _drop(field, key):
+    def edit(spec):
+        del spec[field][key]
+    return edit
+
+
+def _empty(field):
+    def edit(spec):
+        spec[field] = []
+        for rels in ("relations", "group_relations"):
+            if rels in spec:
+                spec[rels] = {} if field == "agents" else {k: [] for k in spec[rels]}
+        spec["valuation"] = {}
+    return edit
+
+
+# (defect, edit of the sound spec, message, whether block lists can carry it:
+# a block list implies the singletons it omits, so it cannot leave a state uncovered)
+AGENT_DEFECTS = [
+    ("uncovered state", _set("relations", "1", [["s", "t"]]), "agent 1 partition does not cover u", False),
+    ("overlapping blocks", _set("relations", "1", [["s", "t"], ["t", "u"]]), "agent 1: blocks overlap on t", True),
+    ("stray state", _set("relations", "2", [["s"], ["t"], ["u", "z"]]), "agent 2: mentions unknown states z", True),
+    ("empty block", _set("relations", "1", [["s", "t"], ["u"], []]), "agent 1: empty block", True),
+    ("missing relation", _drop("relations", "2"), "agent 2: missing relation", True),
+    ("undeclared agent", _set("relations", "9", [["s", "t", "u"]]), "relation for undeclared agent '9'", True),
+    ("valuation outside the states", _set("valuation", "p", ["s", "z"]),
+     "atom p: valuation contains unknown states z", True),
+    ("empty states", _empty("states"), "states: empty", True),
+    ("empty agents", _empty("agents"), "agents: empty", True),
+]
+GROUP_DEFECTS = [
+    ("group uncovered state", _set("group_relations", "1,2", [["s"], ["t"]]),
+     "group 1,2 partition does not cover u", False),
+    ("group overlapping blocks", _set("group_relations", "1,2", [["s", "t"], ["t"], ["u"]]),
+     "group 1,2: blocks overlap on t", True),
+    ("group stray state", _set("group_relations", "2", [["s"], ["t"], ["u", "z"]]),
+     "group 2: mentions unknown states z", True),
+    ("group empty block", _set("group_relations", "1,2", [["s"], ["t"], ["u"], []]), "group 1,2: empty block", True),
+    ("group missing relation", _drop("group_relations", "1,2"), "group 1,2: missing relation", True),
+    ("group undeclared agent", _set("group_relations", "1,9", [["s", "t", "u"]]),
+     "group relation for undeclared agent '9' in '1,9'", True),
+]
+CASES = [(False, *d) for d in AGENT_DEFECTS] + [(True, *d) for d in AGENT_DEFECTS + GROUP_DEFECTS]
+
+
+def _raw_partition(blocks):
+    return Partition(frozenset(map(frozenset, blocks)))
+
+
+def _raw(spec):
+    """The unchecked structure the spec describes, every block as written."""
+    fields = dict(states=frozenset(spec["states"]), agents=frozenset(spec["agents"]),
+                  relations={a: _raw_partition(b) for a, b in spec["relations"].items()},
+                  valuation={p: frozenset(ss) for p, ss in spec["valuation"].items()})
+    if "group_relations" not in spec:
+        return Model(**fields)
+    return PreModel(**fields, group_relations={as_group(k): _raw_partition(b)
+                                               for k, b in spec["group_relations"].items()})
+
+
+def _make(spec, as_partitions):
+    read = _raw_partition if as_partitions else list
+    relations = {a: read(b) for a, b in spec["relations"].items()}
+    if "group_relations" not in spec:
+        return Model.make(spec["states"], relations, spec["valuation"], spec["agents"])
+    groups = {k: read(b) for k, b in spec["group_relations"].items()}
+    return PreModel.make(spec["states"], relations, groups, spec["valuation"], spec["agents"])
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("pre", [False, True])
+    @pytest.mark.parametrize("as_partitions", [False, True])
+    def test_sound_spec_is_accepted(self, pre, as_partitions):
+        spec = _sound_spec(pre)
+        assert _make(spec, as_partitions) == _raw(spec)
+        assert validate(_raw(spec)) == []
+
+    @pytest.mark.parametrize("as_partitions", [False, True])
+    @pytest.mark.parametrize("pre, defect, edit, message, in_blocks", CASES,
+                             ids=[f"{'pre' if c[0] else 'model'}-{c[1]}" for c in CASES])
+    def test_make_raises_validates_first_message(self, pre, defect, edit, message, in_blocks, as_partitions):
+        spec = _sound_spec(pre)
+        edit(spec)
+        assert validate(_raw(spec))[0] == message
+        if as_partitions or in_blocks:
+            with pytest.raises(ValueError) as info:
+                _make(spec, as_partitions)
+            assert str(info.value) == message
+        else:
+            _make(spec, as_partitions)  # the omitted singleton is implied
+
+    def test_partition_missing_a_state_is_rejected(self):
+        # once accepted: K1 p was false at t although p holds at every state
+        with pytest.raises(ValueError, match="agent 1 partition does not cover t"):
+            Model.make(["s", "t"], {"1": Partition.of([["s"]])}, {"p": ["s", "t"]})
+        m = Model.make(["s", "t"], {"1": [["s"]]}, {"p": ["s", "t"]})
+        assert satisfies(m, "t", parse("K1 p"))
+
+    def test_all_groups_is_a_fresh_list(self):
+        first = all_groups(["2", "1"])
+        first.append("spoiled")
+        assert all_groups(["1", "2"]) == [grp("1"), grp("2"), grp("1,2")]
 
 
 class TestPartitionOf:
