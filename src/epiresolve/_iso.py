@@ -1,4 +1,4 @@
-"""Isomorphism classes of the bounded models, packed for batch evaluation and kept per signature.
+"""Isomorphism classes of the bounded models, packed for batch evaluation and replayed per bounds.
 
 `find_model` and `find_countermodel` evaluate one model per isomorphism
 class, because every operator is invariant under renaming states.  A class
@@ -11,13 +11,12 @@ model instead, each model a class of weight 1.
 
 Rows are packed straight into the offset masks of `batch.py` by `_packed`,
 the one packer, which the sweeps share for their labelled rows
-(`_labelled`).  The search packs in batches of 4 rows that double up to
-`BATCH_MODELS`, so that an early witness costs a small batch and an
-exhausted search few large ones.  Neither the rows nor the batches depend
-on the formula, so the process keeps them per signature (`_Store`): each
-size's rows are enumerated once, as compact columns, and each batch is
-packed once; every later query over the same agents and atoms replays
-them, up to a fixed number of rows.
+(`_labelled`).  A search reads one stream of batches (`_stream`), 4 rows
+that double up to `BATCH_MODELS`, so that an early witness costs a small
+batch and an exhausted search few large ones.  Neither the rows nor the
+batches depend on the formula, so the process keeps each bounds' batches as
+they are drawn (`_Replay`), up to a fixed number of rows, and every later
+query on the same bounds replays them.
 """
 
 from __future__ import annotations
@@ -190,10 +189,10 @@ def _size_classes(n: int, agents: int, atoms: int) -> Iterator[tuple]:
             stack.pop()
 
 
-def _classes(bounds: SearchBounds, first: int = 1) -> Iterator[tuple]:
-    """(n, index tuple, class weight): one row per class, sizes first..max_states in turn."""
+def _classes(bounds: SearchBounds) -> Iterator[tuple]:
+    """(n, index tuple, class weight): one row per class, sizes 1..max_states in turn."""
     agent_ids, atom_names = _signature(bounds)
-    for n in range(first, bounds.max_states + 1):
+    for n in range(1, bounds.max_states + 1):
         for idx, weight in _size_classes(n, len(agent_ids), len(atom_names)):
             yield n, idx, weight
 
@@ -276,90 +275,61 @@ def _packed(runs: list, columns: Sequence, agent_ids: tuple, atom_names: tuple) 
     return _Masks(frozenset(agent_ids), full, relation_rows, atom_rows)
 
 
-# Rows kept per signature: 4 + 8 + ... + 128 in the growing batches, then
-# 256 full ones.  At 3 agents and 1 atom a row takes 10 bytes.
+# Rows a replay holds: 4 + 8 + ... + 128 in the growing batches, then 256
+# full ones; it holds whole batches, so it may hold one batch past this.
 _STORE_ROWS = 252 + 256 * BATCH_MODELS
 
 
-class _Store:
-    """One signature's class rows drawn so far, and each batch's masks, replayed by every later query.
-
-    The rows are columns: one `array` of indexes per agent, then per atom,
-    and one of class weights; the rows of n states are rows
-    ends[n - 1]..ends[n] - 1.  A size is drawn only when a query reaches
-    it, from one suspended `_size_classes` generator, and the store holds
-    no size past `_MAX_CLASS_STATES` and no more than `_STORE_ROWS` rows:
-    a query draws the rows past them afresh.  Batch boundaries follow the
-    rows, not the query, so a batch's masks are packed once, keyed by its
-    rows (start, stop).
-    """
-
-    def __init__(self, agent_ids: tuple, atom_names: tuple):
-        self.agent_ids, self.atom_names = agent_ids, atom_names
-        # up to 7 states, indexes stay below B(7) = 877 and weights at most 7! = 5040
-        self.columns = [array("H") for _ in agent_ids + atom_names]
-        self.weights = array("H")
-        self.ends = [0]  # ends[n]: rows of at most n states, for each size drawn to its end
-        self._batches: dict = {}  # (start, stop) -> (runs, masks)
-        self._rows: Optional[Iterator] = None  # the rest of size len(ends), while it is drawn
-        self._drawing = threading.Lock()  # queries in several threads share the store
-
-    def held(self, stop: int, max_states: int) -> int:
-        """Rows of at most max_states states held, after drawing on towards `stop` of them."""
-        stop = min(stop, _STORE_ROWS)
-        with self._drawing:
-            while len(self.weights) < stop and len(self.ends) <= min(max_states, _MAX_CLASS_STATES):
-                rows = self._rows or islice(_size_classes(len(self.ends), len(self.agent_ids), len(self.atom_names)),
-                                            len(self.weights) - self.ends[-1], None)
-                self._rows = None  # a draw cut short by an exception leaves none: the next resumes past the rows held
-                want = stop - len(self.weights)
-                chunk = list(islice(rows, want))
-                if chunk:
-                    idxs, weights = zip(*chunk)
-                    for column, values in zip(self.columns, zip(*idxs)):
-                        column.extend(values)
-                    self.weights.extend(weights)
-                if len(chunk) < want:
-                    self.ends.append(len(self.weights))
-                else:
-                    self._rows = rows
-            return min(stop, self.ends[max_states] if max_states < len(self.ends) else len(self.weights))
-
-    def batch(self, start: int, stop: int) -> tuple:
-        """(runs, masks) of rows start..stop-1, packed on first use."""
-        out = self._batches.get((start, stop))
-        if out is None:
-            ends = self.ends + [len(self.weights)]
-            runs = [(n, max(start, ends[n - 1]), min(stop, ends[n])) for n in range(1, len(ends))
-                    if max(start, ends[n - 1]) < min(stop, ends[n])]
-            out = self._batches[start, stop] = runs, _packed(runs, self.columns, self.agent_ids, self.atom_names)
-        return out
-
-
-@lru_cache(maxsize=4)
-def _store(agent_ids: tuple, atom_names: tuple) -> _Store:
-    """The store of a signature; the process keeps those of the 4 signatures searched last."""
-    return _Store(agent_ids, atom_names)
-
-
-def _query_batches(bounds: SearchBounds) -> Iterator[tuple]:
-    """(runs, index columns, weights, masks) of each batch of the rows within the bounds.
-
-    The store's rows come first, in batches of 4 doubling up to
-    BATCH_MODELS; rows past the store are drawn and packed afresh.
-    """
-    store = _store(*_signature(bounds))
-    start, size = 0, 4
-    while (stop := store.held(start + size, bounds.max_states)) > start:
-        runs, masks = store.batch(start, stop)
-        yield runs, store.columns, store.weights, masks
-        start, size = stop, min(2 * size, BATCH_MODELS)
-    first = len(store.ends)
-    if first > bounds.max_states:
-        return
-    rows = islice(_classes(bounds, first), len(store.weights) - store.ends[-1], None)
-    for batch in _batches(rows, size):
+def _stream(bounds: SearchBounds, start: int, size: int) -> Iterator[tuple]:
+    """Batch-local (runs, index columns, weights, masks) of the class rows in the bounds, from row `start` on."""
+    agent_ids, atom_names = _signature(bounds)
+    for batch in _batches(islice(_classes(bounds), start, None), size):
         sizes = [n for n, _, _ in batch]
         runs = [(n, bisect_left(sizes, n), bisect_right(sizes, n)) for n in dict.fromkeys(sizes)]
         columns = list(zip(*(idx for _, idx, _ in batch)))
-        yield runs, columns, [weight for _, _, weight in batch], _packed(runs, columns, *_signature(bounds))
+        yield runs, columns, [weight for _, _, weight in batch], _packed(runs, columns, agent_ids, atom_names)
+
+
+class _Replay:
+    """One bounds' stream, its batches kept as a query first reaches them and replayed by every later query.
+
+    Past `_STORE_ROWS` rows a query continues from a fresh stream.  The
+    replay remembers that its stream ended, so a replayed exhaustion
+    enumerates nothing.
+    """
+
+    def __init__(self, bounds: SearchBounds):
+        self.bounds = bounds
+        self.batches: list = []
+        self.rows = 0  # rows in the batches held
+        self.ended = False
+        self._rest: Optional[Iterator] = None  # the suspended stream, past the batches held
+        self._drawing = threading.Lock()  # queries in several threads share the replay
+
+    def __iter__(self) -> Iterator[tuple]:
+        k = 0
+        while True:
+            with self._drawing:
+                if k == len(self.batches) and not self.ended and self.rows < _STORE_ROWS:
+                    # batch k is 4 << k rows up to BATCH_MODELS, as in one stream from row 0
+                    rest = self._rest or _stream(self.bounds, self.rows, min(4 << k, BATCH_MODELS))
+                    self._rest = None  # a draw cut short leaves none: the next starts past the rows held
+                    batch = next(rest, None)
+                    if batch is None:
+                        self.ended = True
+                    else:
+                        self.batches.append(batch)
+                        self.rows += len(batch[2])
+                        self._rest = rest
+            if k == len(self.batches):
+                break
+            yield self.batches[k]
+            k += 1
+        if not self.ended:
+            yield from _stream(self.bounds, self.rows, min(4 << k, BATCH_MODELS))
+
+
+@lru_cache(maxsize=4)  # the 4 bounds searched last: as many as the `search` benchmark queries
+def _replay(bounds: SearchBounds) -> _Replay:
+    """The replay of a query's bounds, which `search` reduces to the signature and max_states."""
+    return _Replay(bounds)

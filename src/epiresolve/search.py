@@ -9,9 +9,9 @@ class (`_iso.py`), in batches packed into the offset masks of
 `batch.py`, and `models_examined` counts the labelled models of every
 class evaluated: an exhausted search covers every labelled model up to
 the bound, and the first witness is the one a model-by-model search would
-find.  Only the witness is built as a `Model`.  The class rows and packed
-batches of a signature are kept for the process, so a query after the
-first over the same agents and atoms only evaluates its formula.
+find.  Only the witness is built as a `Model`.  The packed batches of
+each bounds are kept for the process, so a query after the first on the
+same agents, atoms and max_states only evaluates its formula.
 
 The soundness sweeps (`check_schema`, `check_rule_rrc`) share one loop,
 `_sweep`, over every labelled model.  It walks each size's labelled index
@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .batch import BATCH_MODELS
 from .checker import Context, PointedModel
 from .kripke import Model, PreModel, all_groups, model_to_dict
-from ._iso import _labelled, _model, _packed, _query_batches, _signature, _slot_bytes, _values, set_partitions
+from ._iso import _labelled, _model, _packed, _replay, _signature, _slot_bytes, _values, set_partitions
 from .syntax import (
     TRUE,
     FALSE,
@@ -121,8 +121,8 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
     conditions: singletons equal the agent relations, and each larger
     group refines every smaller group inside it.
     """
-    agent_ids = sorted(agents)
-    atom_names = sorted(atoms)
+    agent_ids = sorted(set(agents))  # a repeated id counts once, as in SearchBounds
+    atom_names = sorted(set(atoms))
     groups = all_groups(agent_ids)
     larger = [g for g in groups if len(g) > 1]
     for n in range(1, max_states + 1):
@@ -169,7 +169,8 @@ def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
         missing = used - set(declared)
         if missing:
             raise ValueError(f"query mentions {kind} {sorted(missing)[0]!r} outside the search bounds")
-    return SearchBounds(bounds.max_states, agent_ids, atom_names, bounds.seed, bounds.instance_count)
+    # seed and instance_count do not change a search: equal signatures and max_states share one replay
+    return SearchBounds(bounds.max_states, agent_ids, atom_names)
 
 
 def _lowest_point(bits: int, n: int) -> tuple:
@@ -180,18 +181,18 @@ def _lowest_point(bits: int, n: int) -> tuple:
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
     bounds = _bounds_for_query(bounds, f)
     examined = classes = 0
-    for runs, columns, weights, masks in _query_batches(bounds):
-        start, stop = runs[0][1], runs[-1][2]
+    for runs, columns, weights, masks in _replay(bounds):
         ext = Context(masks, (), masks.full, {}).extension(f)
         points = masks.full & ~ext if falsify else ext
+        stop = len(weights)
         if points:
             k, i = _lowest_point(points, runs[0][0])
-            stop = start + k + 1
-        examined += sum(weights[start:stop])
-        classes += stop - start
+            stop = k + 1
+        examined += sum(weights[:stop])
+        classes += stop
         if points:
-            n = next(n for n, _, b in runs if stop <= b)
-            m = _model(n, tuple(column[stop - 1] for column in columns), *_signature(bounds))
+            n = next(n for n, _, b in runs if k < b)
+            m = _model(n, tuple(column[k] for column in columns), *_signature(bounds))
             return SearchOutcome(PointedModel(m, sorted(m.states)[i]), bounds.max_states, examined, classes)
     return SearchOutcome(None, bounds.max_states, examined, classes)
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import threading
 import time
 from itertools import islice, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from conftest import model_list
 from epiresolve.checker import satisfies
 from epiresolve.batch import BATCH_MODELS
 from epiresolve.kripke import all_groups, group_relation, validate
-from epiresolve._iso import _batches, _classes, _model, _pair_table, _store, _subset_table, _values
+from epiresolve._iso import _batches, _classes, _model, _pair_table, _replay, _subset_table, _values
 from epiresolve.search import (
     FormulaGen,
     SearchBounds,
@@ -421,10 +423,10 @@ def test_search_outcome_classes_are_optional_and_serialized():
                              "models_examined": 10, "classes_examined": 8}
 
 
-# Queries over signatures sharing stores: larger then smaller bounds, a
+# Queries over bounds sharing replays: larger then smaller bounds, a
 # witness then an exhaustion on the same bounds, the same counts under
 # other names, sizes searched labelled (one agent, no atoms, from 3 states
-# on) and a size past the store (8 states).
+# on) and a size past the tables (8 states).
 STORE_QUERIES = [
     (find_countermodel, "K1 p -> p", SearchBounds(4, ("1", "2"), ("p",))),
     (find_model, "p & ~K1 p", SearchBounds(4, ("1", "2"), ("p",))),
@@ -453,13 +455,40 @@ def run_store_queries(order):
 
 @pytest.fixture
 def cold_outcomes():
-    """Each query's outcome from empty stores; the stores are emptied again afterwards."""
+    """Each query's outcome from empty replays; the replays are emptied again afterwards."""
     outcomes = {}
     for k in range(len(STORE_QUERIES)):
-        _store.cache_clear()
+        _replay.cache_clear()
         outcomes.update(run_store_queries([k]))
     yield outcomes
-    _store.cache_clear()
+    _replay.cache_clear()
+
+
+def planned_models():
+    """`planned_models` of the benchmark's reference module, which shares no code with the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.planned_models
+
+
+def test_model_count_is_the_planned_count():
+    planned = planned_models()
+    for states, agents, atoms in product(range(1, 6), range(1, 4), range(3)):
+        agent_ids, atom_names = signature(agents, atoms)
+        assert search._model_count(agent_ids, atom_names, states) == planned(states, agents, atoms)
+
+
+def test_exhausted_store_queries_examine_the_planned_count(cold_outcomes):
+    planned = planned_models()
+    exhausted = 0
+    for k, (_, _, bounds) in enumerate(STORE_QUERIES):
+        if not cold_outcomes[k].found:
+            exhausted += 1
+            assert cold_outcomes[k].models_examined == planned(bounds.max_states, len(bounds.agents),
+                                                                len(bounds.atoms))
+    assert exhausted >= 5
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -469,7 +498,7 @@ def test_outcomes_do_not_depend_on_what_the_store_holds(cold_outcomes, seed):
         order.reverse()  # smaller bounds first, exhaustion before the witness
     else:
         random.Random(seed).shuffle(order)
-    _store.cache_clear()
+    _replay.cache_clear()
     assert run_store_queries(order) == cold_outcomes
     assert run_store_queries(range(len(STORE_QUERIES))) == cold_outcomes
     assert cold_outcomes[0].models_examined == 3818 and cold_outcomes[5].found
@@ -478,11 +507,27 @@ def test_outcomes_do_not_depend_on_what_the_store_holds(cold_outcomes, seed):
 @pytest.mark.parametrize("cap", [1, 7, 30, 300])
 def test_queries_past_the_store_cap_stay_right(cold_outcomes, monkeypatch, cap):
     monkeypatch.setattr(_iso, "_STORE_ROWS", cap)
-    _store.cache_clear()
+    _replay.cache_clear()
     assert run_store_queries(range(len(STORE_QUERIES))) == cold_outcomes
     assert run_store_queries(reversed(range(len(STORE_QUERIES)))) == cold_outcomes
-    # the last query exhausts 357 rows
-    assert len(_store(("1", "2"), ("p",)).weights) == cap
+    # the last query exhausts 357 rows; the replay holds whole batches up to the first boundary at or past the cap
+    replay = _replay(SearchBounds(4, ("1", "2"), ("p",)))
+    assert replay.rows >= cap > replay.rows - len(replay.batches[-1][2])
+    assert replay.rows == sum(len(weights) for _, _, weights, _ in replay.batches)
+
+
+def test_a_replayed_exhaustion_enumerates_no_class(monkeypatch):
+    find, text, bounds = STORE_QUERIES[0]
+    _replay.cache_clear()
+    first = find(parse(text), bounds)
+    assert not first.found
+    drawn, calls = _iso._size_classes, []
+    monkeypatch.setattr(_iso, "_size_classes", lambda *args: calls.append(args) or drawn(*args))
+    # seed and instance_count do not change a search, so these bounds share the replay too
+    for again in (bounds, SearchBounds(4, ("2", "1", "2"), ("p",), seed=7, instance_count=3)):
+        assert find(parse(text), again) == first
+    assert calls == []
+    _replay.cache_clear()
 
 
 def test_a_draw_cut_short_resumes_where_the_store_ends(cold_outcomes, monkeypatch):
@@ -494,7 +539,7 @@ def test_a_draw_cut_short_resumes_where_the_store_ends(cold_outcomes, monkeypatc
                 raise KeyboardInterrupt
             yield row
 
-    _store.cache_clear()
+    _replay.cache_clear()
     monkeypatch.setattr(_iso, "_size_classes", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_store_queries([0])
@@ -512,7 +557,7 @@ def test_threads_sharing_the_stores_get_the_cold_outcomes(cold_outcomes, monkeyp
 
     monkeypatch.setattr(_iso, "_size_classes", yielding)
     workers = (os.cpu_count() or 1) + 2
-    for seed in range(2):  # each round, every thread meets empty stores with the same query order
+    for seed in range(2):  # each round, every thread meets empty replays with the same query order
         order = list(range(len(STORE_QUERIES)))
         random.Random(seed).shuffle(order)
         results, errors = [], []
@@ -525,7 +570,7 @@ def test_threads_sharing_the_stores_get_the_cold_outcomes(cold_outcomes, monkeyp
             except Exception as exc:  # reported below, with every other thread's outcome
                 errors.append(exc)
 
-        _store.cache_clear()
+        _replay.cache_clear()
         threads = [threading.Thread(target=work) for _ in range(workers)]
         for t in threads:
             t.start()
@@ -635,6 +680,15 @@ def test_enumerate_pseudo_models_all_pseudo_and_counted():
         assert validate(pre) == []
     again = list(enumerate_pseudo_models(2, ["1", "2"]))
     assert models == again
+
+
+def test_enumerate_pseudo_models_counts_a_repeated_id_once():
+    once = list(enumerate_pseudo_models(2, ["1"], ["p"]))
+    assert len(once) == 10
+    assert list(enumerate_pseudo_models(2, ["1", "1"], ["p"])) == once
+    assert list(enumerate_pseudo_models(2, ["1"], ["p", "p"])) == once
+    pair = list(enumerate_pseudo_models(2, ["1", "2"], ["p"]))
+    assert list(enumerate_pseudo_models(2, ["2", "1", "2"], ["p", "p"])) == pair
 
 
 def test_formula_gen_is_seed_deterministic():
