@@ -293,9 +293,10 @@ def _stream(bounds: SearchBounds, start: int, size: int) -> Iterator[tuple]:
 class _Replay:
     """One bounds' stream, its batches kept as a query first reaches them and replayed by every later query.
 
-    Past `_STORE_ROWS` rows a query continues from a fresh stream.  The
-    replay remembers that its stream ended, so a replayed exhaustion
-    enumerates nothing.
+    Past `_STORE_ROWS` rows the first query continues the suspended stream
+    and later ones a fresh stream.  The replay remembers that its stream
+    ended, also right after the batch that crossed the cap, so a replayed
+    exhaustion enumerates nothing.
     """
 
     def __init__(self, bounds: SearchBounds):
@@ -325,8 +326,16 @@ class _Replay:
                 break
             yield self.batches[k]
             k += 1
-        if not self.ended:
-            yield from _stream(self.bounds, self.rows, min(4 << k, BATCH_MODELS))
+        if not self.ended:  # past the cap
+            with self._drawing:
+                rest, self._rest = self._rest, None
+            rest = rest or _stream(self.bounds, self.rows, min(4 << k, BATCH_MODELS))
+            batch = next(rest, None)
+            if batch is None:
+                self.ended = True
+            else:
+                yield batch
+                yield from rest
 
 
 @lru_cache(maxsize=4)  # the 4 bounds searched last: as many as the `search` benchmark queries

@@ -47,7 +47,7 @@ def _parse_sequence(text):
 
 @contextmanager
 def _formula_depth():
-    """Parse, render and evaluation recurse once per nesting level of the formula."""
+    """Render, reduce and evaluation recurse once per nesting level of the formula; parsing does not."""
     try:
         yield
     except RecursionError:

@@ -3,34 +3,22 @@
 Agent 1 cannot tell s, t, v and w apart; agent 2 cannot tell t, u and v
 apart; p holds at t, v and w.  Resolving the pair {1,2} shrinks both
 relations to their intersection, leaving t and v as the only non-trivial
-block.  The same two models ship as JSON files for the CLI.
+block.  Both models are read from the JSON files that ship for the CLI.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .kripke import Model
+from .kripke import Model, load_model
 
 
 def fig1() -> Model:
-    return Model.make(
-        states=["s", "t", "u", "v", "w"],
-        relations={
-            "1": [["s", "t", "v", "w"], ["u"]],
-            "2": [["t", "u", "v"], ["s"], ["w"]],
-        },
-        valuation={"p": ["t", "v", "w"]},
-    )
+    return load_model(fixture_path("fig1.json"))
 
 
 def fig1_core() -> Model:
-    shared = [["t", "v"], ["s"], ["u"], ["w"]]
-    return Model.make(
-        states=["s", "t", "u", "v", "w"],
-        relations={"1": shared, "2": shared},
-        valuation={"p": ["t", "v", "w"]},
-    )
+    return load_model(fixture_path("core.json"))
 
 
 def fixture_path(name: str) -> str:

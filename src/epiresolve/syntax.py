@@ -17,6 +17,7 @@ import re
 import threading
 import weakref
 from enum import Enum
+from functools import partial
 from typing import Iterable, Optional, Sequence, Union
 
 Agent = str
@@ -280,14 +281,27 @@ def _tokenize(text: str):
     return tokens
 
 
-_MODAL_HEADS = {"D", "C", "E", "R"}
+_IDENT = re.compile(r"[A-Za-z0-9_]+")
+_MODAL_HEADS = {"D": D, "C": C, "E": E, "R": R}
+_ALONE = {"~": Neg, "true": TRUE, "false": FALSE}  # tokens that are a prefix operator or an operand alone
+
+# binding strength, whether a chain groups to the right, and the constructor
+_BINARY = {"<->": (1, False, Iff), "->": (2, True, Implies), "|": (3, False, Or), "&": (4, False, And)}
+
+
+def _fold(operands: list, operators: list, strength: int) -> None:
+    """Apply the stacked binary operators that bind at least `strength`, the last stacked first."""
+    while operators and operators[-1][0] >= strength:
+        right = operands.pop()
+        operands[-1] = operators.pop()[1](operands[-1], right)
 
 
 class _Parser:
-    """Recursive descent over the grammar.
+    """One operator-precedence loop over explicit stacks: nesting costs no Python recursion.
 
-    Precedence, loosest first: <->, -> (right associative), |, &, then
-    negation / modalities / announcement.  When an agent universe is
+    Precedence, loosest first: <->, -> (right associative), |, &, then the
+    prefix operators negation / modalities / announcement, each a node
+    constructor with its first argument bound.  When an agent universe is
     supplied, ``K<id>`` shorthand is recognized only for declared ids and
     brace lists are checked against the universe; ``K<id>`` on another id
     is an atom unless a formula follows it, which makes it an undeclared
@@ -297,17 +311,15 @@ class _Parser:
 
     def __init__(self, text: str, universe: Optional[frozenset]):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) + [(None, len(text))]  # the end of input reads as a token None
         self.pos = 0
         self.universe = universe
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0]
 
     def here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text)
+        return self.tokens[self.pos][1]
 
     def take(self, expected: Optional[str] = None) -> str:
         tok = self.peek()
@@ -319,98 +331,73 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek()!r}", self.here())
-        return f
+        frames = []  # per open bracket: its closer, operands, binary operators and prefixes awaiting an operand
+        closer, operands, operators, prefixes = None, [], [], []
+        while True:
+            tok = self.peek()
+            if tok == "(" or tok == "[":
+                self.pos += 1
+                frames.append((closer, operands, operators, prefixes))
+                closer, operands, operators, prefixes = ")" if tok == "(" else "]", [], [], []
+                continue
+            f = self.leaf(tok)
+            if not isinstance(f, Formula):
+                prefixes.append(f)
+                continue
+            while True:  # f is a whole operand: the next token continues or closes the frame
+                while prefixes:
+                    f = prefixes.pop()(f)
+                operands.append(f)
+                tok = self.peek()
+                if tok in _BINARY:
+                    self.pos += 1
+                    strength, right, build = _BINARY[tok]
+                    _fold(operands, operators, strength + right)
+                    operators.append((strength, build))
+                    break
+                _fold(operands, operators, 0)
+                f = operands.pop()
+                if closer is None:
+                    if tok is not None:
+                        raise ParseError(f"unexpected token {tok!r}", self.here())
+                    return f
+                closed = self.take(closer)
+                closer, operands, operators, prefixes = frames.pop()
+                if closed == "]":
+                    prefixes.append(partial(Ann, f))
+                    break
 
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.peek() == "<->":
-            self.take()
-            f = Iff(f, self.implies())
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Implies(f, self.implies())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        at = self.here()
+    def leaf(self, tok: Optional[str]):
+        """The atom or constant that `tok`, the token at the cursor, spells, or the prefix operator it starts."""
         if tok is None:
-            raise ParseError("unexpected end of input", at)
-        if tok == "~":
-            self.take()
-            return Neg(self.unary())
-        if tok == "(":
-            self.take()
-            f = self.iff()
-            self.take(")")
-            return f
-        if tok == "[":
-            self.take()
-            announced = self.iff()
-            self.take("]")
-            return Ann(announced, self.unary())
-        if tok == "true":
-            self.take()
-            return TRUE
-        if tok == "false":
-            self.take()
-            return FALSE
+            raise ParseError("unexpected end of input", self.here())
+        if tok in _ALONE:
+            self.pos += 1
+            return _ALONE[tok]
         if tok == "K":
-            self.take()
-            agent = self.agent_token()
-            return K(agent, self.unary())
+            self.pos += 1
+            return partial(K, self.agent_token())
         if tok in _MODAL_HEADS:
-            self.take()
-            group = self.group_literal()
-            body = self.unary()
-            if tok == "D":
-                return D(group, body)
-            if tok == "C":
-                return C(group, body)
-            if tok == "R":
-                return R(group, body)
-            return E(group, body)
+            self.pos += 1
+            return partial(_MODAL_HEADS[tok], self.group_literal())
         if tok.startswith("K") and len(tok) > 1:
             rest = tok[1:]
-            if (self.universe is not None and rest in self.universe) or (
-                self.universe is None and rest.isdigit()
-            ):
-                self.take()
-                return K(rest, self.unary())
-            following = self.tokens[self.pos + 1][0] if self.pos + 1 < len(self.tokens) else ""
+            if (rest in self.universe) if self.universe is not None else rest.isdigit():
+                self.pos += 1
+                return partial(K, rest)
+            following = self.tokens[self.pos + 1][0] or ""
             if self.universe is not None and re.fullmatch(r"[A-Za-z0-9_]+|[~(\[]", following):
                 # an atom cannot be followed by a formula, so this is K<id> on an undeclared id
-                raise ParseError(f"undeclared agent {rest!r}", at + 1)
-        if re.fullmatch(r"[A-Za-z0-9_]+", tok):
-            self.take()
+                raise ParseError(f"undeclared agent {rest!r}", self.here() + 1)
+        if _IDENT.fullmatch(tok):
+            self.pos += 1
             return Atom(tok)
-        raise ParseError(f"unexpected token {tok!r}", at)
+        raise ParseError(f"unexpected token {tok!r}", self.here())
 
     def agent_token(self) -> str:
         at = self.here()
         tok = self.take()
-        if not re.fullmatch(r"[A-Za-z0-9_]+", tok):
+        if not _IDENT.fullmatch(tok):
             raise ParseError(f"expected an agent id, found {tok!r}", at)
         if self.universe is not None and tok not in self.universe:
             raise ParseError(f"undeclared agent {tok!r}", at)
@@ -419,11 +406,9 @@ class _Parser:
     def group_literal(self) -> Group:
         at = self.here()
         self.take("{")
-        members = []
         if self.peek() == "}":
-            self.take()
             raise ParseError("empty group", at)
-        members.append(self.agent_token())
+        members = [self.agent_token()]
         while self.peek() == ",":
             self.take()
             members.append(self.agent_token())

@@ -133,8 +133,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("depth", [3000, 600, 900])
     def test_deep_nesting_is_usage_error(self, capsys, depth):
-        # 3000 levels exhaust the parser; 600 and 900 parse, and evaluate because
-        # interned nodes hash and compare without recursing
+        # the parser takes any depth; 3000 levels exhaust evaluation, while 600
+        # and 900 evaluate because interned nodes hash and compare without recursing
         code, out, err = run(capsys, "check", "--model", FIG1_JSON, "--state", "t",
                              "--formula", "~" * depth + "p")
         if depth == 3000:
@@ -142,8 +142,14 @@ class TestCheck:
         else:
             assert (code, out, err) == (0, "true\n", "")
 
+    def test_deep_parentheses_parse(self, capsys):
+        formula = "p & (" * 600 + "p" + ")" * 600
+        code, out, err = run(capsys, "check", "--model", FIG1_JSON, "--state", "t", "--formula", formula)
+        assert (code, out, err) == (0, "true\n", "")
+
     @pytest.mark.parametrize("command", [["reduce"], ["closure"], ["search", "--max-states", "1"]])
     def test_deep_nesting_in_other_commands(self, capsys, command):
+        # 3000 levels parse, then exhaust reduce, render or evaluation
         code, out, err = run(capsys, *command, "--formula", "~" * 3000 + "p")
         assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
 

@@ -516,8 +516,11 @@ def test_queries_past_the_store_cap_stay_right(cold_outcomes, monkeypatch, cap):
     assert replay.rows == sum(len(weights) for _, _, weights, _ in replay.batches)
 
 
-def test_a_replayed_exhaustion_enumerates_no_class(monkeypatch):
+@pytest.mark.parametrize("cap", [None, 300])
+def test_a_replayed_exhaustion_enumerates_no_class(monkeypatch, cap):
     find, text, bounds = STORE_QUERIES[0]
+    if cap is not None:  # the batch that crosses the cap ends the stream of these bounds' 357 rows
+        monkeypatch.setattr(_iso, "_STORE_ROWS", cap)
     _replay.cache_clear()
     first = find(parse(text), bounds)
     assert not first.found

@@ -120,6 +120,53 @@ class TestParse:
         with pytest.raises(ParseError, match="unexpected token"):
             parse("p q", AG)
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("p $", "unexpected character '$'", 2),
+        ("p &", "unexpected end of input", 3),
+        ("[p]", "unexpected end of input", 3),
+        ("(p", "unexpected end of input (expected ))", 2),
+        ("[p", "unexpected end of input (expected ])", 2),
+        ("(p & [q", "unexpected end of input (expected ])", 7),
+        ("D{1", "unexpected end of input (expected })", 3),
+        ("K", "unexpected end of input (expected a formula)", 1),
+        ("(p q)", "expected ')' but found 'q'", 3),
+        ("((p) & q]", "expected ')' but found ']'", 8),
+        ("[p q] r", "expected ']' but found 'q'", 3),
+        ("D p", "expected '{' but found 'p'", 2),
+        ("D{1 2} p", "expected '}' but found '2'", 4),
+        ("p q", "unexpected token 'q'", 2),
+        ("p )", "unexpected token ')'", 2),
+        ("(p))", "unexpected token ')'", 3),
+        ("p & )", "unexpected token ')'", 4),
+        ("D{} p", "empty group", 1),
+        ("K4 p", "undeclared agent '4'", 1),
+        ("K 4 p", "undeclared agent '4'", 2),
+        ("D{1,4} p", "undeclared agent '4'", 4),
+        ("K ( p", "expected an agent id, found '('", 2),
+        ("R{1,} p", "expected an agent id, found '}'", 4),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse(text, AG)
+        assert (info.value.message, info.value.position) == (message, position)
+
+    def test_mixed_chains(self):
+        r, s = Atom("r"), Atom("s")
+        assert parse("p <-> q <-> r", AG) == Iff(Iff(p, q), r)
+        assert parse("p -> q <-> r", AG) == Iff(Implies(p, q), r)
+        assert parse("p <-> q -> r", AG) == Iff(p, Implies(q, r))
+        assert parse("p | q & r | s", AG) == Or(Or(p, And(q, r)), s)
+        assert parse("[p] q & r", AG) == And(Ann(p, q), r)
+        assert parse("~[p] q", AG) == Neg(Ann(p, q))
+
+    def test_nesting_depth_is_unbounded(self):
+        depth = 100_000
+        assert parse("(" * depth + "p" + ")" * depth) is p
+        negated = p
+        for _ in range(depth):
+            negated = Neg(negated)
+        assert parse("~" * depth + "p") is negated
+
 
 class TestRender:
     def test_operator_spellings(self):
@@ -134,6 +181,12 @@ class TestRender:
     def test_left_associated_chain_is_flat(self):
         assert render(And(And(p, q), Atom("r"))) == "p & q & r"
         assert render(And(p, And(q, Atom("r")))) == "p & (q & r)"
+
+    def test_deep_right_nested_conjunction_round_trips(self):
+        f = p
+        for _ in range(900):
+            f = And(p, f)
+        assert parse(render(f), AG) is f
 
 
 agent_st = st.sampled_from(sorted(AG))
