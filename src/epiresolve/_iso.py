@@ -189,10 +189,10 @@ def _size_classes(n: int, agents: int, atoms: int) -> Iterator[tuple]:
             stack.pop()
 
 
-def _classes(bounds: SearchBounds) -> Iterator[tuple]:
-    """(n, index tuple, class weight): one row per class, sizes 1..max_states in turn."""
-    agent_ids, atom_names = _signature(bounds)
-    for n in range(1, bounds.max_states + 1):
+def _classes(key: tuple) -> Iterator[tuple]:
+    """(n, index tuple, class weight) of each class of (max_states, agent ids, atom names), smallest first."""
+    max_states, agent_ids, atom_names = key
+    for n in range(1, max_states + 1):
         for idx, weight in _size_classes(n, len(agent_ids), len(atom_names)):
             yield n, idx, weight
 
@@ -280,10 +280,10 @@ def _packed(runs: list, columns: Sequence, agent_ids: tuple, atom_names: tuple) 
 _STORE_ROWS = 252 + 256 * BATCH_MODELS
 
 
-def _stream(bounds: SearchBounds, start: int, size: int) -> Iterator[tuple]:
-    """Batch-local (runs, index columns, weights, masks) of the class rows in the bounds, from row `start` on."""
-    agent_ids, atom_names = _signature(bounds)
-    for batch in _batches(islice(_classes(bounds), start, None), size):
+def _stream(key: tuple, start: int, size: int) -> Iterator[tuple]:
+    """Batch-local (runs, index columns, weights, masks) of a replay key's class rows, from row `start` on."""
+    _, agent_ids, atom_names = key
+    for batch in _batches(islice(_classes(key), start, None), size):
         sizes = [n for n, _, _ in batch]
         runs = [(n, bisect_left(sizes, n), bisect_right(sizes, n)) for n in dict.fromkeys(sizes)]
         columns = list(zip(*(idx for _, idx, _ in batch)))
@@ -299,8 +299,8 @@ class _Replay:
     exhaustion enumerates nothing.
     """
 
-    def __init__(self, bounds: SearchBounds):
-        self.bounds = bounds
+    def __init__(self, key: tuple):
+        self.key = key
         self.batches: list = []
         self.rows = 0  # rows in the batches held
         self.ended = False
@@ -313,7 +313,7 @@ class _Replay:
             with self._drawing:
                 if k == len(self.batches) and not self.ended and self.rows < _STORE_ROWS:
                     # batch k is 4 << k rows up to BATCH_MODELS, as in one stream from row 0
-                    rest = self._rest or _stream(self.bounds, self.rows, min(4 << k, BATCH_MODELS))
+                    rest = self._rest or _stream(self.key, self.rows, min(4 << k, BATCH_MODELS))
                     self._rest = None  # a draw cut short leaves none: the next starts past the rows held
                     batch = next(rest, None)
                     if batch is None:
@@ -329,7 +329,7 @@ class _Replay:
         if not self.ended:  # past the cap
             with self._drawing:
                 rest, self._rest = self._rest, None
-            rest = rest or _stream(self.bounds, self.rows, min(4 << k, BATCH_MODELS))
+            rest = rest or _stream(self.key, self.rows, min(4 << k, BATCH_MODELS))
             batch = next(rest, None)
             if batch is None:
                 self.ended = True
@@ -339,6 +339,6 @@ class _Replay:
 
 
 @lru_cache(maxsize=4)  # the 4 bounds searched last: as many as the `search` benchmark queries
-def _replay(bounds: SearchBounds) -> _Replay:
-    """The replay of a query's bounds, which `search` reduces to the signature and max_states."""
-    return _Replay(bounds)
+def _replay(key: tuple) -> _Replay:
+    """The replay of a key (max_states, agent ids, atom names), to which `search` reduces a query's bounds."""
+    return _Replay(key)

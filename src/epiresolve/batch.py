@@ -62,17 +62,11 @@ class _Masks:
     reference cycles a finished batch is freed at once.
     """
 
-    announces = True
     empty = 0
 
     def __init__(self, agents: frozenset, full: int, relation_rows, atom_rows):
-        self.agents = agents
-        self.full = full
-        self._relation_rows = relation_rows
-        self._atom_rows = atom_rows
-        self._relations: dict = {}
-        self._bases: dict = {}
-        self._atoms: dict = {}
+        self.agents, self.full, self._relation_rows, self._atom_rows = agents, full, relation_rows, atom_rows
+        self._relations, self._bases, self._atoms = {}, {}, {}
 
     def agent(self, agent: str) -> tuple:
         out = self._relations.get(agent)

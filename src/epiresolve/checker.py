@@ -1,7 +1,8 @@
 """Satisfaction for models and pseudo satisfaction for pre-models.
 
 One evaluation context serves models, pre-models and batches of models
-(`batch.py`), memoizing per formula the set of states where it holds.  No
+(`batch.py`), memoizing per formula the set of states where it holds, in
+postorder and on an explicit stack, so formulas of any depth evaluate.  No
 updated model is built: an iterated resolution only selects an
 intersection of base relations, and `delta` names which one.  So a
 context is a resolution prefix and an alive set.  ``R_G`` opens a child
@@ -19,10 +20,11 @@ members' (a pre-model's is the stored one), or a batch's offset masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .kripke import AnyModel, Model, Partition, PreModel, group_relation
-from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, delta
+from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children, delta, subformulas
 
 
 @dataclass(frozen=True)
@@ -31,11 +33,21 @@ class PointedModel:
     state: str
 
 
+def _plan(f: Formula) -> tuple:
+    """f's subformulas in its own context (R and announcement bodies have theirs), children first, f last."""
+    try:
+        return f._plan + (f,)
+    except AttributeError:
+        plan = tuple(_postorder(f, lambda g: (g.announced,) if type(g) is Ann else () if type(g) is R
+                                else children(g)))
+        object.__setattr__(f, "_plan", plan[:-1])  # less f itself, which would make the node a reference cycle
+        return plan
+
+
 class _Sets:
     """The single-model algebra: frozensets of states and partitions."""
 
     __slots__ = ("model", "agents", "full", "_bases")
-    announces = True
     empty = frozenset()
     restrict = staticmethod(Partition.restrict)
     common = staticmethod(Partition.join_all)
@@ -63,10 +75,9 @@ class _Sets:
 
 
 class _PreSets(_Sets):
-    """Pre-models read stored group relations and have no announcements."""
+    """Pre-models read stored group relations."""
 
     __slots__ = ()
-    announces = False
 
     def base(self, g) -> Partition:
         return self.model.group_relations[g]
@@ -81,13 +92,8 @@ class Context:
 
     __slots__ = ("alg", "prefix", "alive", "_ext", "_rels", "_kids")
 
-    def __init__(self, alg, prefix: tuple, alive, rels: dict):
-        self.alg = alg
-        self.prefix = prefix  # the resolved groups, outermost first
-        self.alive = alive
-        self._ext: dict = {}
-        self._rels = rels
-        self._kids = None
+    def __init__(self, alg, prefix: tuple, alive, rels: dict):  # prefix: the resolved groups, outermost first
+        self.alg, self.prefix, self.alive, self._ext, self._rels, self._kids = alg, prefix, alive, {}, rels, {}
 
     def _rel(self, key):
         """What K (key its agent), D (key its group) or C (key (group,)) reads, restricted to alive."""
@@ -113,8 +119,8 @@ class Context:
 
     def _child(self, key, alive) -> Context:
         """The child that R (key its group) or an announcement (key (announced,)) opens."""
-        if self._kids is None:
-            self._kids = {}
+        if self.prefix and self.prefix[-1] == key:
+            return self  # an immediately repeated resolution changes nothing
         child = self._kids.get(key)
         if child is None:
             if type(key) is tuple:
@@ -125,42 +131,47 @@ class Context:
         return child
 
     def extension(self, f: Formula):
-        cached = self._ext.get(f)
-        if cached is not None:
-            return cached
-        alive, alg, cls = self.alive, self.alg, type(f)
-        if cls is Atom:
-            out = alg.atom(f.name)
-            if alive is not alg.full:
-                out = out & alive
-        elif cls is Neg:
-            out = alive ^ self.extension(f.body)
-        elif cls is And:
-            out = self.extension(f.left) & self.extension(f.right)
-        elif cls is K:
-            out = alg.box(self._rel(f.agent), self.extension(f.body), alive)
-        elif cls is D:
-            out = alg.box(self._rel(f.group), self.extension(f.body), alive)
-        elif cls is C:
-            out = alg.common_box(self._rel((f.group,)), self.extension(f.body), alive)
-        elif cls is R:
-            out = self._child(f.group, alive).extension(f.body)
-        elif cls is Ann:
-            if not alg.announces:
-                raise ValueError("pseudo satisfaction is undefined for announcements")
-            announced = self.extension(f.announced)
-            if not announced:
-                out = alive
+        """The states where f holds.  Each context runs its part of f by its plan; an R or announcement
+        node whose body the child context lacks waits on a stack of frames until the body's plan has run there."""
+        out = self._ext.get(f)
+        if out is not None:
+            return out
+        frames, ctx, plan, start = [], self, _plan(f), 0
+        while True:
+            ext, alive, alg = ctx._ext, ctx.alive, ctx.alg
+            for i, g in enumerate(islice(plan, start, None) if start else plan, start):
+                if g in ext:
+                    continue
+                cls = type(g)
+                if cls is Atom:
+                    out = alg.atom(g.name)
+                    if alive is not alg.full:
+                        out = out & alive
+                elif cls is Neg:
+                    out = alive ^ ext[g.body]
+                elif cls is And:
+                    out = ext[g.left] & ext[g.right]
+                elif cls is K or cls is D:
+                    out = alg.box(ctx._rel(g.agent if cls is K else g.group), ext[g.body], alive)
+                elif cls is C:
+                    out = alg.common_box(ctx._rel((g.group,)), ext[g.body], alive)
+                elif cls is R or cls is Ann and ext[g.announced]:  # the body holds in a child context
+                    announced = cls is Ann and ext[g.announced]
+                    child = ctx._child((announced,), announced) if announced else ctx._child(g.group, alive)
+                    out = child._ext.get(g.body)
+                    if out is None:  # come back to g once the body's plan has run in the child
+                        frames.append((ctx, plan, i))
+                        ctx, plan, start = child, _plan(g.body), 0
+                        break
+                    if announced:
+                        out = (alive ^ announced) | out
+                else:  # true, false, or an announcement that holds nowhere
+                    out = alg.empty if cls is Bot else alive
+                ext[g] = out
             else:
-                out = (alive ^ announced) | self._child((announced,), announced).extension(f.body)
-        elif cls is Top:
-            out = alive
-        elif cls is Bot:
-            out = alg.empty
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._ext[f] = out
-        return out
+                if not frames:
+                    return self._ext[f]
+                ctx, plan, start = frames.pop()
 
 
 class Evaluator(Context):
@@ -179,6 +190,11 @@ class PseudoEvaluator(Evaluator):
 
     __slots__ = ()
     _algebra = _PreSets
+
+    def extension(self, f: Formula):
+        if any(type(g) is Ann for g in subformulas(f)):  # before any part of f is evaluated
+            raise ValueError("pseudo satisfaction is undefined for announcements")
+        return Context.extension(self, f)
 
 
 def evaluator_for(m: AnyModel):

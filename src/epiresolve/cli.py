@@ -1,7 +1,8 @@
 """Command-line surface: check, resolve, reduce, delta, closure, bisim, search, axioms.
 
 Exit codes: 0 for true / success / witness found, 1 for false / none /
-violations reported, 2 for usage or input errors, 141 for a closed stdout.
+violations reported, 2 for usage or input errors, 70 for a fault in the
+program (its traceback goes to stderr), 141 for a closed stdout.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+import traceback
 from functools import lru_cache
 
 from .bisim import bisimilar_pre, trans_bisimilar, witness_to_pairs
@@ -45,29 +46,16 @@ def _parse_sequence(text):
     return [as_group(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-@contextmanager
-def _formula_depth():
-    """Render, reduce and evaluation recurse once per nesting level of the formula; parsing does not."""
-    try:
-        yield
-    except RecursionError:
-        raise ValueError("formula nested too deeply") from None
-
-
 def cmd_check(args) -> int:
     m = load_model(args.model)
     if args.state not in m.states:
         raise ValueError(f"unknown state {args.state!r}")
-    with _formula_depth():
-        f = parse(args.formula, agents=m.agents)
-        if isinstance(m, PreModel):
-            result = satisfies_pseudo(m, args.state, f)
-        else:
-            result = satisfies(m, args.state, f)
-        if args.json:
-            print(json.dumps({"state": args.state, "formula": render(f), "result": result}))
-        else:
-            print("true" if result else "false")
+    f = parse(args.formula, agents=m.agents)
+    result = (satisfies_pseudo if isinstance(m, PreModel) else satisfies)(m, args.state, f)
+    if args.json:
+        print(json.dumps({"state": args.state, "formula": render(f), "result": result}))
+    else:
+        print("true" if result else "false")
     return 0 if result else 1
 
 
@@ -83,13 +71,12 @@ def cmd_resolve(args) -> int:
 
 def cmd_reduce(args) -> int:
     universe = _split_csv(args.agents)
-    with _formula_depth():
-        f = parse(args.formula, agents=universe)
-        reduced = reduce(f)
-        if args.json:
-            print(json.dumps({"input": render(f), "reduced": render(reduced)}))
-        else:
-            print(render(reduced))
+    f = parse(args.formula, agents=universe)
+    reduced = reduce(f)
+    if args.json:
+        print(json.dumps({"input": render(f), "reduced": render(reduced)}))
+    else:
+        print(render(reduced))
     return 0
 
 
@@ -106,14 +93,13 @@ def cmd_delta(args) -> int:
 
 def cmd_closure(args) -> int:
     universe = _split_csv(args.agents)
-    with _formula_depth():
-        f = parse(args.formula, agents=universe)
-        members = sorted(render(g) for g in closure(f))
-        if args.json:
-            print(json.dumps({"formula": render(f), "members": members}))
-        else:
-            for member in members:
-                print(member)
+    f = parse(args.formula, agents=universe)
+    members = sorted(render(g) for g in closure(f))
+    if args.json:
+        print(json.dumps({"formula": render(f), "members": members}))
+    else:
+        for member in members:
+            print(member)
     return 0
 
 
@@ -135,9 +121,8 @@ def cmd_bisim(args) -> int:
 def cmd_search(args) -> int:
     agents = _split_csv(args.agents)
     bounds = SearchBounds(max_states=args.max_states, agents=agents, atoms=_split_csv(args.atoms))
-    with _formula_depth():
-        f = parse(args.formula, agents=agents or None)  # no declared agent: models over agent 1, which K1 names
-        outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
+    f = parse(args.formula, agents=agents or None)  # no declared agent: models over agent 1, which K1 names
+    outcome = find_countermodel(f, bounds) if args.countermodel else find_model(f, bounds)
     examined = f"{outcome.models_examined} models examined, {outcome.classes_examined} evaluated"
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2))
@@ -270,6 +255,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault in the program must never read as an answer: EX_SOFTWARE
+        traceback.print_exc()
+        return 70
 
 
 if __name__ == "__main__":

@@ -14,11 +14,22 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import Agent, Group, GroupLike, as_group, delta, group_key
+
+
+class _lazy:
+    """A value computed on first use and kept in the instance dict, which shadows this descriptor
+    from then on: `functools.cached_property` without the lock its first use takes on 3.10 and 3.11."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.compute(obj))
 
 
 @dataclass(frozen=True)
@@ -60,11 +71,11 @@ class Partition:
     def discrete(states: Iterable[str]) -> "Partition":
         return Partition(frozenset(frozenset([s]) for s in states))
 
-    @cached_property
+    @_lazy
     def _block_index(self) -> dict:
         return {s: block for block in self.blocks for s in block}
 
-    @cached_property
+    @_lazy
     def universe(self) -> frozenset:
         return frozenset(self._block_index)
 

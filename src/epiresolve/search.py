@@ -154,7 +154,8 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
                     )
 
 
-def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
+def _bounds_for_query(bounds: SearchBounds, f: Formula) -> tuple:
+    """(max_states, agent ids, atom names) that a query searches: the key of its replay."""
     used_agents, used_atoms = set(), set()
     for g in subformulas(f):  # one walk for both
         cls = type(g)
@@ -170,7 +171,7 @@ def _bounds_for_query(bounds: SearchBounds, f: Formula) -> SearchBounds:
         if missing:
             raise ValueError(f"query mentions {kind} {sorted(missing)[0]!r} outside the search bounds")
     # seed and instance_count do not change a search: equal signatures and max_states share one replay
-    return SearchBounds(bounds.max_states, agent_ids, atom_names)
+    return bounds.max_states, agent_ids, atom_names
 
 
 def _lowest_point(bits: int, n: int) -> tuple:
@@ -179,9 +180,9 @@ def _lowest_point(bits: int, n: int) -> tuple:
 
 
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
-    bounds = _bounds_for_query(bounds, f)
+    max_states, agent_ids, atom_names = key = _bounds_for_query(bounds, f)
     examined = classes = 0
-    for runs, columns, weights, masks in _replay(bounds):
+    for runs, columns, weights, masks in _replay(key):
         ext = Context(masks, (), masks.full, {}).extension(f)
         points = masks.full & ~ext if falsify else ext
         stop = len(weights)
@@ -192,9 +193,9 @@ def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutco
         classes += stop
         if points:
             n = next(n for n, _, b in runs if k < b)
-            m = _model(n, tuple(column[k] for column in columns), *_signature(bounds))
-            return SearchOutcome(PointedModel(m, sorted(m.states)[i]), bounds.max_states, examined, classes)
-    return SearchOutcome(None, bounds.max_states, examined, classes)
+            m = _model(n, tuple(column[k] for column in columns), agent_ids, atom_names)
+            return SearchOutcome(PointedModel(m, sorted(m.states)[i]), max_states, examined, classes)
+    return SearchOutcome(None, max_states, examined, classes)
 
 
 def find_model(f: Formula, bounds: SearchBounds = SearchBounds()) -> SearchOutcome:
@@ -411,10 +412,8 @@ def _schema_builders(with_common: bool) -> dict:
 def schema_builders(system: str) -> dict:
     """The schema table of a proof system, as instance builders by name."""
     system = system.lower()
-    if system == "rd":
-        return _schema_builders(with_common=False)
-    if system == "rcd":
-        return _schema_builders(with_common=True)
+    if system in ("rd", "rcd"):
+        return _schema_builders(with_common=system == "rcd")
     raise ValueError(f"unknown system {system!r} (expected 'rd' or 'rcd')")
 
 

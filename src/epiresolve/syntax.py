@@ -9,6 +9,8 @@ sees primitive nodes.
 
 Nodes are interned on construction (hash-consing): equal formulas are one
 object, so equality is identity, the hash is the id, and neither recurses.
+Parsing, `render` and the folds over `_postorder` (each distinct subformula
+once, children first) use explicit stacks, so any depth parses, prints and reduces.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _node(key: tuple, cls: type, *values) -> Formula:
 class Formula:
     """An immutable, interned formula node: equal formulas are one object."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_plan")  # _plan: the evaluation order `checker` keeps on the node
     _fields: tuple = ()
 
     def __new__(cls):  # Top and Bot
@@ -166,6 +168,7 @@ class Ann(Formula):
 
 TRUE = Top()
 FALSE = Bot()
+_UNARY = frozenset([Neg, K, D, C, R])  # the nodes whose one child is their body
 
 
 def Or(left: Formula, right: Formula) -> Formula:
@@ -190,27 +193,34 @@ def E(group: GroupLike, body: Formula) -> Formula:
 
 
 def children(f: Formula) -> tuple:
-    if isinstance(f, Neg):
+    cls = type(f)
+    if cls in _UNARY:
         return (f.body,)
-    if isinstance(f, And):
-        return (f.left, f.right)
-    if isinstance(f, (K, D, C, R)):
-        return (f.body,)
-    if isinstance(f, Ann):
-        return (f.announced, f.body)
-    return ()
+    return (f.left, f.right) if cls is And else (f.announced, f.body) if cls is Ann else ()
+
+
+def _postorder(f: Formula, kids=children) -> list:
+    """Each distinct subformula that `kids` reaches from f once, children before parents, f last."""
+    order, seen, stack = [], set(), [f]
+    while stack:
+        g = stack.pop()
+        if g is None:  # the node below it has all its children in order
+            order.append(stack.pop())
+        elif g not in seen:
+            seen.add(g)
+            stack += (g, None)
+            stack += kids(g)[::-1]
+    return order
 
 
 def subformulas(f: Formula) -> frozenset:
     """All subterms of f, including f itself."""
-    seen = set()
-    todo = [f]
+    seen, todo = set(), [f]
     while todo:
         g = todo.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        todo.extend(children(g))
+        if g not in seen:
+            seen.add(g)
+            todo += children(g)
     return frozenset(seen)
 
 
@@ -239,17 +249,14 @@ class LanguageTag(Enum):
 
 def language_of(f: Formula) -> LanguageTag:
     """The smallest of the five supported languages containing f."""
-    subs = subformulas(f)
-    has_c = any(isinstance(g, C) for g in subs)
-    has_r = any(isinstance(g, R) for g in subs)
-    has_ann = any(isinstance(g, Ann) for g in subs)
-    if has_r and has_ann:
+    kinds = set(map(type, subformulas(f)))
+    if R in kinds and Ann in kinds:
         raise ValueError("formula mixes resolution and announcement; no supported language contains both")
-    if has_ann:
+    if Ann in kinds:
         return LanguageTag.PACD
-    if has_r:
-        return LanguageTag.RCD if has_c else LanguageTag.RD
-    return LanguageTag.ELCD if has_c else LanguageTag.ELD
+    if R in kinds:
+        return LanguageTag.RCD if C in kinds else LanguageTag.RD
+    return LanguageTag.ELCD if C in kinds else LanguageTag.ELD
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,8 @@ class _Parser:
     def take(self, expected: Optional[str] = None) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError(f"unexpected end of input (expected {expected or 'a formula'})", self.here())
+            wanted = repr(expected) if expected else "an agent id"
+            raise ParseError(f"unexpected end of input (expected {wanted})", self.here())
         if expected is not None and tok != expected:
             raise ParseError(f"expected {expected!r} but found {tok!r}", self.here())
         self.pos += 1
@@ -410,7 +418,7 @@ class _Parser:
             raise ParseError("empty group", at)
         members = [self.agent_token()]
         while self.peek() == ",":
-            self.take()
+            self.take(",")
             members.append(self.agent_token())
         self.take("}")
         return frozenset(members)
@@ -422,32 +430,31 @@ def parse(text: str, agents: Optional[Iterable[Agent]] = None) -> Formula:
     return _Parser(text, universe).parse()
 
 
-def _render(f: Formula, tight: bool) -> str:
-    # tight: parenthesize conjunctions (they bind looser than this context)
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Neg):
-        return "~" + _render(f.body, True)
-    if isinstance(f, And):
-        out = _render(f.left, False) + " & " + _render(f.right, True)
-        return "(" + out + ")" if tight else out
-    if isinstance(f, K):
-        return f"K{f.agent} " + _render(f.body, True)
-    if isinstance(f, (D, C, R)):
-        head = type(f).__name__
-        return f"{head}{{{group_key(f.group)}}} " + _render(f.body, True)
-    if isinstance(f, Ann):
-        return f"[{_render(f.announced, False)}] " + _render(f.body, True)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def render(f: Formula) -> str:
-    """Print using the concrete grammar; parse(render(f)) == f."""
-    return _render(f, False)
+    """Print using the concrete grammar; parse(render(f)) == f.  A stack holds what is left to print:
+    text, or a node and whether a conjunction there needs brackets, as it binds looser than its context."""
+    pieces, stack = [], [(f, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        g, tight = item
+        cls = type(g)
+        if cls is And:
+            parts = [")", (g.right, True), " & ", (g.left, False), "("]
+            stack += parts if tight else parts[1:4]
+        elif cls is Ann:
+            stack += [(g.body, True), "] ", (g.announced, False), "["]
+        elif cls in _UNARY:
+            head = "~" if cls is Neg else f"K{g.agent} " if cls is K else f"{cls.__name__}{{{group_key(g.group)}}} "
+            pieces.append(head)
+            stack.append((g.body, True))
+        elif cls is Atom or cls is Top or cls is Bot:
+            pieces.append(g.name if cls is Atom else "true" if cls is Top else "false")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +542,8 @@ def closure(f: Formula) -> frozenset:
             new.extend(K(i, g) for i in sorted(g.group))
         prefix, core = _strip_resolutions(g)
         if prefix:
-            if isinstance(core, Neg):
-                new.append(_wrap_resolutions(prefix, core.body))
-            elif isinstance(core, And):
-                new.append(_wrap_resolutions(prefix, core.left))
-                new.append(_wrap_resolutions(prefix, core.right))
+            if isinstance(core, (Neg, And)):
+                new.extend(_wrap_resolutions(prefix, c) for c in children(core))
             elif isinstance(core, (K, D)):
                 new.append(push_modal(prefix, core))
             elif isinstance(core, C):
@@ -554,33 +558,33 @@ def closure(f: Formula) -> frozenset:
 # Reduction normal form
 
 
+def _rebuild(f: Formula, kids: list) -> Formula:
+    """f with its children, always its last fields, replaced in order by kids."""
+    if tuple(kids) == children(f):
+        return f
+    return type(f)(*[getattr(f, name) for name in f._fields[:len(f._fields) - len(kids)]], *kids)
+
+
 def _push_resolution(g: Group, body: Formula) -> Formula:
-    # body is already in normal form; push one R{g} into it
+    """One R{g} pushed into body, which is already in normal form: a fold over the nodes the push enters."""
     if len(g) == 1:
         return body  # resolution by a singleton never changes the model
-    if isinstance(body, (Atom, Top, Bot)):
-        return body
-    if isinstance(body, Neg):
-        return Neg(_push_resolution(g, body.body))
-    if isinstance(body, And):
-        return And(_push_resolution(g, body.left), _push_resolution(g, body.right))
-    if isinstance(body, K):
-        inner = _push_resolution(g, body.body)
-        return D(g, inner) if body.agent in g else K(body.agent, inner)
-    if isinstance(body, D):
-        inner = _push_resolution(g, body.body)
-        return D(g | body.group, inner) if g & body.group else D(body.group, inner)
-    if isinstance(body, C):
-        if not (g & body.group):
-            return C(body.group, _push_resolution(g, body.body))
-        if body.group <= g:
-            return D(g, _push_resolution(g, body.body))
-        return R(g, body)  # overlapping, non-contained: no reduction applies
-    if isinstance(body, R):
-        if body.group == g:
-            return body  # an immediately repeated resolution collapses
-        return R(g, body)
-    return R(g, body)  # announcements have no resolution rewrite
+
+    def stops(h: Formula) -> bool:  # no reduction applies: R, announcements, and C{H} overlapping g without H <= g
+        return type(h) in (R, Ann) or type(h) is C and not h.group <= g and g & h.group
+
+    done: dict = {}
+    for h in _postorder(body, lambda h: () if stops(h) else children(h)):
+        cls = type(h)
+        if stops(h):  # an immediately repeated resolution collapses
+            done[h] = h if cls is R and h.group == g else R(g, h)
+        elif cls is K and h.agent in g or cls is C and h.group <= g:
+            done[h] = D(g, done[h.body])
+        elif cls is D and g & h.group:
+            done[h] = D(g | h.group, done[h.body])
+        else:
+            done[h] = _rebuild(h, [done[c] for c in children(h)])
+    return done[body]
 
 
 def reduce(f: Formula) -> Formula:
@@ -591,20 +595,8 @@ def reduce(f: Formula) -> Formula:
     R{G} C{H} block with overlapping, non-nested groups stays in place,
     as does any resolution applied over such a block or an announcement.
     """
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(reduce(f.body))
-    if isinstance(f, And):
-        return And(reduce(f.left), reduce(f.right))
-    if isinstance(f, K):
-        return K(f.agent, reduce(f.body))
-    if isinstance(f, D):
-        return D(f.group, reduce(f.body))
-    if isinstance(f, C):
-        return C(f.group, reduce(f.body))
-    if isinstance(f, Ann):
-        return Ann(reduce(f.announced), reduce(f.body))
-    if isinstance(f, R):
-        return _push_resolution(f.group, reduce(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    done: dict = {}
+    for g in _postorder(f):
+        kids = [done[c] for c in children(g)]
+        done[g] = _push_resolution(g.group, kids[0]) if type(g) is R else _rebuild(g, kids)
+    return done[f]

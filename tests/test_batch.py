@@ -290,7 +290,7 @@ def test_reimports_do_not_leak_model_classes():
             package = importlib.import_module("epiresolve")
             # a witness query fills the copy's replay and leaves its stream suspended
             assert package.find_model(package.parse("p & ~K1 p"), package.SearchBounds(3)).found
-            assert package._iso._replay(package.SearchBounds(3, ("1",), ("p",)))._rest is not None
+            assert package._iso._replay((3, ("1",), ("p",)))._rest is not None
             refs.append(weakref.ref(package.Model))
     finally:
         for name in [n for n in sys.modules if n == "epiresolve" or n.startswith("epiresolve.")]:

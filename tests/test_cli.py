@@ -133,14 +133,10 @@ class TestCheck:
 
     @pytest.mark.parametrize("depth", [3000, 600, 900])
     def test_deep_nesting_is_usage_error(self, capsys, depth):
-        # the parser takes any depth; 3000 levels exhaust evaluation, while 600
-        # and 900 evaluate because interned nodes hash and compare without recursing
+        # no step keeps a Python frame per nesting level, so every depth gets an answer
         code, out, err = run(capsys, "check", "--model", FIG1_JSON, "--state", "t",
                              "--formula", "~" * depth + "p")
-        if depth == 3000:
-            assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
-        else:
-            assert (code, out, err) == (0, "true\n", "")
+        assert (code, out, err) == (0, "true\n", "")
 
     def test_deep_parentheses_parse(self, capsys):
         formula = "p & (" * 600 + "p" + ")" * 600
@@ -149,9 +145,36 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", [["reduce"], ["closure"], ["search", "--max-states", "1"]])
     def test_deep_nesting_in_other_commands(self, capsys, command):
-        # 3000 levels parse, then exhaust reduce, render or evaluation
+        # 3000 levels parse, reduce, render and evaluate; the closure is ~^k p for k up to 3000
         code, out, err = run(capsys, *command, "--formula", "~" * 3000 + "p")
-        assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+        assert (code, err) == (0, "")
+        if command == ["reduce"]:
+            assert out == "~" * 3000 + "p\n"
+        elif command == ["closure"]:
+            assert out.splitlines() == sorted("~" * k + "p" for k in range(3001))
+        else:
+            assert out.startswith("witness at state 0 ")
+
+    @pytest.mark.parametrize("command, answer", [
+        (["check", "--model", FIG1_JSON, "--state", "t"], "true"),
+        (["check", "--model", FIG1_JSON, "--state", "u"], "false"),
+        (["reduce"], "~" * 100_000 + "p"),
+        (["search", "--max-states", "1"], "witness at state 0 (2 models examined, 2 evaluated)"),
+    ], ids=["check-t", "check-u", "reduce", "search"])
+    def test_100000_nested_negations(self, capsys, command, answer):
+        code, out, err = run(capsys, *command, "--formula", "~" * 100_000 + "p")
+        assert (code, out.splitlines()[0], err) == (1 if answer == "false" else 0, answer, "")
+
+    # S5 makes a repeated K, D or C one (4 and T); RA, applied inside out, makes R{1,2}..R{1,2} p
+    # the atom; and [p] q <-> (p -> q) for atoms makes [p]..[p] p hold everywhere
+    @pytest.mark.parametrize("prefix, equivalent", [
+        ("K1 ", "K1 p"), ("D{1,2} ", "D{1,2} p"), ("C{1,2} ", "C{1,2} p"), ("R{1,2} ", "p"), ("[p] ", "true"),
+    ])
+    def test_3000_nested_modalities(self, capsys, prefix, equivalent):
+        for state in ("s", "t", "u", "v", "w"):
+            expected = run(capsys, "check", "--model", FIG1_JSON, "--state", state, "--formula", equivalent)
+            assert run(capsys, "check", "--model", FIG1_JSON, "--state", state,
+                       "--formula", prefix * 3000 + "p") == expected
 
 
 class TestResolve:
@@ -408,6 +431,18 @@ def test_closed_stdout_exits_141_silently(capsys, monkeypatch, buffering):
         code = main(["axioms", "--system", "rd", "--max-states", "1", "--instances", "5"])
         assert (code, capsys.readouterr().err) == (141, "")
         closed.write("the exit flush goes to devnull\n")
+
+
+def test_a_crash_exits_70_with_its_traceback(capsys, monkeypatch):
+    # an unexpected exception is a fault in the program, never a "false" (1) or an input error (2)
+    def broken(*args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr("epiresolve.cli.delta", broken)
+    code, out, err = run(capsys, "delta", "--target", "1", "--sequence", "1,2")
+    assert (code, out) == (70, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: broken on purpose\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -1,8 +1,9 @@
 """Fuzzing the command line: every input gets an exit code in {0, 1, 2}.
 
 Formula text, model files and flags are drawn at small bounds, well formed
-or not.  A crash would surface as an uncaught exception, never as an exit
-code, so it cannot pass for a "false" (1) or an input error (2).
+or not; some formulas sit under thousands of prefix operators.  A crash
+exits 70 with its traceback, never with a code in that set, so it cannot
+pass for a "false" (1) or an input error (2).
 """
 
 import contextlib
@@ -34,9 +35,15 @@ def _extend(inner):
     )
 
 
-formula_text = st.one_of(
+shallow_text = st.one_of(
     st.recursive(st.sampled_from(["p", "q", "r", "true", "false"]), _extend, max_leaves=6),
     st.text(alphabet="pqK129DCER{},[]()~&|-<> ", max_size=14),
+)
+# one prefix operator repeated 1,000-3,000 times: no command may depend on Python's recursion limit
+prefix = st.sampled_from(["~", "K1 ", "K9 ", "D{1,2} ", "C{1,2} ", "R{1,2} ", "R{1,9} ", "[p] ", "[K1 q] "])
+formula_text = st.one_of(
+    shallow_text,
+    st.tuples(prefix, st.integers(1000, 3000), shallow_text).map(lambda t: t[0] * t[1] + t[2]),
 )
 
 

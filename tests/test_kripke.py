@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -299,6 +301,17 @@ class TestRelationAlgebraReference:
             assert left.meet(right).universe == left.universe & right.universe
             assert Partition.join_all([left, right]) == reference_join([left, right])
             assert Partition.join_all([left, right]).universe == left.universe | right.universe
+
+    def test_lazy_index_keeps_equality_hash_and_pickling(self):
+        # _block_index and universe are plain attributes, filled in on first use
+        part = Partition(frozenset([frozenset(["s", "t"]), frozenset(["u"])]))
+        fresh = pickle.loads(pickle.dumps(part))
+        assert part.block_of("t") == frozenset(["s", "t"]) and part.universe == frozenset("stu")
+        assert {"_block_index", "universe"} <= vars(part).keys() and not vars(fresh).keys() - {"blocks"}
+        assert fresh == part and hash(fresh) == hash(part) and pickle.loads(pickle.dumps(part)) == part
+        assert fresh.related("s", "t") and copy.deepcopy(part).universe == part.universe
+        with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+            part.missing
 
     def test_derived_relations_on_a_large_model(self):
         rng = random.Random(800)

@@ -1,5 +1,8 @@
 """Reduction normal form: shape of the output and semantic equivalence."""
 
+import pytest
+
+from epiresolve import syntax
 from epiresolve.checker import Evaluator
 from epiresolve.search import FormulaGen
 from epiresolve.syntax import (
@@ -105,3 +108,21 @@ def test_reduction_of_announcements_leaves_them_alone():
     assert reduce(f) == f
     g = parse("R{1,2} [p] p", AG)
     assert reduce(g) == g
+
+
+def test_shared_subformulas_are_rewritten_once(monkeypatch):
+    # 60 doublings of p & p: 62 distinct nodes, 2**60 occurrences
+    x = p
+    for _ in range(60):
+        x = And(x, x)
+    calls = []
+
+    def counted(f, kids, rebuild=syntax._rebuild):
+        calls.append(f)
+        if len(calls) > 1000:
+            pytest.fail("reduce rewrites a shared subformula once per occurrence")
+        return rebuild(f, kids)
+
+    monkeypatch.setattr(syntax, "_rebuild", counted)
+    assert reduce(R(grp("1,2"), x)) is x
+    assert len(calls) == 2 * 61  # every node but R once in reduce, every node below R once in the push

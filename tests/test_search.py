@@ -185,10 +185,15 @@ def canonical(m):
 CLASS_BOUNDS = [(5, 1, 0), (5, 1, 1), (5, 2, 0), (5, 2, 1), (4, 3, 0), (4, 3, 1), (3, 1, 2), (3, 2, 2)]
 
 
+def classes(bounds):
+    """`_classes` of bounds that declare their agents and atoms."""
+    return _classes((bounds.max_states, bounds.agents, bounds.atoms))
+
+
 def representatives(bounds):
     """(model, class size) of every row of `_classes`."""
     agent_ids, atom_names = list(bounds.agents), list(bounds.atoms)
-    return [(_model(n, idx, agent_ids, atom_names), size) for n, idx, size in _classes(bounds)]
+    return [(_model(n, idx, agent_ids, atom_names), size) for n, idx, size in classes(bounds)]
 
 
 class TestIsomorphismClasses:
@@ -197,7 +202,7 @@ class TestIsomorphismClasses:
         agent_ids, atom_names = signature(agents, atoms)
         bounds = SearchBounds(states, agent_ids, atom_names)
         per_size = {}
-        for n, idx, size in _classes(bounds):
+        for n, idx, size in classes(bounds):
             assert len(idx) == agents + atoms
             per_size[n] = per_size.get(n, 0) + size
         bell = {n: sum(1 for _ in set_partitions(range(n))) for n in range(1, states + 1)}
@@ -346,7 +351,7 @@ BATCH_BOUNDS = SearchBounds(3, ("1", "2"), ("p", "q"))
 # size in the batch where sizes change.
 @pytest.mark.parametrize("row", [0, 3, 5, 12, 27, 28, 32, 50, 251, 252])
 def test_witnesses_at_batch_edges_match_a_labelled_loop(row):
-    rows = list(_classes(BATCH_BOUNDS))
+    rows = list(classes(BATCH_BOUNDS))
     batches = list(_batches(rows))
     assert [len(b) for b in batches] == [4, 8, 16, 32, 64, 128, 136]
     assert [n for n, _, _ in batches[3]] == [2] * 16 + [3] * 16
@@ -355,7 +360,7 @@ def test_witnesses_at_batch_edges_match_a_labelled_loop(row):
 
 def test_witness_inside_a_full_batch_at_five_states_three_agents():
     bounds = SearchBounds(5, ("1", "2", "3"), ("p",))
-    rows = list(islice(_classes(bounds), 600))
+    rows = list(islice(classes(bounds), 600))
     sizes = [len(b) for b in islice(_batches(rows), 7)]
     assert sizes == [4, 8, 16, 32, 64, 128, BATCH_MODELS] and sum(sizes[:6]) == 252
     # row 302 is 4-state, inside the batch of rows 252-507
@@ -364,7 +369,7 @@ def test_witness_inside_a_full_batch_at_five_states_three_agents():
 
 def test_exhaustion_at_nine_states_packs_two_byte_slots():
     bounds = SearchBounds(9, ("1",), ())
-    widths = [{(n + 7) // 8 for n, _, _ in b} for b in _batches(_classes(bounds))]
+    widths = [{(n + 7) // 8 for n, _, _ in b} for b in _batches(classes(bounds))]
     assert all(len(w) == 1 for w in widths) and set().union(*widths) == {1, 2}
     f = parse("~K1 true")
     assert labelled_first_point(f, model_list(9, ("1",), ()), falsify=False) is None
@@ -398,7 +403,7 @@ def test_sizes_without_tables_or_with_few_models_come_labelled():
     assert representatives(bounds) == [(m, 1) for m in enumerate_models(bounds)]
     # one agent, one atom: reduced up to 7 states, labelled at 8
     weights = {}
-    for n, _, size in _classes(SearchBounds(8, ("1",), ("p",))):
+    for n, _, size in classes(SearchBounds(8, ("1",), ("p",))):
         if n < 7:
             continue
         weights.setdefault(n, set()).add(size)
@@ -511,7 +516,7 @@ def test_queries_past_the_store_cap_stay_right(cold_outcomes, monkeypatch, cap):
     assert run_store_queries(range(len(STORE_QUERIES))) == cold_outcomes
     assert run_store_queries(reversed(range(len(STORE_QUERIES)))) == cold_outcomes
     # the last query exhausts 357 rows; the replay holds whole batches up to the first boundary at or past the cap
-    replay = _replay(SearchBounds(4, ("1", "2"), ("p",)))
+    replay = _replay((4, ("1", "2"), ("p",)))
     assert replay.rows >= cap > replay.rows - len(replay.batches[-1][2])
     assert replay.rows == sum(len(weights) for _, _, weights, _ in replay.batches)
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -124,11 +125,11 @@ class TestParse:
         ("p $", "unexpected character '$'", 2),
         ("p &", "unexpected end of input", 3),
         ("[p]", "unexpected end of input", 3),
-        ("(p", "unexpected end of input (expected ))", 2),
-        ("[p", "unexpected end of input (expected ])", 2),
-        ("(p & [q", "unexpected end of input (expected ])", 7),
-        ("D{1", "unexpected end of input (expected })", 3),
-        ("K", "unexpected end of input (expected a formula)", 1),
+        ("(p", "unexpected end of input (expected ')')", 2),
+        ("[p", "unexpected end of input (expected ']')", 2),
+        ("(p & [q", "unexpected end of input (expected ']')", 7),
+        ("D{1", "unexpected end of input (expected '}')", 3),
+        ("K", "unexpected end of input (expected an agent id)", 1),
         ("(p q)", "expected ')' but found 'q'", 3),
         ("((p) & q]", "expected ')' but found ']'", 8),
         ("[p q] r", "expected ']' but found 'q'", 3),
@@ -187,6 +188,21 @@ class TestRender:
         for _ in range(900):
             f = And(p, f)
         assert parse(render(f), AG) is f
+
+    def test_100000_levels_round_trip(self):
+        f = p
+        for k in range(100_000):
+            f = [Neg, partial(K, "1"), partial(R, "1,2"), partial(Ann, q), partial(And, q)][k % 5](f)
+        assert parse(render(f), AG) is f
+
+
+def test_postorder_visits_each_distinct_subformula_once_children_first():
+    shared = And(p, q)
+    f = Ann(shared, Neg(And(shared, K("1", shared))))
+    order = syntax._postorder(f)
+    assert len(order) == len(set(order)) == len(subformulas(f))
+    assert order[-1] is f and order[:3] == [p, q, shared]
+    assert all(order.index(c) < order.index(g) for g in order for c in syntax.children(g))
 
 
 agent_st = st.sampled_from(sorted(AG))
