@@ -105,11 +105,11 @@ def _signature(bounds: SearchBounds, agents: Sequence[str] = ("1",), atoms: Sequ
     """(agent ids, atom names) of the models within the bounds.
 
     Agents or atoms the bounds leave undeclared (None) are the given
-    defaults.  A declared empty atom list is kept; no declared agent means
-    agent 1 alone, since a model has at least one agent.
+    defaults, sorted.  A declared empty atom list is kept; no declared agent
+    means agent 1 alone, since a model has at least one agent.
     """
-    agent_ids = agents if bounds.agents is None else bounds.agents
-    return agent_ids or ("1",), atoms if bounds.atoms is None else bounds.atoms
+    agent_ids = tuple(sorted(agents)) if bounds.agents is None else bounds.agents
+    return agent_ids or ("1",), tuple(sorted(atoms)) if bounds.atoms is None else bounds.atoms
 
 
 def _labelled(n: int, agents: int, atoms: int) -> Iterator[tuple]:

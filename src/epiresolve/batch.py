@@ -59,26 +59,27 @@ class _Masks:
     the rows' slot bits of the atom, read from index columns through
     per-size tables (`_iso._packed`).  They close over the columns, never
     over a batch: evaluation contexts read these masks, and without
-    reference cycles a finished batch is freed at once.
+    reference cycles a finished batch is freed at once.  The relations are
+    kept in ``rels``, which every root context on the batch shares as its map.
     """
 
     empty = 0
 
     def __init__(self, agents: frozenset, full: int, relation_rows, atom_rows):
         self.agents, self.full, self._relation_rows, self._atom_rows = agents, full, relation_rows, atom_rows
-        self._relations, self._bases, self._atoms = {}, {}, {}
+        self.rels, self._atoms = {}, {}
 
     def agent(self, agent: str) -> tuple:
-        out = self._relations.get(agent)
+        out = self.rels.get(agent)
         if out is None:
             masks = enumerate(map(_pack, self._relation_rows(agent)), 1)
-            out = self._relations[agent] = tuple((d, m) for d, m in masks if m)
+            out = self.rels[agent] = tuple((d, m) for d, m in masks if m)
         return out
 
     def base(self, g) -> tuple:
-        out = self._bases.get(g)
+        out = self.rels.get(g)
         if out is None:
-            out = self._bases[g] = _meet([self.agent(a) for a in sorted(g)])
+            out = self.rels[g] = _meet([self.agent(a) for a in sorted(g)])
         return out
 
     def atom(self, name: str) -> int:

@@ -15,6 +15,8 @@ by step.  C closes the agent relations inside alive.
 Relations come from an algebra, picked by what is evaluated: frozensets
 and partitions for one model, whose base relation is the meet of the
 members' (a pre-model's is the stored one), or a batch's offset masks.
+The root context's relation map (`Context._rel`) is the algebra's ``rels``,
+where the algebra also keeps the relations it computes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import islice
 from typing import Iterable
 
 from .kripke import AnyModel, Model, Partition, PreModel, group_relation
-from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children, delta, subformulas
+from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children, delta
 
 
 @dataclass(frozen=True)
@@ -47,21 +49,21 @@ def _plan(f: Formula) -> tuple:
 class _Sets:
     """The single-model algebra: frozensets of states and partitions."""
 
-    __slots__ = ("model", "agents", "full", "_bases")
+    __slots__ = ("model", "agents", "full", "rels")
     empty = frozenset()
     restrict = staticmethod(Partition.restrict)
     common = staticmethod(Partition.join_all)
 
     def __init__(self, model: AnyModel):
-        self.model, self.agents, self.full, self._bases = model, model.agents, model.states, {}
+        self.model, self.agents, self.full, self.rels = model, model.agents, model.states, dict(model.relations)
 
     def agent(self, a: str) -> Partition:
         return self.model.relations[a]
 
     def base(self, g) -> Partition:
-        rel = self._bases.get(g)
+        rel = self.rels.get(g)
         if rel is None:
-            rel = self._bases[g] = group_relation(self.model, g)
+            rel = self.rels[g] = group_relation(self.model, g)
         return rel
 
     def atom(self, name: str) -> frozenset:
@@ -181,7 +183,8 @@ class Evaluator(Context):
     _algebra = _Sets
 
     def __init__(self, model: AnyModel):
-        Context.__init__(self, self._algebra(model), (), model.states, dict(model.relations))
+        alg = self._algebra(model)
+        Context.__init__(self, alg, (), alg.full, alg.rels)
         self.model = model
 
 
@@ -192,7 +195,7 @@ class PseudoEvaluator(Evaluator):
     _algebra = _PreSets
 
     def extension(self, f: Formula):
-        if any(type(g) is Ann for g in subformulas(f)):  # before any part of f is evaluated
+        if f._kinds & Ann._kind:  # before any part of f is evaluated
             raise ValueError("pseudo satisfaction is undefined for announcements")
         return Context.extension(self, f)
 

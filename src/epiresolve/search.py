@@ -59,7 +59,6 @@ from .syntax import (
     Or,
     R,
     render,
-    subformulas,
 )
 
 
@@ -154,36 +153,20 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
                     )
 
 
-def _bounds_for_query(bounds: SearchBounds, f: Formula) -> tuple:
-    """(max_states, agent ids, atom names) that a query searches: the key of its replay."""
-    used_agents, used_atoms = set(), set()
-    for g in subformulas(f):  # one walk for both
-        cls = type(g)
-        if cls is Atom:
-            used_atoms.add(g.name)
-        elif cls is K:
-            used_agents.add(g.agent)
-        elif cls is D or cls is C or cls is R:
-            used_agents.update(g.group)
-    agent_ids, atom_names = _signature(bounds, tuple(sorted(used_agents)), tuple(sorted(used_atoms)))
-    for kind, used, declared in (("agent", used_agents, agent_ids), ("atom", used_atoms, atom_names)):
-        missing = used - set(declared)
-        if missing:
-            raise ValueError(f"query mentions {kind} {sorted(missing)[0]!r} outside the search bounds")
-    # seed and instance_count do not change a search: equal signatures and max_states share one replay
-    return bounds.max_states, agent_ids, atom_names
-
-
 def _lowest_point(bits: int, n: int) -> tuple:
     """(row, state bit) of the lowest bit set in the extension of a batch packed as n-state slots."""
     return divmod((bits & -bits).bit_length() - 1, 8 * _slot_bytes(n))
 
 
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
-    max_states, agent_ids, atom_names = key = _bounds_for_query(bounds, f)
+    agent_ids, atom_names = _signature(bounds, f._agents, f._atoms)
+    for kind, used, declared in (("agent", f._agents, agent_ids), ("atom", f._atoms, atom_names)):
+        if not used.issubset(declared):
+            raise ValueError(f"query mentions {kind} {min(used.difference(declared))!r} outside the search bounds")
     examined = classes = 0
-    for runs, columns, weights, masks in _replay(key):
-        ext = Context(masks, (), masks.full, {}).extension(f)
+    # seed and instance_count do not change a search: equal signatures and max_states share one replay
+    for runs, columns, weights, masks in _replay((bounds.max_states, agent_ids, atom_names)):
+        ext = Context(masks, (), masks.full, masks.rels).extension(f)
         points = masks.full & ~ext if falsify else ext
         stop = len(weights)
         if points:
@@ -194,8 +177,8 @@ def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutco
         if points:
             n = next(n for n, _, b in runs if k < b)
             m = _model(n, tuple(column[k] for column in columns), agent_ids, atom_names)
-            return SearchOutcome(PointedModel(m, sorted(m.states)[i]), max_states, examined, classes)
-    return SearchOutcome(None, max_states, examined, classes)
+            return SearchOutcome(PointedModel(m, sorted(m.states)[i]), bounds.max_states, examined, classes)
+    return SearchOutcome(None, bounds.max_states, examined, classes)
 
 
 def find_model(f: Formula, bounds: SearchBounds = SearchBounds()) -> SearchOutcome:
@@ -557,7 +540,7 @@ def _sweep(formulas: Sequence[Formula], bounds: SearchBounds, first_only: bool =
         labelled = _labelled(n, len(agent_ids), len(atom_names))
         while chunk := list(islice(labelled, BATCH_MODELS)):
             masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agent_ids, atom_names)
-            root = Context(masks, (), masks.full, {})
+            root = Context(masks, (), masks.full, masks.rels)
             bad = [masks.full & ~root.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
             rows = [_rows(bits, _slot_bytes(n), len(chunk)) for bits in bad]
             models = [_model(n, idx, agent_ids, atom_names) for idx in chunk]

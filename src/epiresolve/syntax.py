@@ -9,6 +9,10 @@ sees primitive nodes.
 
 Nodes are interned on construction (hash-consing): equal formulas are one
 object, so equality is identity, the hash is the id, and neither recurses.
+Each node also carries facts, built from its children's before it is
+interned: the agents and atoms it mentions and a mask of the kinds of node
+in it (each class's ``_kind`` bit), so `atoms`, `agents`, `language_of`
+and the announcement and resolution checks read a field instead of walking.
 Parsing, `render` and the folds over `_postorder` (each distinct subformula
 once, children first) use explicit stacks, so any depth parses, prints and reduces.
 """
@@ -55,17 +59,31 @@ def group_key(g: GroupLike) -> str:
 _table: dict = {}
 _lock = threading.Lock()
 _MIN_PRUNE = _prune_at = 1024
+_NONE = frozenset()
+_shared: dict = {}  # one object per distinct fact (a set or a mask) of the nodes entered since the last prune
 
 
 def _node(key: tuple, cls: type, *values) -> Formula:
-    """The live node of the key, or a new one entered in the table."""
+    """The live node of the key, or a new one entered in the table with its facts set."""
     global _prune_at
     ref = _table.get(key)
     node = ref and ref()
     if node is None:
         node = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
+        agents, atoms, kinds = _NONE, _NONE, cls._kind
+        for name, value in zip(cls._fields, values):  # a node's own mention is its first field
             object.__setattr__(node, name, value)
+            if isinstance(value, Formula):  # a child: the node mentions what it mentions
+                agents, atoms, kinds = agents | value._agents, atoms | value._atoms, kinds | value._kinds
+            elif name == "name":
+                atoms = frozenset((value,))
+            elif name == "agent":
+                agents = frozenset((value,))
+            elif name == "group":
+                agents = value
+        object.__setattr__(node, "_agents", _shared.setdefault(agents, agents))
+        object.__setattr__(node, "_atoms", _shared.setdefault(atoms, atoms))
+        object.__setattr__(node, "_kinds", _shared.setdefault(kinds, kinds))
         with _lock:
             old = _table.get(key)
             old = old and old()
@@ -76,13 +94,15 @@ def _node(key: tuple, cls: type, *values) -> Formula:
                 for k in [k for k, r in _table.items() if r() is None]:
                     del _table[k]
                 _prune_at = max(2 * len(_table), _MIN_PRUNE)
+                _shared.clear()  # live nodes keep their facts; the next ones share anew
     return node
 
 
 class Formula:
     """An immutable, interned formula node: equal formulas are one object."""
 
-    __slots__ = ("__weakref__", "_plan")  # _plan: the evaluation order `checker` keeps on the node
+    # _plan: the evaluation order `checker` keeps on the node; the others are the node's facts
+    __slots__ = ("__weakref__", "_plan", "_agents", "_atoms", "_kinds")
     _fields: tuple = ()
 
     def __new__(cls):  # Top and Bot
@@ -166,6 +186,8 @@ class Ann(Formula):
         return _node((cls, id(announced), id(body)), cls, announced, body)
 
 
+for _bit, _cls in enumerate((Atom, Top, Bot, Neg, And, K, D, C, R, Ann)):
+    _cls._kind = 1 << _bit
 TRUE = Top()
 FALSE = Bot()
 _UNARY = frozenset([Neg, K, D, C, R])  # the nodes whose one child is their body
@@ -215,28 +237,16 @@ def _postorder(f: Formula, kids=children) -> list:
 
 def subformulas(f: Formula) -> frozenset:
     """All subterms of f, including f itself."""
-    seen, todo = set(), [f]
-    while todo:
-        g = todo.pop()
-        if g not in seen:
-            seen.add(g)
-            todo += children(g)
-    return frozenset(seen)
+    return frozenset(_postorder(f))
 
 
 def atoms(f: Formula) -> frozenset:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    return f._atoms
 
 
 def agents(f: Formula) -> frozenset:
     """Every agent id mentioned by f, directly or through a group."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, K):
-            out.add(g.agent)
-        elif isinstance(g, (D, C, R)):
-            out.update(g.group)
-    return frozenset(out)
+    return f._agents
 
 
 class LanguageTag(Enum):
@@ -249,7 +259,7 @@ class LanguageTag(Enum):
 
 def language_of(f: Formula) -> LanguageTag:
     """The smallest of the five supported languages containing f."""
-    kinds = set(map(type, subformulas(f)))
+    kinds = {cls for cls in (C, R, Ann) if f._kinds & cls._kind}
     if R in kinds and Ann in kinds:
         raise ValueError("formula mixes resolution and announcement; no supported language contains both")
     if Ann in kinds:
@@ -520,7 +530,7 @@ def closure(f: Formula) -> frozenset:
     steps (conjunction and negation distribute; prefixed K/D/C add their
     D{delta} counterparts; prefixed C also sheds its C).
     """
-    if any(isinstance(g, Ann) for g in subformulas(f)):
+    if f._kinds & Ann._kind:
         raise ValueError("closure is defined for announcement-free formulas only")
 
     out = set()
@@ -595,8 +605,10 @@ def reduce(f: Formula) -> Formula:
     R{G} C{H} block with overlapping, non-nested groups stays in place,
     as does any resolution applied over such a block or an announcement.
     """
+    if not f._kinds & R._kind:
+        return f
     done: dict = {}
-    for g in _postorder(f):
-        kids = [done[c] for c in children(g)]
+    for g in _postorder(f, lambda g: [c for c in children(g) if c._kinds & R._kind]):
+        kids = [done.get(c, c) for c in children(g)]  # a resolution-free child comes back as it is
         done[g] = _push_resolution(g.group, kids[0]) if type(g) is R else _rebuild(g, kids)
     return done[f]

@@ -125,4 +125,16 @@ def test_shared_subformulas_are_rewritten_once(monkeypatch):
 
     monkeypatch.setattr(syntax, "_rebuild", counted)
     assert reduce(R(grp("1,2"), x)) is x
-    assert len(calls) == 2 * 61  # every node but R once in reduce, every node below R once in the push
+    # reduce leaves the resolution-free body alone; the push rewrites every node below R once
+    assert len(calls) == 61
+
+
+def test_resolution_free_subtrees_come_back_without_a_rebuild(monkeypatch):
+    calls = []
+    rebuild = syntax._rebuild
+    monkeypatch.setattr(syntax, "_rebuild", lambda f, kids: calls.append(f) or rebuild(f, kids))
+    free = parse("K1 (p & C{1,2} ~q) & [p] D{2,3} q", AG)
+    assert reduce(free) is free and calls == []
+    f = And(free, R(grp("1,2"), K("3", p)))
+    assert reduce(f) is And(free, K("3", p))
+    assert calls == [p, K("3", p), f]  # the push's fold below R, then the root: nothing inside free

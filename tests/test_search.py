@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import random
+import sys
 import threading
 import time
 from itertools import islice, permutations, product
@@ -14,7 +15,7 @@ import pytest
 import reference_evaluator as ref
 from epiresolve import _iso, search
 from conftest import model_list
-from epiresolve.checker import satisfies
+from epiresolve.checker import Context, satisfies
 from epiresolve.batch import BATCH_MODELS
 from epiresolve.kripke import all_groups, group_relation, validate
 from epiresolve._iso import _batches, _classes, _model, _pair_table, _replay, _subset_table, _values
@@ -450,10 +451,10 @@ STORE_QUERIES = [
 ]
 
 
-def run_store_queries(order):
+def run_store_queries(order, queries=STORE_QUERIES):
     outcomes = {}
     for k in order:
-        find, text, bounds = STORE_QUERIES[k]
+        find, text, bounds = queries[k]
         outcomes[k] = find(parse(text, set(bounds.agents)), bounds)
     return outcomes
 
@@ -587,6 +588,96 @@ def test_threads_sharing_the_stores_get_the_cold_outcomes(cold_outcomes, monkeyp
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert results == [cold_outcomes] * workers
+
+
+# Queries where a resolution's child context reads what a root context
+# also reads (K1 under R{1,2}, then K1 at the root), on two bounds.  Were a
+# child's reads left in the root's map, K2 p & ~K1 p would read as the
+# unsatisfiable D{1,2} p & ~D{1,2} p after a query under R{1,2}.
+ROOT_QUERIES = [
+    (find_model, text, SearchBounds(4, agents, ("p",)))
+    for agents, texts in ((("1", "2", "3"), ["R{1,2} (p & ~K1 p)", "K2 p & ~K1 p", "R{1,3} ~K3 p & K1 p",
+                                              "~C{1,2} p & p & K3 p", "R{1,2} D{2,3} p & ~D{2,3} p"]),
+                          (("1", "2"), ["R{1,2} ~K2 p & p", "K1 p & ~K2 p", "K2 p & ~C{1,2} p"]))
+    for text in texts
+]
+
+
+@pytest.fixture
+def cold_root_outcomes():
+    """Each root query's outcome from empty replays; the replays are emptied again afterwards."""
+    outcomes = {}
+    for k in range(len(ROOT_QUERIES)):
+        _replay.cache_clear()
+        outcomes.update(run_store_queries([k], ROOT_QUERIES))
+    yield outcomes
+    _replay.cache_clear()
+
+
+def root_batches(bounds) -> list:
+    return _replay((bounds.max_states, bounds.agents, bounds.atoms)).batches
+
+
+def fill_root_relations(masks, rng) -> None:
+    """Empty a batch's shared root relations, or fill some or all of what a root context reads."""
+    if rng.random() < 0.3:
+        masks.rels.clear()
+        return
+    root = Context(masks, (), masks.full, masks.rels)
+    groups = all_groups(sorted(masks.agents))
+    keys = sorted(masks.agents) + groups + [(g,) for g in groups]
+    for key in rng.sample(keys, rng.randint(1, len(keys))):
+        root._rel(key)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_outcomes_do_not_depend_on_what_the_root_relations_hold(cold_root_outcomes, seed):
+    rng = random.Random(seed)
+    order = list(range(len(ROOT_QUERIES))) * 3
+    rng.shuffle(order)  # queries on the other bounds come between two on the same bounds
+    _replay.cache_clear()
+    for k in order:
+        for *_, masks in root_batches(ROOT_QUERIES[k][2]):
+            fill_root_relations(masks, rng)
+        assert run_store_queries([k], ROOT_QUERIES) == {k: cold_root_outcomes[k]}
+    for _, _, bounds in ROOT_QUERIES:
+        # what a root context reads: at most each agent's, each group's and each group's common relation
+        assert all(len(masks.rels) <= len(bounds.agents) + 2 * (2 ** len(bounds.agents) - 1)
+                   for *_, masks in root_batches(bounds))
+
+
+def test_threads_filling_the_root_relations_get_the_cold_outcomes(cold_root_outcomes):
+    workers = (os.cpu_count() or 1) + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that fills of one relation interleave
+    try:
+        for seed in range(3):  # each round, every thread meets held batches with emptied root relations
+            order = list(range(len(ROOT_QUERIES)))
+            random.Random(seed).shuffle(order)
+            run_store_queries(order, ROOT_QUERIES)
+            for _, _, bounds in ROOT_QUERIES:
+                for *_, masks in root_batches(bounds):
+                    masks.rels.clear()
+            results, errors = [], []
+            start = threading.Barrier(workers, timeout=60)
+
+            def work(k):
+                try:
+                    start.wait()
+                    results.append(run_store_queries(order[k:] + order[:k], ROOT_QUERIES))
+                except Exception as exc:  # reported below, with every other thread's outcome
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert results == [cold_root_outcomes] * workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 SMALL = SearchBounds(max_states=2, agents=("1", "2"), atoms=("p",), instance_count=60)

@@ -348,3 +348,116 @@ class TestInterning:
             Atom(f"v{i}")
         assert live() <= baseline
         assert len(syntax._table) <= max(2 * live() + 2, syntax._MIN_PRUNE)
+
+
+KINDS = (Atom, Top, Bot, Neg, And, K, D, C, R, Ann)
+
+
+def walked_facts(f):
+    """(agents, atoms, kinds) of f by a plain walk over its subformulas."""
+    mentioned, names, kinds = set(), set(), set()
+    for g in subformulas(f):
+        kinds.add(type(g))
+        if type(g) is Atom:
+            names.add(g.name)
+        elif type(g) is K:
+            mentioned.add(g.agent)
+        elif type(g) in (D, C, R):
+            mentioned |= g.group
+    return mentioned, names, kinds
+
+
+def node_facts(f):
+    return f._agents, f._atoms, {cls for cls in KINDS if f._kinds & cls._kind}
+
+
+class TestNodeFacts:
+    def test_kinds_have_one_bit_each(self):
+        assert sorted(cls._kind for cls in KINDS) == [1 << k for k in range(len(KINDS))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_node_of_generated_formulas_matches_a_walk(self, seed):
+        from epiresolve.search import FormulaGen
+
+        gen = FormulaGen(["1", "2", "3"], ["p", "q", "r"], seed=seed, depth=5, allow_ann=True)
+        for _ in range(60):
+            f = gen.formula()
+            for g in subformulas(f):
+                assert node_facts(g) == walked_facts(g), render(g)
+            assert atoms(f) == f._atoms and agents(f) == f._agents
+
+    @settings(deadline=None)
+    @given(formula_st)
+    def test_drawn_formulas_match_a_walk(self, f):
+        assert node_facts(f) == walked_facts(f)
+
+    def test_shared_and_deep_formulas(self):
+        x = And(K("1", p), D("2,3", q))
+        for _ in range(60):  # 2**60 occurrences of the leaves, 64 distinct nodes
+            x = And(x, Neg(x))
+        assert node_facts(x) == ({"1", "2", "3"}, {"p", "q"}, {Atom, Neg, And, K, D})
+        deep = p
+        for k in range(100_000):
+            deep = [Neg, partial(R, "1,2"), partial(C, "3"), partial(Ann, q), partial(K, "4")][k % 5](deep)
+        assert node_facts(deep) == walked_facts(deep) == ({"1", "2", "3", "4"}, {"p", "q"},
+                                                          {Atom, Neg, R, C, Ann, K})
+        assert language_of(parse("~" * 100_000 + "C{1,2} p")) is LanguageTag.ELCD
+
+    def test_copies_and_pickles_rebuild_the_facts(self):
+        text = "R{1,2} (fresh1 & ~K1 fresh2) -> C{1,3} (fresh1 | D{2,3} true)"
+        data = pickle.dumps(parse(text, AG))
+        gc.collect()
+        assert not any(ref() is not None and getattr(ref(), "name", None) == "fresh2"
+                       for ref in syntax._table.values())
+        f = pickle.loads(data)  # built anew, facts and all
+        assert node_facts(f) == walked_facts(f) == ({"1", "2", "3"}, {"fresh1", "fresh2"},
+                                                     {Atom, Top, Neg, And, K, D, C, R})
+        for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert again is f and node_facts(again) == node_facts(f)
+
+    def test_threads_building_one_formula_all_see_the_facts(self):
+        workers = (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that one thread meets a node another built
+        try:
+            for round_ in range(3):
+                barrier = threading.Barrier(workers, timeout=60)
+                seen = [None] * workers
+
+                def build(k, round_=round_):
+                    barrier.wait()
+                    out = []
+                    for i in range(300):
+                        g = C("1,3", And(Atom(f"s{round_}_{i}"), K("2", Atom(f"s{round_}_{i + 1}"))))
+                        out.append((g, g._agents, g._atoms, g._kinds))
+                    seen[k] = out
+
+                threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                    assert not t.is_alive()
+                for out in seen:
+                    assert len(out) == 300
+                    for i, (g, *facts) in enumerate(out):
+                        assert g is seen[0][i][0]
+                        assert facts == [g._agents, g._atoms, g._kinds]
+                        assert node_facts(g) == walked_facts(g)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_equal_facts_are_one_object_and_dead_ones_go_at_a_prune(self):
+        while len(syntax._table) + 10 >= syntax._prune_at:  # so that no prune falls between f and g
+            Atom(f"room{len(syntax._table)}")
+        f, g = parse("K1 p & D{2,3} q & R{1,3} p", AG), parse("D{3,2} q & K1 p & R{3,1} p", AG)
+        assert f is not g and f._agents is g._agents and f._atoms is g._atoms and f._kinds is g._kinds
+        kept = [Atom(f"z{i}") for i in range(3000)]
+        del kept
+        gc.collect()
+        for i in range(syntax._prune_at):
+            Atom(f"y{i}")
+        live = [r() for r in syntax._table.values()]
+        facts = {fact for h in live if h is not None for fact in (h._agents, h._atoms, h._kinds)}
+        assert len(syntax._shared) <= len(facts) + syntax._prune_at
+        assert frozenset(["z7"]) not in syntax._shared
