@@ -3,14 +3,13 @@
 One evaluation context serves models, pre-models and batches of models
 (`batch.py`), memoizing per formula the set of states where it holds, in
 postorder and on an explicit stack, so formulas of any depth evaluate.  No
-updated model is built: an iterated resolution only selects an
-intersection of base relations, and `delta` names which one.  So a
-context is a resolution prefix and an alive set.  ``R_G`` opens a child
-with G appended to the prefix, ``[phi]psi`` one whose alive set is phi's
-extension.  Group H reads the base relation of ``delta(H, prefix)``, and
-agent a its own relation until a resolution in the prefix names it, then
-that of ``delta({a}, prefix)``: what `resolve` and `resolve_pre` do step
-by step.  C closes the agent relations inside alive.
+updated model is built.  ``R_G`` opens a child context that links to its
+parent's relations and to G, ``[phi]psi`` one that keeps its parent's group
+and whose alive set is phi's extension.  A child reads each relation from
+its parent one step of `resolve` (or `resolve_pre`) away: G's members read
+G's, a group meeting G reads its union with G's, so a chain of resolutions
+selects the base relation `delta` names at one step per level.  C closes
+the agent relations inside alive.
 
 Relations come from an algebra, picked by what is evaluated: frozensets
 and partitions for one model, whose base relation is the meet of the
@@ -26,7 +25,7 @@ from itertools import islice
 from typing import Iterable
 
 from .kripke import AnyModel, Model, Partition, PreModel, group_relation
-from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children, delta
+from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children
 
 
 @dataclass(frozen=True)
@@ -86,50 +85,55 @@ class _PreSets(_Sets):
 
 
 class Context:
-    """Memoized extensions after a resolution prefix, inside an alive set.
+    """Memoized extensions after the resolutions and announcements that opened it, inside an alive set.
 
     Extensions are combined only with ``&``, ``|`` and ``alive ^ x`` (the
     complement inside alive), which frozensets and ints share.
     """
 
-    __slots__ = ("alg", "prefix", "alive", "_ext", "_rels", "_kids")
+    __slots__ = ("alg", "up", "group", "alive", "_ext", "_rels", "_kids")
 
-    def __init__(self, alg, prefix: tuple, alive, rels: dict):  # prefix: the resolved groups, outermost first
-        self.alg, self.prefix, self.alive, self._ext, self._rels, self._kids = alg, prefix, alive, {}, rels, {}
+    def __init__(self, alg, parent: Context | None = None, group=None, alive=None, rels=None):
+        # up is parent's (relation map, group, alive set, up); a link to parent would make the tree a reference cycle
+        self.alg, self.group, self._ext, self._kids = alg, group, {}, {}
+        if parent is None:  # alg's root
+            self.up, self.alive, self._rels = None, alg.full, alg.rels
+        else:
+            self.up, self.alive, self._rels = (parent._rels, parent.group, parent.alive, parent.up), alive, rels
 
     def _rel(self, key):
         """What K (key its agent), D (key its group) or C (key (group,)) reads, restricted to alive."""
         rel = self._rels.get(key)
-        if rel is None:
-            alg = self.alg
-            if type(key) is tuple:
-                rel = alg.common([self._rel(a) for a in sorted(key[0])])
-            else:
-                agent = type(key) is str
-                g = frozenset((key,)) if agent else key
+        if rel is None and type(key) is tuple:
+            rel = self._rels[key] = self.alg.common([self._rel(a) for a in sorted(key[0])])
+        elif rel is None:
+            # up to a map holding the key: across R_g, g's members read g's relation, a group meeting g its union
+            path, rels, g, alive, up = [], self._rels, self.group, self.alive, self.up
+            while rel is None and up is not None:
+                path.append((rels, key, alive if alive is not up[2] else None))  # an announcement's child narrows
+                if g is not up[1] and (key in g if type(key) is str else key & g):  # not an announcement's child
+                    key = g if type(key) is str else key | g
+                rels, g, alive, up = up
+                rel = rels.get(key)
+            if rel is None:  # rels is the root's
+                alg, g = self.alg, frozenset((key,)) if type(key) is str else key
                 if not g <= alg.agents:
                     raise ValueError(f"undeclared agent {sorted(g - alg.agents)[0]!r}")
-                # an agent keeps its own relation until a resolution names it
-                if agent and not any(key in h for h in self.prefix):
-                    rel = alg.agent(key)
-                else:
-                    rel = alg.base(delta(g, self.prefix) if self.prefix else g)
-                if self.alive is not alg.full:
-                    rel = alg.restrict(rel, self.alive)
-            self._rels[key] = rel
+                rel = rels[key] = alg.agent(key) if type(key) is str else alg.base(key)
+            for rels, key, narrowed in reversed(path):
+                rels[key] = rel = rel if narrowed is None else self.alg.restrict(rel, narrowed)
         return rel
 
     def _child(self, key, alive) -> Context:
         """The child that R (key its group) or an announcement (key (announced,)) opens."""
-        if self.prefix and self.prefix[-1] == key:
-            return self  # an immediately repeated resolution changes nothing
+        if key == self.group:
+            return self  # R_G right after R_G, announcements between or not, changes nothing
         child = self._kids.get(key)
         if child is None:
-            if type(key) is tuple:
-                child = Context(self.alg, self.prefix, alive, {})
-            else:  # the resolution gives G's members G's relation here
-                child = Context(self.alg, self.prefix + (key,), alive, dict.fromkeys(key, self._rel(key)))
-            self._kids[key] = child
+            if type(key) is tuple:  # an announcement's child keeps self's group
+                child = self._kids[key] = Context(self.alg, self, self.group, alive, {})
+            else:  # G's members read G's relation, and reading it checks that G's agents are declared
+                child = self._kids[key] = Context(self.alg, self, key, alive, dict.fromkeys(key, self._rel(key)))
         return child
 
     def extension(self, f: Formula):
@@ -183,8 +187,7 @@ class Evaluator(Context):
     _algebra = _Sets
 
     def __init__(self, model: AnyModel):
-        alg = self._algebra(model)
-        Context.__init__(self, alg, (), alg.full, alg.rels)
+        Context.__init__(self, self._algebra(model))
         self.model = model
 
 

@@ -81,13 +81,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    result = delta(as_group(args.target), _parse_sequence(args.sequence))
-    if args.json:
-        print(json.dumps({"target": group_key(args.target),
-                          "sequence": [group_key(g) for g in _parse_sequence(args.sequence)],
-                          "result": group_key(result)}))
-    else:
-        print(group_key(result))
+    target, sequence = as_group(args.target), _parse_sequence(args.sequence)
+    result = group_key(delta(target, sequence))
+    out = {"target": group_key(target), "sequence": [group_key(g) for g in sequence], "result": result}
+    print(json.dumps(out) if args.json else result)
     return 0
 
 

@@ -166,7 +166,7 @@ def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutco
     examined = classes = 0
     # seed and instance_count do not change a search: equal signatures and max_states share one replay
     for runs, columns, weights, masks in _replay((bounds.max_states, agent_ids, atom_names)):
-        ext = Context(masks, (), masks.full, masks.rels).extension(f)
+        ext = Context(masks).extension(f)
         points = masks.full & ~ext if falsify else ext
         stop = len(weights)
         if points:
@@ -540,7 +540,7 @@ def _sweep(formulas: Sequence[Formula], bounds: SearchBounds, first_only: bool =
         labelled = _labelled(n, len(agent_ids), len(atom_names))
         while chunk := list(islice(labelled, BATCH_MODELS)):
             masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agent_ids, atom_names)
-            root = Context(masks, (), masks.full, masks.rels)
+            root = Context(masks)
             bad = [masks.full & ~root.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
             rows = [_rows(bits, _slot_bytes(n), len(chunk)) for bits in bad]
             models = [_model(n, idx, agent_ids, atom_names) for idx in chunk]

@@ -2,7 +2,8 @@
 
 A reference for the engine tests: it builds every resolved and restricted
 model with `resolve`, `resolve_pre` and `restrict`, and closes C with
-`common_relation`, where the engine reads base relations through `delta`.
+`common_relation`, where the engine's contexts read each relation one
+resolution step from their parent's.
 It shares no evaluation code with `checker`, so a test against it does
 not compare the engine with itself.
 """

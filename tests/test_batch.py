@@ -57,7 +57,7 @@ def packed_batches(n, rows, agents, atoms):
     rows = iter(rows)
     while chunk := list(islice(rows, BATCH_MODELS)):
         masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agents, atoms)
-        yield [_model(n, idx, agents, atoms) for idx in chunk], Context(masks, (), masks.full, {})
+        yield [_model(n, idx, agents, atoms) for idx in chunk], Context(masks)
 
 
 def labelled_batches(max_states, agents, atoms):

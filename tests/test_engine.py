@@ -1,19 +1,22 @@
 """The evaluation context against the reference evaluators.
 
 `reference_evaluator` builds every resolved and restricted model; the
-engine reads base relations through `delta` inside an alive set.  They
-must agree on every extension: for `Evaluator` and for batches of index
-rows packed by `_iso._packed` on every model up to 3 states x 2 agents x
-2 atoms, 4 x 2 x 1 and 3 x 3 x 1, and for `PseudoEvaluator` on those
-models' embeddings resolved by every group and on a sample of the
-3-state, 3-agent pseudo-models.
+engine's contexts read each relation one resolution step from their
+parent's, inside an alive set.  They must agree on every extension: for
+`Evaluator` and for batches of index rows packed by `_iso._packed` on
+every model up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1,
+and for `PseudoEvaluator` on those models' embeddings resolved by every
+group and on a sample of the 3-state, 3-agent pseudo-models.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
 import reference_evaluator as ref
-from epiresolve.checker import Evaluator, PseudoEvaluator
-from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, resolve_pre
+from epiresolve.checker import Context, Evaluator, PseudoEvaluator
+from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, iterated_relation, resolve_pre
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
 from epiresolve.syntax import parse, render
 
@@ -21,7 +24,8 @@ from conftest import model_list
 from test_batch import HANDPICKED, labelled_batches, packed_batches, per_model
 
 # resolutions over overlapping and disjoint groups of three agents, around
-# announcements and all three modalities
+# announcements and all three modalities; repeated groups, a group repeated
+# across an announcement, and groups an announcement's context inherits
 HANDPICKED_3 = [
     "R{1,2} R{2,3} K1 p",
     "R{2,3} R{1,2} D{1,3} p",
@@ -30,6 +34,10 @@ HANDPICKED_3 = [
     "[~K1 p] R{1,3} R{2} C{1,2} ~p",
     "R{3} [K2 p] R{1,2} ~D{1,2,3} p",
     "R{1,2,3} [p] K3 p",
+    "R{1,2} R{1,3} R{1,2} R{1,3} K2 p",
+    "R{1,2} [p] R{1,2} K3 p",
+    "R{1,3} [K1 p] R{1,2} D{2,3} p",
+    "R{1} [p] R{1} C{1,2} p",
 ]
 
 BOUNDS = [(3, ("1", "2"), ("p", "q")), (4, ("1", "2"), ("p",)), (3, ("1", "2", "3"), ("p",))]
@@ -92,6 +100,36 @@ def test_agent_named_by_its_own_resolution_reads_the_group_relation():
         f = parse(text)
         assert PseudoEvaluator(pre).extension(f) == ref.PseudoEvaluator(pre).extension(f), text
     assert PseudoEvaluator(pre).extension(parse("R{1} R{2} K1 p")) == {"a"}
+
+
+def test_alternating_resolutions_take_one_step_per_level():
+    # 4,000 alternating levels: each context reads its parent's relations, so memory grows linearly
+    # (about 4 MB); a context that kept and rescanned its whole resolution prefix needs about 68 MB
+    m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]], "3": [["a", "c"], ["b"]]},
+                   {"p": ["a", "b"]})
+    f = parse("R{1,2} R{1,3} " * 2000 + "K2 p")
+    tracemalloc.start()
+    try:
+        got = Evaluator(m).extension(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rel = iterated_relation(m, ["1,2", "1,3"] * 2000, "2")
+    assert got == {s for s in m.states if rel.block_of(s) <= m.valuation["p"]}
+    assert peak < 20e6, peak
+
+
+def test_a_dropped_context_tree_is_freed_at_once():
+    # no context refers back to its parent: with a cycle, every evaluated batch would wait for the cyclic GC
+    m = Model.make(["a", "b"], {"1": [["a", "b"]], "2": [["a"], ["b"]]}, {"p": ["a"]})
+    f = parse("R{1,2} [p] R{1} K2 p")
+    gc.disable()
+    try:
+        assert Evaluator(m).extension(f) == {"a", "b"}
+        left = [ctx for ctx in gc.get_objects() if isinstance(ctx, Context) and getattr(ctx.alg, "model", None) is m]
+        assert left == []
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("text", ["R{1} K2 p", "R{1} D{1,2} p", "R{1} C{2} p", "R{1} R{2} p",

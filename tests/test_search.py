@@ -623,7 +623,7 @@ def fill_root_relations(masks, rng) -> None:
     if rng.random() < 0.3:
         masks.rels.clear()
         return
-    root = Context(masks, (), masks.full, masks.rels)
+    root = Context(masks)
     groups = all_groups(sorted(masks.agents))
     keys = sorted(masks.agents) + groups + [(g,) for g in groups]
     for key in rng.sample(keys, rng.randint(1, len(keys))):
