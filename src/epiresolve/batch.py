@@ -16,7 +16,9 @@ the model's own size).  The diamond of a set Y is then
 Intersecting relations ANDs their masks offset by offset.
 
 `_Masks` is the batch algebra of `checker.Context`, which evaluates
-models, pre-models and batches alike.  Meet commutes with restriction,
+models, pre-models and batches alike: it packs an agent's masks when a
+formula first reads them and meets them for a group, and the context keeps
+both in the batch's ``rels``.  Meet commutes with restriction,
 so a relation needs no restricting: box masks with the alive set, and
 only common knowledge keeps its fixpoint inside alive.
 """
@@ -59,8 +61,8 @@ class _Masks:
     the rows' slot bits of the atom, read from index columns through
     per-size tables (`_iso._packed`).  They close over the columns, never
     over a batch: evaluation contexts read these masks, and without
-    reference cycles a finished batch is freed at once.  The relations are
-    kept in ``rels``, which every root context on the batch shares as its map.
+    reference cycles a finished batch is freed at once.  ``rels`` is the
+    relation map that every root context on the batch shares and fills.
     """
 
     empty = 0
@@ -70,17 +72,7 @@ class _Masks:
         self.rels, self._atoms = {}, {}
 
     def agent(self, agent: str) -> tuple:
-        out = self.rels.get(agent)
-        if out is None:
-            masks = enumerate(map(_pack, self._relation_rows(agent)), 1)
-            out = self.rels[agent] = tuple((d, m) for d, m in masks if m)
-        return out
-
-    def base(self, g) -> tuple:
-        out = self.rels.get(g)
-        if out is None:
-            out = self.rels[g] = _meet([self.agent(a) for a in sorted(g)])
-        return out
+        return tuple((d, m) for d, m in enumerate(map(_pack, self._relation_rows(agent)), 1) if m)
 
     def atom(self, name: str) -> int:
         out = self._atoms.get(name)
@@ -89,6 +81,7 @@ class _Masks:
         return out
 
     restrict = staticmethod(lambda rel, alive: rel)  # box and common_box mask with alive instead
+    meet = staticmethod(_meet)
     common = staticmethod(tuple)
 
     @staticmethod

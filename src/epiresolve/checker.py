@@ -5,26 +5,29 @@ One evaluation context serves models, pre-models and batches of models
 postorder and on an explicit stack, so formulas of any depth evaluate.  No
 updated model is built.  ``R_G`` opens a child context that links to its
 parent's relations and to G, ``[phi]psi`` one that keeps its parent's group
-and whose alive set is phi's extension.  A child reads each relation from
-its parent one step of `resolve` (or `resolve_pre`) away: G's members read
-G's, a group meeting G reads its union with G's, so a chain of resolutions
-selects the base relation `delta` names at one step per level.  C closes
-the agent relations inside alive.
+and whose alive set is phi's extension (none when that is all of alive).
+A child reads each relation from its parent one step of `resolve` (or
+`resolve_pre`) away: G's members read G's, a group meeting G reads its
+union with G's, so a chain of resolutions selects the base relation
+`delta` names at one step per level.  C closes the agent relations inside
+alive.
 
-Relations come from an algebra, picked by what is evaluated: frozensets
-and partitions for one model, whose base relation is the meet of the
-members' (a pre-model's is the stored one), or a batch's offset masks.
-The root context's relation map (`Context._rel`) is the algebra's ``rels``,
-where the algebra also keeps the relations it computes.
+Relations come from an algebra: frozensets and partitions for one model
+or pre-model, or a batch's offset masks.  The root context's relation map
+is the algebra's ``rels``.  One model's starts with its agents' relations,
+a pre-model's also with its stored group relations, which its D reads, and
+a batch's starts empty.  After that `Context._rel` alone fills it: with an
+agent's relation on first use, and with a group's as its members' meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import islice
 from typing import Iterable
 
-from .kripke import AnyModel, Model, Partition, PreModel, group_relation
+from .kripke import AnyModel, Model, Partition, PreModel
 from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children
 
 
@@ -51,19 +54,11 @@ class _Sets:
     __slots__ = ("model", "agents", "full", "rels")
     empty = frozenset()
     restrict = staticmethod(Partition.restrict)
+    meet = staticmethod(partial(reduce, Partition.meet))
     common = staticmethod(Partition.join_all)
 
     def __init__(self, model: AnyModel):
         self.model, self.agents, self.full, self.rels = model, model.agents, model.states, dict(model.relations)
-
-    def agent(self, a: str) -> Partition:
-        return self.model.relations[a]
-
-    def base(self, g) -> Partition:
-        rel = self.rels.get(g)
-        if rel is None:
-            rel = self.rels[g] = group_relation(self.model, g)
-        return rel
 
     def atom(self, name: str) -> frozenset:
         return self.model.valuation.get(name, self.empty)
@@ -73,15 +68,6 @@ class _Sets:
         return frozenset().union(*(b for b in rel.blocks if b <= body))
 
     common_box = box
-
-
-class _PreSets(_Sets):
-    """Pre-models read stored group relations."""
-
-    __slots__ = ()
-
-    def base(self, g) -> Partition:
-        return self.model.group_relations[g]
 
 
 class Context:
@@ -115,19 +101,22 @@ class Context:
                     key = g if type(key) is str else key | g
                 rels, g, alive, up = up
                 rel = rels.get(key)
-            if rel is None:  # rels is the root's
+            if rel is None:  # rels is the root's: fill the members it lacks, then a group with their meet
                 alg, g = self.alg, frozenset((key,)) if type(key) is str else key
                 if not g <= alg.agents:
                     raise ValueError(f"undeclared agent {sorted(g - alg.agents)[0]!r}")
-                rel = rels[key] = alg.agent(key) if type(key) is str else alg.base(key)
+                for a in g:
+                    if a not in rels:
+                        rels[a] = alg.agent(a)
+                rel = rels[key] if type(key) is str else rels.setdefault(key, alg.meet([rels[a] for a in sorted(g)]))
             for rels, key, narrowed in reversed(path):
                 rels[key] = rel = rel if narrowed is None else self.alg.restrict(rel, narrowed)
         return rel
 
     def _child(self, key, alive) -> Context:
         """The child that R (key its group) or an announcement (key (announced,)) opens."""
-        if key == self.group:
-            return self  # R_G right after R_G, announcements between or not, changes nothing
+        if key == self.group or type(key) is tuple and key[0] == self.alive:
+            return self  # R_G right after R_G (announcements between or not), or an announcement true on alive
         child = self._kids.get(key)
         if child is None:
             if type(key) is tuple:  # an announcement's child keeps self's group
@@ -184,18 +173,20 @@ class Evaluator(Context):
     """Extensions of formulas over one genuine model: the root context of its algebra."""
 
     __slots__ = ("model",)
-    _algebra = _Sets
 
     def __init__(self, model: AnyModel):
-        Context.__init__(self, self._algebra(model))
+        Context.__init__(self, _Sets(model))
         self.model = model
 
 
 class PseudoEvaluator(Evaluator):
-    """Extensions of announcement-free formulas over one pre-model."""
+    """Extensions of announcement-free formulas over one pre-model, whose D reads the stored group relations."""
 
     __slots__ = ()
-    _algebra = _PreSets
+
+    def __init__(self, model: PreModel):
+        Evaluator.__init__(self, model)
+        self._rels.update(model.group_relations)
 
     def extension(self, f: Formula):
         if f._kinds & Ann._kind:  # before any part of f is evaluated

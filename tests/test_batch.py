@@ -96,6 +96,15 @@ def test_agrees_with_evaluator_four_states_one_atom():
     assert_agrees(labelled_batches(4, ("1", "2"), ("p",)), formulas(["p"], seed=12, count=30))
 
 
+def test_a_batch_packs_a_relation_when_a_formula_first_reads_it():
+    ((models, root),) = packed_batches(3, islice(_labelled(3, 2, 1), 40), ("1", "2"), ("p",))
+    root.extension(parse("K1 p", AG))
+    assert list(root.alg.rels) == ["1"]
+    f = parse("D{1,2} p", AG)  # read by a second root context, which shares the batch's map
+    assert per_model(models, Context(root.alg).extension(f)) == [Evaluator(m).extension(f) for m in models]
+    assert set(root.alg.rels) == {"1", "2", frozenset({"1", "2"})}
+
+
 def assert_rows(models, bits):
     """`_rows` folds bits to the rows holding a state, and `_lowest_point` finds the first row's least state."""
     split = per_model(models, bits)

@@ -1,5 +1,6 @@
 import pytest
 
+from epiresolve import checker
 from epiresolve.checker import (
     Evaluator,
     PointedModel,
@@ -10,7 +11,7 @@ from epiresolve.checker import (
     satisfies,
     satisfies_pseudo,
 )
-from epiresolve.kripke import all_groups, as_premodel
+from epiresolve.kripke import Model, all_groups, as_premodel
 from epiresolve.search import FormulaGen
 from epiresolve.syntax import (
     FALSE,
@@ -250,6 +251,17 @@ def test_embedding_agreement_small():
         ev, pev = Evaluator(m), PseudoEvaluator(as_premodel(m))
         for f in formulas:
             assert ev.extension(f) == pev.extension(f), render(f)
+
+
+def test_announcement_true_on_every_state_evaluates_its_body_in_place(monkeypatch):
+    # [p | ~p] leaves the model as it is, so its body reads the unrestricted relations
+    m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]]}, {"p": ["a", "b"]})
+    calls, restrict = [], checker._Sets.restrict
+    counted = staticmethod(lambda rel, keep: calls.append(keep) or restrict(rel, keep))
+    monkeypatch.setattr(checker._Sets, "restrict", counted)
+    f = parse("[p | ~p] (K1 p & K2 p & D{1,2} p)", AG)
+    assert Evaluator(m).extension(f) == Evaluator(m).extension(f.body) == {"a"}
+    assert calls == []  # a child context would restrict each relation its body reads
 
 
 def test_evaluation_is_deterministic():

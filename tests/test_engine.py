@@ -6,17 +6,19 @@ parent's, inside an alive set.  They must agree on every extension: for
 `Evaluator` and for batches of index rows packed by `_iso._packed` on
 every model up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1,
 and for `PseudoEvaluator` on those models' embeddings resolved by every
-group and on a sample of the 3-state, 3-agent pseudo-models.
+group, on a sample of the 3-state, 3-agent pseudo-models and on pre-models
+whose stored group relations are drawn freely.
 """
 
 import gc
+import random
 import tracemalloc
 
 import pytest
 
 import reference_evaluator as ref
 from epiresolve.checker import Context, Evaluator, PseudoEvaluator
-from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, iterated_relation, resolve_pre
+from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, is_pseudo, iterated_relation, resolve_pre
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
 from epiresolve.syntax import parse, render
 
@@ -88,6 +90,32 @@ def test_pseudo_models_match_reference():
     assert len(sample) > 1000
     assert_matches(PseudoEvaluator, ref.PseudoEvaluator, sample,
                    formulas(agents, ["p"], seed=33, count=40, allow_ann=False))
+
+
+def free_premodel(rng):
+    """A pre-model of 1-3 states and agents 1-3 whose every relation is drawn on its own: a stored group
+    relation, a singleton's included, need not be its members' meet nor refine a smaller group's."""
+    states = ["a", "b", "c"][:rng.randint(1, 3)]
+    agents = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+
+    def partition():
+        blocks = {}
+        for s in states:
+            blocks.setdefault(rng.randrange(len(states)), []).append(s)
+        return list(blocks.values())
+
+    return PreModel.make(states, {a: partition() for a in agents}, {g: partition() for g in all_groups(agents)},
+                         {"p": [s for s in states if rng.random() < 0.5]})
+
+
+def test_free_premodels_match_reference():
+    rng = random.Random(34)
+    premodels = [free_premodel(rng) for _ in range(150)]
+    assert sum(not is_pseudo(pre) for pre in premodels) > 75
+    gens = {k: FormulaGen([str(i) for i in range(1, k + 1)], ["p"], seed=34, depth=3) for k in (1, 2, 3)}
+    fs = {k: [gen.formula() for _ in range(60)] for k, gen in gens.items()}
+    for pre in premodels:
+        assert_matches(PseudoEvaluator, ref.PseudoEvaluator, [pre], fs[len(pre.agents)])
 
 
 def test_agent_named_by_its_own_resolution_reads_the_group_relation():
