@@ -5,12 +5,11 @@ One evaluation context serves models, pre-models and batches of models
 postorder and on an explicit stack, so formulas of any depth evaluate.  No
 updated model is built.  ``R_G`` opens a child context that links to its
 parent's relations and to G, ``[phi]psi`` one that keeps its parent's group
-and whose alive set is phi's extension (none when that is all of alive).
-A child reads each relation from its parent one step of `resolve` (or
-`resolve_pre`) away: G's members read G's, a group meeting G reads its
-union with G's, so a chain of resolutions selects the base relation
-`delta` names at one step per level.  C closes the agent relations inside
-alive.
+and whose alive set is phi's extension.  A child reads each relation from
+its parent one step of `resolve` (or `resolve_pre`) away: G's members read
+G's, a group meeting G reads its union with G's, so a chain of resolutions
+selects the base relation `delta` names at one step per level.  C closes
+the agent relations inside alive.
 
 Relations come from an algebra: frozensets and partitions for one model
 or pre-model, or a batch's offset masks.  The root context's relation map
@@ -27,7 +26,7 @@ from functools import partial, reduce
 from itertools import islice
 from typing import Iterable
 
-from .kripke import AnyModel, Model, Partition, PreModel
+from .kripke import AnyModel, Model, Partition, PreModel, all_groups
 from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children
 
 
@@ -49,7 +48,12 @@ def _plan(f: Formula) -> tuple:
 
 
 class _Sets:
-    """The single-model algebra: frozensets of states and partitions."""
+    """The single-model algebra: frozensets of states and partitions.
+
+    It has no ``agent``: ``rels`` starts with every declared agent's
+    relation, which `Model.make` stores (`validate` reports a raw model
+    lacking one).
+    """
 
     __slots__ = ("model", "agents", "full", "rels")
     empty = frozenset()
@@ -115,8 +119,8 @@ class Context:
 
     def _child(self, key, alive) -> Context:
         """The child that R (key its group) or an announcement (key (announced,)) opens."""
-        if key == self.group or type(key) is tuple and key[0] == self.alive:
-            return self  # R_G right after R_G (announcements between or not), or an announcement true on alive
+        if key == self.group:
+            return self  # R_G right after R_G, announcements between or not, changes nothing
         child = self._kids.get(key)
         if child is None:
             if type(key) is tuple:  # an announcement's child keeps self's group
@@ -186,7 +190,8 @@ class PseudoEvaluator(Evaluator):
 
     def __init__(self, model: PreModel):
         Evaluator.__init__(self, model)
-        self._rels.update(model.group_relations)
+        for g in all_groups(model.agents):  # PreModel.make stores every group's relation; a raw pre-model
+            self._rels[g] = model.group_relations[g]  # lacking one fails here, and its D never reads a meet
 
     def extension(self, f: Formula):
         if f._kinds & Ann._kind:  # before any part of f is evaluated

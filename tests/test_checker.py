@@ -1,6 +1,7 @@
+from dataclasses import replace
+
 import pytest
 
-from epiresolve import checker
 from epiresolve.checker import (
     Evaluator,
     PointedModel,
@@ -11,7 +12,7 @@ from epiresolve.checker import (
     satisfies,
     satisfies_pseudo,
 )
-from epiresolve.kripke import Model, all_groups, as_premodel
+from epiresolve.kripke import all_groups, as_premodel
 from epiresolve.search import FormulaGen
 from epiresolve.syntax import (
     FALSE,
@@ -253,15 +254,12 @@ def test_embedding_agreement_small():
             assert ev.extension(f) == pev.extension(f), render(f)
 
 
-def test_announcement_true_on_every_state_evaluates_its_body_in_place(monkeypatch):
-    # [p | ~p] leaves the model as it is, so its body reads the unrestricted relations
-    m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]]}, {"p": ["a", "b"]})
-    calls, restrict = [], checker._Sets.restrict
-    counted = staticmethod(lambda rel, keep: calls.append(keep) or restrict(rel, keep))
-    monkeypatch.setattr(checker._Sets, "restrict", counted)
-    f = parse("[p | ~p] (K1 p & K2 p & D{1,2} p)", AG)
-    assert Evaluator(m).extension(f) == Evaluator(m).extension(f.body) == {"a"}
-    assert calls == []  # a child context would restrict each relation its body reads
+def test_a_premodel_without_a_stored_group_relation_is_refused():
+    # raw-constructed: PreModel.make stores every group, and D never reads the members' meet instead
+    pre = as_premodel(model_list(2, ("1", "2"), ("p",))[7])
+    stored = {g: rel for g, rel in pre.group_relations.items() if g != grp("1,2")}
+    with pytest.raises(KeyError):
+        PseudoEvaluator(replace(pre, group_relations=stored))
 
 
 def test_evaluation_is_deterministic():
