@@ -9,14 +9,17 @@ the first witness is the one a model-by-model search would find.  A size
 past 7 states, or with no more labelled models than n!, comes model by
 model instead, each model a class of weight 1.
 
-Rows are packed straight into the offset masks of `batch.py` by `_packed`,
-the one packer, which the sweeps share for their labelled rows
-(`_labelled`).  A search reads one stream of batches (`_stream`), 4 rows
-that double up to `BATCH_MODELS`, so that an early witness costs a small
-batch and an exhausted search few large ones.  Neither the rows nor the
-batches depend on the formula, so the process keeps each bounds' batches as
-they are drawn (`_Replay`), up to a fixed number of rows, and every later
-query on the same bounds replays them.
+`_batches`, the one batcher, cuts rows (n, index tuple, weight) into
+batches, and `_stream` makes each a `_Batch`.  A batch packs the offset
+masks of `batch.py` from its index columns as a formula reads them, and
+decodes an extension back to rows, their models and states.  The sweeps
+stream their labelled rows (`_labelled`), each of weight 1, in batches of
+`BATCH_MODELS`.  A search streams the class rows in batches of 4 rows that
+double up to `BATCH_MODELS`, so that an early witness costs a small batch
+and an exhausted search few large ones.  Neither the rows nor the batches
+depend on the formula, so the process keeps each bounds' batches as they
+are drawn (`_Replay`), up to a fixed number of rows, and every later query
+on the same bounds replays them, with the witness models already decoded.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import groupby, islice, product
+from itertools import islice, product
 from math import factorial
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .batch import BATCH_MODELS, _Masks
+from .batch import BATCH_MODELS, _Masks, _pack
 from .kripke import Model, Partition
 
 if TYPE_CHECKING:
@@ -244,50 +247,96 @@ def _batches(rows: Iterable[tuple], size: int = 4) -> Iterator[list]:
     larger first batch, or one that ended at each size, would evaluate
     more batches or more classes past the witness.
     """
-    for _, run in groupby(rows, key=lambda row: _slot_bytes(row[0])):
-        while batch := list(islice(run, size)):
-            yield batch
-            size = min(2 * size, BATCH_MODELS)
+    rows, held = iter(rows), []
+    while batch := held + list(islice(rows, size - len(held))):  # rows come smallest first
+        cut = bisect_right(batch, _slot_bytes(batch[0][0]), key=lambda row: _slot_bytes(row[0]))
+        batch, held = batch[:cut], batch[cut:]
+        yield batch
+        size = min(2 * size, BATCH_MODELS)
 
 
-def _packed(runs: list, columns: Sequence, agent_ids: tuple, atom_names: tuple) -> _Masks:
-    """The masks of a batch of rows, the batch's k-th row in slot k.
+class _Batch(_Masks):
+    """Rows (n, index tuple, weight), smallest n first and every slot equally wide, packed with row k in slot k.
 
-    A run (n, a, b) is rows a..b-1 of the index columns, all of n states,
-    and the runs' slots are equally wide.  Each run packs each column
-    through its size's tables, and zeros where an offset is past its size.
+    The batch packs an agent's or an atom's masks when a formula first
+    reads them, each index column through its rows' size tables, and it
+    decodes an extension back to rows (`rows`, `points`).  ``rels`` is the
+    relation map that every root context on the batch shares and fills.
+    The batch refers to no context, so a finished batch is freed at once.
     """
-    width = _slot_bytes(runs[0][0])
-    tables = [(_pair_table(n), _subset_table(n), a, b) for n, a, b in runs]
-    top = runs[-1][0]
 
-    def relation_rows(agent: str):
-        column = columns[agent_ids.index(agent)]
-        for d in range(top - 1):
-            yield [b"".join(map(pairs[d].__getitem__, column[a:b])) if d < len(pairs) else bytes(width * (b - a))
-                   for pairs, _, a, b in tables]
+    _DIGITS = b"0" + b"1" * 255  # a slot's folded byte as a binary digit: b'0' when empty, b'1' otherwise
 
-    def atom_rows(name: str) -> list:
-        column = columns[len(agent_ids) + atom_names.index(name)]
-        return [b"".join(map(subsets.__getitem__, column[a:b])) for _, subsets, a, b in tables]
+    def __init__(self, rows: Sequence[tuple], agent_ids: tuple, atom_names: tuple):
+        sizes, indexes, self.weights = zip(*rows)
+        # a run (n, a, b): rows a..b-1 have n states
+        self.runs = [(n, bisect_left(sizes, n), bisect_right(sizes, n)) for n in range(sizes[0], sizes[-1] + 1)]
+        self.columns = list(zip(*indexes))
+        self.agent_ids, self.atom_names, self.agents = agent_ids, atom_names, frozenset(agent_ids)
+        self.slot, self.full = _slot_bytes(sizes[0]), _pack(_subset_table(n)[-1] * (b - a) for n, a, b in self.runs)
+        self.rels, self._atoms, self._models = {}, {}, {}
 
-    full = int.from_bytes(b"".join(subsets[-1] * (b - a) for _, subsets, a, b in tables), "little")
-    return _Masks(frozenset(agent_ids), full, relation_rows, atom_rows)
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def agent(self, agent: str) -> tuple:
+        """(d, mask of the pairs (i, i+d) in one of the agent's blocks) for each offset d with a pair."""
+        column = self.columns[self.agent_ids.index(agent)]
+        masks = ((d, _pack(b"".join(map(_pair_table(n)[d - 1].__getitem__, column[a:b])) if d < n
+                           else bytes(self.slot * (b - a)) for n, a, b in self.runs))
+                 for d in range(1, self.runs[-1][0]))
+        return tuple((d, m) for d, m in masks if m)
+
+    def atom(self, name: str) -> int:
+        out = self._atoms.get(name)
+        if out is None:
+            column = self.columns[len(self.agent_ids) + self.atom_names.index(name)]
+            out = self._atoms[name] = _pack(b"".join(map(_subset_table(n).__getitem__, column[a:b]))
+                                            for n, a, b in self.runs)
+        return out
+
+    def rows(self, bits: int) -> int:
+        """One bit per row, folded in bulk: bit k is set when row k has a state in bits."""
+        folded = bits  # OR each slot's bytes into its lowest byte
+        for j in range(1, self.slot):
+            folded |= bits >> 8 * j
+        data = folded.to_bytes(len(self) * self.slot, "little")[::self.slot]
+        return int(data.translate(self._DIGITS)[::-1], 2)
+
+    def points(self, bits: int, among: int = -1) -> Iterator[tuple]:
+        """(k, row k's model, its least state in bits) for each row k with a state in bits and bit k in among."""
+        rows = self.rows(bits) & among
+        while rows:
+            k = (rows & -rows).bit_length() - 1
+            m, states = self.model(k), bits >> 8 * self.slot * k
+            yield k, m, sorted(m.states)[(states & -states).bit_length() - 1]
+            rows &= rows - 1
+
+    def models(self) -> None:
+        """Build every row's model at once, as a model-by-model loop would."""
+        for n, a, b in self.runs:
+            rows = zip(*(column[a:b] for column in self.columns))
+            self._models.update(enumerate([_model(n, idx, self.agent_ids, self.atom_names) for idx in rows], a))
+
+    def model(self, k: int) -> Model:
+        """Row k's model, built when first asked for and kept: queries replaying the batch share it, since
+        `Model` is frozen and no caller changes its dicts.  Threads filling one row store one model."""
+        m = self._models.get(k)
+        if m is None:
+            n = next(n for n, _, b in self.runs if k < b)
+            m = self._models.setdefault(k, _model(n, tuple(column[k] for column in self.columns),
+                                                  self.agent_ids, self.atom_names))
+        return m
+
+
+def _stream(rows: Iterable[tuple], agent_ids: tuple, atom_names: tuple, size: int = 4) -> Iterator[_Batch]:
+    """Rows (n, index tuple, weight), smallest n first, as the batches of `_batches`: the one place they are built."""
+    return (_Batch(batch, agent_ids, atom_names) for batch in _batches(rows, size))
 
 
 # Rows a replay holds: 4 + 8 + ... + 128 in the growing batches, then 256
 # full ones; it holds whole batches, so it may hold one batch past this.
 _STORE_ROWS = 252 + 256 * BATCH_MODELS
-
-
-def _stream(key: tuple, start: int, size: int) -> Iterator[tuple]:
-    """Batch-local (runs, index columns, weights, masks) of a replay key's class rows, from row `start` on."""
-    _, agent_ids, atom_names = key
-    for batch in _batches(islice(_classes(key), start, None), size):
-        sizes = [n for n, _, _ in batch]
-        runs = [(n, bisect_left(sizes, n), bisect_right(sizes, n)) for n in dict.fromkeys(sizes)]
-        columns = list(zip(*(idx for _, idx, _ in batch)))
-        yield runs, columns, [weight for _, _, weight in batch], _packed(runs, columns, agent_ids, atom_names)
 
 
 class _Replay:
@@ -307,20 +356,23 @@ class _Replay:
         self._rest: Optional[Iterator] = None  # the suspended stream, past the batches held
         self._drawing = threading.Lock()  # queries in several threads share the replay
 
-    def __iter__(self) -> Iterator[tuple]:
+    def _fresh(self, k: int) -> Iterator[_Batch]:
+        """The key's class rows past those held, the first batch as long as batch k of one stream from row 0."""
+        return _stream(islice(_classes(self.key), self.rows, None), *self.key[1:], min(4 << k, BATCH_MODELS))
+
+    def __iter__(self) -> Iterator[_Batch]:
         k = 0
         while True:
             with self._drawing:
                 if k == len(self.batches) and not self.ended and self.rows < _STORE_ROWS:
-                    # batch k is 4 << k rows up to BATCH_MODELS, as in one stream from row 0
-                    rest = self._rest or _stream(self.key, self.rows, min(4 << k, BATCH_MODELS))
+                    rest = self._rest or self._fresh(k)
                     self._rest = None  # a draw cut short leaves none: the next starts past the rows held
                     batch = next(rest, None)
                     if batch is None:
                         self.ended = True
                     else:
                         self.batches.append(batch)
-                        self.rows += len(batch[2])
+                        self.rows += len(batch)
                         self._rest = rest
             if k == len(self.batches):
                 break
@@ -329,7 +381,7 @@ class _Replay:
         if not self.ended:  # past the cap
             with self._drawing:
                 rest, self._rest = self._rest, None
-            rest = rest or _stream(self.key, self.rows, min(4 << k, BATCH_MODELS))
+            rest = rest or self._fresh(k)
             batch = next(rest, None)
             if batch is None:
                 self.ended = True

@@ -2,9 +2,9 @@
 
 Satisfaction is invariant under disjoint union, so evaluating a formula
 once over the union of a batch of models gives every model's extension.
-A batch is a run of rows, index tuples into `_iso._values(n)` packed by
-`_iso._packed`: the sweeps pack every labelled row of one size, the
-search isomorphism-class representatives, rows of several sizes sharing a
+A batch is a run of rows, index tuples into `_iso._values(n)`, held and
+packed by `_iso._Batch`: the sweeps' labelled rows and the search's
+isomorphism-class representatives alike, rows of several sizes sharing a
 batch when their slots are equally wide.  Row k owns a slot of
 ``8*ceil(n/8)`` bits, and state i of the row is the i-th of
 ``sorted(states)``; an extension over the whole batch is one Python int.
@@ -16,11 +16,10 @@ the model's own size).  The diamond of a set Y is then
 Intersecting relations ANDs their masks offset by offset.
 
 `_Masks` is the batch algebra of `checker.Context`, which evaluates
-models, pre-models and batches alike: it packs an agent's masks when a
-formula first reads them and meets them for a group, and the context keeps
-both in the batch's ``rels``.  Meet commutes with restriction,
-so a relation needs no restricting: box masks with the alive set, and
-only common knowledge keeps its fixpoint inside alive.
+models, pre-models and batches alike: it meets an agent's masks for a
+group, and the context keeps both in the batch's ``rels``.  Meet commutes
+with restriction, so a relation needs no restricting: box masks with the
+alive set, and only common knowledge keeps its fixpoint inside alive.
 """
 
 from __future__ import annotations
@@ -54,32 +53,9 @@ def _pack(chunks) -> int:
 
 
 class _Masks:
-    """The batch algebra: a batch's atom and relation masks, packed on first use.
-
-    ``relation_rows(agent)`` gives, for each offset d in 1..n-1, the rows'
-    slot patterns of pairs (i, i+d) in one block, and ``atom_rows(name)``
-    the rows' slot bits of the atom, read from index columns through
-    per-size tables (`_iso._packed`).  They close over the columns, never
-    over a batch: evaluation contexts read these masks, and without
-    reference cycles a finished batch is freed at once.  ``rels`` is the
-    relation map that every root context on the batch shares and fills.
-    """
+    """The batch algebra over offset masks; `_iso._Batch` adds a batch's own atom and agent masks."""
 
     empty = 0
-
-    def __init__(self, agents: frozenset, full: int, relation_rows, atom_rows):
-        self.agents, self.full, self._relation_rows, self._atom_rows = agents, full, relation_rows, atom_rows
-        self.rels, self._atoms = {}, {}
-
-    def agent(self, agent: str) -> tuple:
-        return tuple((d, m) for d, m in enumerate(map(_pack, self._relation_rows(agent)), 1) if m)
-
-    def atom(self, name: str) -> int:
-        out = self._atoms.get(name)
-        if out is None:
-            out = self._atoms[name] = _pack(self._atom_rows(name))
-        return out
-
     restrict = staticmethod(lambda rel, alive: rel)  # box and common_box mask with alive instead
     meet = staticmethod(_meet)
     common = staticmethod(tuple)

@@ -5,28 +5,24 @@ state names 0..n-1.  A bound that comes back exhausted is a certificate
 up to that bound only, never a validity proof.
 
 `find_model` and `find_countermodel` evaluate one model per isomorphism
-class (`_iso.py`), in batches packed into the offset masks of
-`batch.py`, and `models_examined` counts the labelled models of every
-class evaluated: an exhausted search covers every labelled model up to
-the bound, and the first witness is the one a model-by-model search would
-find.  Only the witness is built as a `Model`.  The packed batches of
-each bounds are kept for the process, so a query after the first on the
-same agents, atoms and max_states only evaluates its formula.
+class (`_iso.py`), and `models_examined` counts the labelled models of
+every class evaluated: an exhausted search covers every labelled model up
+to the bound, and the first witness is the one a model-by-model search
+would find.  Each bounds' batches are kept for the process, so a later
+query on the same agents, atoms and max_states only evaluates its formula.
 
 The soundness sweeps (`check_schema`, `check_rule_rrc`) share one loop,
-`_sweep`, over every labelled model.  It walks each size's labelled index
-rows in `enumerate_models` order, packs runs of them with the search's
-packer (`_iso._packed`), evaluates the formulas once over the disjoint
-union of each batch (`batch.py`), and reports for each formula the models
-where it fails, as one bit per model, and the least failing state in
-each.  Schemata and class-level rules keep each formula's first failure
-and stop once every formula has failed; RR_C counts, per instance, the
-models where its premise never fails, and reports those where its
-conclusion does.  Both report what a model-by-model loop would: the same
-first witness per formula and the same model count.  Search and sweeps
-read the bounds' agents and atoms through one helper (`_iso._signature`),
-and one decode (`_lowest_point`) turns a batch's lowest bit into its row
-and state.
+`_sweep`, over every labelled model in `enumerate_models` order.
+Schemata and class-level rules keep each formula's first failure and stop
+once every formula has failed; RR_C counts, per instance, the models where
+its premise never fails, and reports those where its conclusion does.
+Both report what a model-by-model loop would: the same first witness per
+formula and the same model count.
+
+Search and sweeps evaluate a formula once over each batch that
+`_iso._stream` packs (`batch.py`), and the batch decodes the extension:
+one bit per row, and each row's model and least state.  Both read the
+bounds' agents and atoms through one helper (`_iso._signature`).
 """
 
 from __future__ import annotations
@@ -34,13 +30,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .batch import BATCH_MODELS
 from .checker import Context, PointedModel
 from .kripke import Model, PreModel, all_groups, model_to_dict
-from ._iso import _labelled, _model, _packed, _replay, _signature, _slot_bytes, _values, set_partitions
+from ._iso import _labelled, _model, _replay, _signature, _stream, _values, set_partitions
 from .syntax import (
     TRUE,
     FALSE,
@@ -153,11 +149,6 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
                     )
 
 
-def _lowest_point(bits: int, n: int) -> tuple:
-    """(row, state bit) of the lowest bit set in the extension of a batch packed as n-state slots."""
-    return divmod((bits & -bits).bit_length() - 1, 8 * _slot_bytes(n))
-
-
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:
     agent_ids, atom_names = _signature(bounds, f._agents, f._atoms)
     for kind, used, declared in (("agent", f._agents, agent_ids), ("atom", f._atoms, atom_names)):
@@ -165,19 +156,13 @@ def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutco
             raise ValueError(f"query mentions {kind} {min(used.difference(declared))!r} outside the search bounds")
     examined = classes = 0
     # seed and instance_count do not change a search: equal signatures and max_states share one replay
-    for runs, columns, weights, masks in _replay((bounds.max_states, agent_ids, atom_names)):
-        ext = Context(masks).extension(f)
-        points = masks.full & ~ext if falsify else ext
-        stop = len(weights)
-        if points:
-            k, i = _lowest_point(points, runs[0][0])
-            stop = k + 1
-        examined += sum(weights[:stop])
-        classes += stop
-        if points:
-            n = next(n for n, _, b in runs if k < b)
-            m = _model(n, tuple(column[k] for column in columns), agent_ids, atom_names)
-            return SearchOutcome(PointedModel(m, sorted(m.states)[i]), bounds.max_states, examined, classes)
+    for batch in _replay((bounds.max_states, agent_ids, atom_names)):
+        ext = Context(batch).extension(f)
+        for k, m, state in batch.points(batch.full & ~ext if falsify else ext):  # the first point is the witness
+            return SearchOutcome(PointedModel(m, state), bounds.max_states,
+                                 examined + sum(batch.weights[:k + 1]), classes + k + 1)
+        examined += sum(batch.weights)
+        classes += len(batch)
     return SearchOutcome(None, bounds.max_states, examined, classes)
 
 
@@ -270,10 +255,6 @@ class FormulaGen:
         if op == "R":
             return R(self.group(), self.formula(d - 1))
         return Ann(self.formula(d - 1), self.formula(d - 1))
-
-    def intern(self, node: Formula) -> Formula:
-        """The node itself: every formula is interned on construction."""
-        return node
 
     def tautology(self, a: Formula, b: Formula) -> Formula:
         shape = self.rng.randrange(6)
@@ -508,56 +489,31 @@ class Report:
         return "\n".join(lines + [f"  {r.text()}" for r in self.schemata + self.rules])
 
 
-# a slot's folded byte as a binary digit: b'0' when empty, b'1' otherwise
-_BINARY = b"0" + b"1" * 255
-
-
-def _rows(bits: int, slot_bytes: int, count: int) -> int:
-    """One bit per row of a batch of count rows, folded in bulk: bit k is set when row k has a state in bits."""
-    if not bits:
-        return 0
-    folded = bits  # OR each slot's bytes into its lowest byte
-    for j in range(1, slot_bytes):
-        folded |= bits >> 8 * j
-    data = folded.to_bytes(count * slot_bytes, "little")[::slot_bytes]
-    return int(data.translate(_BINARY)[::-1], 2)
-
-
 def _sweep(formulas: Sequence[Formula], bounds: SearchBounds, first_only: bool = False) -> Iterator[tuple]:
     """Where each formula fails over the labelled models within the bounds, BATCH_MODELS rows at a time.
 
-    Yields (start, models, rows, least) per batch, models[0] being labelled
-    model `start` of `enumerate_models(bounds)`: bit k of rows[j] is set
-    when models[k] falsifies formulas[j] at some state, and least(j, k) is
-    the least such state.  With first_only, a formula is dropped after the
-    batch of its first failure (its rows read 0 from then on), and the
-    sweep stops once every formula has failed.
+    Yields (start, batch, bad) per batch, the batch's row 0 being labelled
+    model `start` of `enumerate_models(bounds)`: bad[j] is the batch's
+    states where formulas[j] fails, which the batch decodes to rows.  With
+    first_only, a formula is dropped after the batch of its first failure
+    (its bad reads 0 from then on), and the sweep stops once every formula
+    has failed.
     """
     agent_ids, atom_names = _signature(bounds)
+    rows = chain.from_iterable(zip(repeat(n), _labelled(n, len(agent_ids), len(atom_names)), repeat(1))
+                               for n in range(1, bounds.max_states + 1))
     live = set(range(len(formulas)))
     start = 0
-    for n in range(1, bounds.max_states + 1):
-        labelled = _labelled(n, len(agent_ids), len(atom_names))
-        while chunk := list(islice(labelled, BATCH_MODELS)):
-            masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agent_ids, atom_names)
-            root = Context(masks)
-            bad = [masks.full & ~root.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
-            rows = [_rows(bits, _slot_bytes(n), len(chunk)) for bits in bad]
-            models = [_model(n, idx, agent_ids, atom_names) for idx in chunk]
-
-            def least(j: int, k: int, bad=bad, models=models, n=n) -> str:
-                return sorted(models[k].states)[_lowest_point(bad[j] >> 8 * _slot_bytes(n) * k, n)[1]]
-
-            yield start, models, rows, least
-            start += len(chunk)
-            if first_only:
-                live.difference_update(j for j, r in enumerate(rows) if r)
-                if not live:
-                    return
-
-
-def _lowest(rows: int) -> int:
-    return (rows & -rows).bit_length() - 1
+    for batch in _stream(rows, agent_ids, atom_names, BATCH_MODELS):
+        root = Context(batch)
+        bad = [batch.full & ~root.extension(f) if j in live else 0 for j, f in enumerate(formulas)]
+        batch.models()  # building only the models reported is ROADMAP item 2
+        yield start, batch, bad
+        start += len(batch)
+        if first_only:
+            live.difference_update(j for j, bits in enumerate(bad) if bits)
+            if not live:
+                return
 
 
 def _model_count(agent_ids: Sequence[str], atom_names: Sequence[str], max_states: int) -> int:
@@ -626,12 +582,11 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
     formulas = list(dict.fromkeys(f for table in checked.values() for instances in table.values()
                                   for premises, conclusion in instances for f in (*premises, conclusion)))
     failed, last = {}, -1  # formula -> (model, state) of its first failure; that model's index
-    for start, batch, rows, least in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names),
-                                            first_only=True):
-        for j, r in enumerate(rows):
-            if r:
-                k = _lowest(r)
-                failed[formulas[j]] = batch[k], least(j, k)
+    for start, batch, bad in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names), first_only=True):
+        for f, bits in zip(formulas, bad):
+            if bits:
+                k, m, state = next(batch.points(bits))
+                failed[f] = m, state
                 last = max(last, start + k)
     # a model-by-model sweep stops on the model after the last first failure, or runs out
     examined = _model_count(agent_ids, atom_names, bounds.max_states)
@@ -680,16 +635,13 @@ def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS) -> Result:
     instances = _draw(rrc, gen, bounds.instance_count)
     formulas = [f for (premise,), conclusion in instances for f in (premise, conclusion)]
     hits, found = 0, []
-    for start, batch, rows, least in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names)):
+    for start, batch, bad in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names)):
         for j in range(0, len(formulas), 2):
             # a hit is a model where the premise never fails; a violation, a hit where the conclusion does
-            hits += len(batch) - rows[j].bit_count()
-            broken = rows[j + 1] & ~rows[j]
-            while broken:
-                k = _lowest(broken)
-                found.append((start + k, j, Violation("RR_C", formulas[j + 1], batch[k], least(j + 1, k),
-                                                      premise=formulas[j])))
-                broken &= broken - 1
+            failing = batch.rows(bad[j])
+            hits += len(batch) - failing.bit_count()
+            for k, m, state in batch.points(bad[j + 1], ~failing):
+                found.append((start + k, j, Violation("RR_C", formulas[j + 1], m, state, premise=formulas[j])))
     found.sort(key=lambda hit: hit[:2])
     return Result("rule", "RR_C", len(instances), [v for *_, v in found], premise_hits=hits,
                   models_examined=_model_count(agent_ids, atom_names, bounds.max_states))

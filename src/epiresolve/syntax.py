@@ -513,14 +513,6 @@ def push_modal(prefix: Sequence[GroupLike], inner: Formula) -> Formula:
 # Closure
 
 
-def _strip_resolutions(f: Formula):
-    prefix = []
-    while isinstance(f, R):
-        prefix.append(f.group)
-        f = f.body
-    return prefix, f
-
-
 def closure(f: Formula) -> frozenset:
     """The finite closure set of an announcement-free formula.
 
@@ -528,10 +520,33 @@ def closure(f: Formula) -> frozenset:
     negations, the K/D singleton correspondence, everybody-knows unfolding
     of C, and the resolution-prefix clauses that mirror the reduction
     steps (conjunction and negation distribute; prefixed K/D/C add their
-    D{delta} counterparts; prefixed C also sheds its C).
+    D{delta} counterparts; prefixed C also sheds its C).  An R node's
+    clauses come one resolution step from its body's, so a prefix of n
+    resolutions costs n steps, not n^2.
     """
     if f._kinds & Ann._kind:
         raise ValueError("closure is defined for announcement-free formulas only")
+
+    # R node -> (core, what its clauses wrap in its prefix, the delta of each target), one step from its body's
+    steps: dict = {}
+
+    def step(top: R) -> tuple:
+        chain, r = [], top
+        while type(r) is R and r not in steps:
+            chain.append(r)
+            r = r.body
+        for h in reversed(chain):
+            g, body = h.group, h.body
+            if type(body) is R:
+                core, wrapped, targets = steps[body]
+            else:
+                core, cls = body, type(body)
+                wrapped = children(body) if cls in (Neg, And) else (body.body,) if cls in (K, D, C) else ()
+                targets = ((frozenset([body.agent]),) if cls is K else (body.group,) if cls is D else
+                           (body.group, *(frozenset([i]) for i in sorted(body.group))) if cls is C else ())
+            steps[h] = (core, tuple(R(g, w) for w in wrapped),
+                        tuple(g | t if g & t else t for t in targets))  # delta's fold, one group at a time
+        return steps[top]
 
     out = set()
     todo = [f]
@@ -550,16 +565,15 @@ def closure(f: Formula) -> frozenset:
             new.append(K(i, g.body))
         if isinstance(g, C):
             new.extend(K(i, g) for i in sorted(g.group))
-        prefix, core = _strip_resolutions(g)
-        if prefix:
+        if isinstance(g, R):
+            core, wrapped, targets = step(g)
             if isinstance(core, (Neg, And)):
-                new.extend(_wrap_resolutions(prefix, c) for c in children(core))
+                new.extend(wrapped)
             elif isinstance(core, (K, D)):
-                new.append(push_modal(prefix, core))
+                new.append(D(targets[0], wrapped[0]))  # push_modal's step
             elif isinstance(core, C):
-                new.append(D(delta(core.group, prefix), g))
-                new.extend(D(delta(frozenset([i]), prefix), g) for i in sorted(core.group))
-                new.append(_wrap_resolutions(prefix, core.body))
+                new.extend(D(t, g) for t in targets)
+                new.append(wrapped[0])
         todo.extend(n for n in new if n not in out)
     return frozenset(out)
 

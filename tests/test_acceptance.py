@@ -72,7 +72,7 @@ def _biconditional_suite(criterion, schemata, models, gen, per_schema=200):
             key = pair
             if key not in seen:
                 seen.add(key)
-                pairs.append((gen.intern(pair[0]), gen.intern(pair[1])))
+                pairs.append((pair[0], pair[1]))
         for m in models:
             ev = Evaluator(m)
             for lhs, rhs in pairs:
@@ -210,7 +210,7 @@ def test_c05_reducer_on_the_resolution_distributed_fragment():
         if f in seen:
             continue
         seen.add(f)
-        rf = gen.intern(reduce(f))
+        rf = reduce(f)
         assert not any(isinstance(g, R) for g in subformulas(rf)), render(f)
         pairs.append((f, rf))
     models = model_list(4, ("1", "2"), ("p",))

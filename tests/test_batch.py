@@ -2,7 +2,7 @@
 
 `reference_evaluator.Evaluator`, which shares no evaluation code with the
 engine, is the oracle: every extension of a batch of index rows packed by
-`_iso._packed` must equal its per-model extension, and every sweep report
+`_iso._Batch` must equal its per-model extension, and every sweep report
 must equal the report of a plain model-by-model loop (kept below) over
 `enumerate_models`.
 """
@@ -17,7 +17,7 @@ from itertools import islice
 import pytest
 
 from epiresolve import checker, search
-from epiresolve._iso import _labelled, _model, _packed, _slot_bytes, _values
+from epiresolve._iso import _labelled, _model, _slot_bytes, _stream, _values
 from epiresolve.batch import BATCH_MODELS
 from epiresolve.checker import Context
 from epiresolve.kripke import Model, as_premodel
@@ -53,11 +53,11 @@ def formulas(atoms, seed, count):
 
 
 def packed_batches(n, rows, agents, atoms):
-    """(models, root context) of each run of BATCH_MODELS n-state index rows, packed by `_packed`."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, BATCH_MODELS)):
-        masks = _packed([(n, 0, len(chunk))], list(zip(*chunk)), agents, atoms)
-        yield [_model(n, idx, agents, atoms) for idx in chunk], Context(masks)
+    """(models, root context) of each run of BATCH_MODELS n-state index rows, as `_stream` packs them."""
+    rows, start = list(rows), 0
+    for batch in _stream([(n, idx, 1) for idx in rows], agents, atoms, BATCH_MODELS):
+        yield [_model(n, idx, agents, atoms) for idx in rows[start:start + len(batch)]], Context(batch)
+        start += len(batch)
 
 
 def labelled_batches(max_states, agents, atoms):
@@ -105,20 +105,14 @@ def test_a_batch_packs_a_relation_when_a_formula_first_reads_it():
     assert set(root.alg.rels) == {"1", "2", frozenset({"1", "2"})}
 
 
-def assert_rows(models, bits):
-    """`_rows` folds bits to the rows holding a state, and `_lowest_point` finds the first row's least state."""
+def assert_rows(models, batch, bits):
+    """`rows` folds bits to the rows holding a state, and `points` finds each such row, its model and least state."""
     split = per_model(models, bits)
-    n = len(models[0].states)
-    assert search._rows(bits, _slot_bytes(n), len(models)) == sum(1 << k for k, states in enumerate(split) if states)
-    width = 8 * _slot_bytes(n)
-    for k, states in enumerate(split):
-        if states:
-            row, i = search._lowest_point(bits >> k * width, n)
-            assert (row, sorted(models[k].states)[i]) == (0, min(states))
-    if bits:
-        first = next(k for k, states in enumerate(split) if states)
-        row, i = search._lowest_point(bits, n)
-        assert (row, sorted(models[row].states)[i]) == (first, min(split[first]))
+    assert batch.rows(bits) == sum(1 << k for k, states in enumerate(split) if states)
+    points = [(k, models[k], min(states)) for k, states in enumerate(split) if states]
+    assert list(batch.points(bits)) == points
+    among = sum(1 << k for k in range(0, len(models), 3))  # every third row
+    assert list(batch.points(bits, among)) == [point for point in points if point[0] % 3 == 0]
 
 
 def test_agrees_with_evaluator_on_multi_byte_slots():
@@ -132,24 +126,38 @@ def test_agrees_with_evaluator_on_multi_byte_slots():
     ((models, root),) = batches
     for f in fs:
         bits = root.extension(f)
-        assert_rows(models, bits)
-        assert_rows(models, root.alive & ~bits)
+        assert_rows(models, root.alg, bits)
+        assert_rows(models, root.alg, root.alive & ~bits)
 
 
 def test_sweep_rows_and_least_states_match_evaluator():
     bounds = SearchBounds(3, ("1", "2"), ("p",))
     fs = formulas(["p"], seed=15, count=20) + [TRUE]
-    seen = 0
-    for start, models, rows, least in search._sweep(fs, bounds):
+    seen = []
+    for start, batch, bad in search._sweep(fs, bounds):
+        models = [batch.model(k) for k in range(len(batch))]
         for j, f in enumerate(fs):
-            bad = [m.states - Evaluator(m).extension(f) for m in models]
-            assert rows[j] == sum(1 << k for k, states in enumerate(bad) if states), f
-            assert [least(j, k) for k, states in enumerate(bad) if states] == [min(states) for states in bad if states]
-        assert rows[-1] == 0
-        assert start == seen
-        seen += len(models)
-    assert seen == len(list(enumerate_models(bounds)))
-    assert search._rows(0, 1, 4) == 0
+            want = [m.states - Evaluator(m).extension(f) for m in models]
+            assert batch.rows(bad[j]) == sum(1 << k for k, states in enumerate(want) if states), f
+            assert [state for _, _, state in batch.points(bad[j])] == [min(states) for states in want if states]
+        assert bad[-1] == batch.rows(bad[-1]) == 0
+        assert start == len(seen)
+        seen += models
+    assert seen == list(enumerate_models(bounds))
+
+
+def test_a_finished_batch_is_freed_at_once():
+    # a batch refers to no context and its models to no batch: without a cycle it goes with its last reference
+    gc.disable()
+    try:
+        (batch,) = _stream([(2, (0, 1), 1), (2, (1, 2), 1)], ("1",), ("p",))
+        ext = Context(batch).extension(parse("R{1} ~K1 p", {"1"}))
+        assert [(k, state) for k, _, state in batch.points(ext)] == [(0, "0"), (1, "0")]
+        freed = weakref.ref(batch)
+        del batch
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,23 @@ def test_undeclared_agent_is_a_value_error_everywhere(text):
 # sweeps: batched against a model-by-model reference loop
 
 
+class OneModel:
+    """A model as a batch of one row, its extensions sets of states: what the reference sweeps yield."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __len__(self):
+        return 1
+
+    def rows(self, states):
+        return int(bool(states))
+
+    def points(self, states, among=-1):
+        if states and among & 1:
+            yield 0, self.m, min(states)
+
+
 def reference_first_failures(formulas, bounds):
     """`_sweep(formulas, bounds, first_only=True)`, model by model: each model is a batch of one."""
     still_valid = set(range(len(formulas)))
@@ -186,15 +211,14 @@ def reference_first_failures(formulas, bounds):
             if ext != m.states:
                 bad[j] = m.states - ext
         still_valid -= set(bad)
-        yield k, [m], [int(j in bad) for j in range(len(formulas))], lambda j, _, bad=bad: min(bad[j])
+        yield k, OneModel(m), [bad.get(j, 0) for j in range(len(formulas))]
 
 
 def reference_rrc_sweep(formulas, bounds):
     """`_sweep(formulas, bounds)`, model by model: every model where each formula fails."""
     for k, m in enumerate(enumerate_models(bounds)):
         ev = Evaluator(m)
-        bad = [m.states - ev.extension(f) for f in formulas]
-        yield k, [m], [int(bool(b)) for b in bad], lambda j, _, bad=bad: min(bad[j])
+        yield k, OneModel(m), [m.states - ev.extension(f) for f in formulas]
 
 
 def reference_sweep(formulas, bounds, first_only=False):

@@ -148,7 +148,7 @@ class TestReductionPrinciples:
 
     def _assert_valid(self, make):
         for _ in range(60):
-            f = self.gen.intern(make(self.gen))
+            f = make(self.gen)
             bad = _holds_everywhere(self.models, f)
             assert bad is None, render(f)
 
@@ -211,7 +211,7 @@ class TestResolutionAndCommonKnowledge:
         for _ in range(40):
             g, h = gen.disjoint_pair()
             a = gen.formula()
-            f = gen.intern(Iff(R(g, C(h, a)), C(h, R(g, a))))
+            f = Iff(R(g, C(h, a)), C(h, R(g, a)))
             assert _holds_everywhere(models, f) is None, render(f)
 
     def test_contained_group_collapses(self):
@@ -223,7 +223,7 @@ class TestResolutionAndCommonKnowledge:
             a = gen.formula()
             lhs = R(g, C(h, a))
             for rhs in (R(g, K(i, a)), D(g, R(g, a))):
-                f = gen.intern(Iff(lhs, rhs))
+                f = Iff(lhs, rhs)
                 assert _holds_everywhere(models, f) is None, render(f)
 
 
@@ -237,7 +237,7 @@ def test_monotone_knowledge_chain():
             a = gen.formula()
             for g in groups:
                 c_ext = ev.extension(C(g, a))
-                e_ext = ev.extension(gen.intern(E(g, a)))
+                e_ext = ev.extension(E(g, a))
                 assert c_ext <= e_ext
                 for i in sorted(g):
                     k_ext = ev.extension(K(i, a))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from epiresolve.search import FormulaGen
@@ -131,3 +133,22 @@ def test_closure_of_members_stays_inside():
     cl = closure(f)
     for member in sorted(cl, key=str)[:10]:
         assert closure(member) <= cl
+
+
+def test_closure_is_linear_in_resolution_depth():
+    # each R node's clauses come one resolution step from its body's: no prefix is walked or rebuilt per member
+    def alternating(levels):
+        f = K("1", p)
+        for k in range(levels):
+            f = R(grp("1,3") if k % 2 else grp("1,2"), f)
+        return f
+
+    cl = closure(alternating(40))
+    for member in cl:
+        assert _required_by_clauses(member, _wrap) <= cl, member
+    f = alternating(4000)
+    start = time.perf_counter()
+    cl = closure(f)
+    assert time.perf_counter() - start < 2.0  # about 0.1 s; walking each member's prefix took over 8 s
+    assert push_modal(*_strip(f)) in cl
+    assert len(cl) == 6 * 4000 + 6

@@ -3,7 +3,7 @@
 `reference_evaluator` builds every resolved and restricted model; the
 engine's contexts read each relation one resolution step from their
 parent's, inside an alive set.  They must agree on every extension: for
-`Evaluator` and for batches of index rows packed by `_iso._packed` on
+`Evaluator` and for batches of index rows packed by `_iso._Batch` on
 every model up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1,
 and for `PseudoEvaluator` on those models' embeddings resolved by every
 group, on a sample of the 3-state, 3-agent pseudo-models and on pre-models

@@ -518,8 +518,8 @@ def test_queries_past_the_store_cap_stay_right(cold_outcomes, monkeypatch, cap):
     assert run_store_queries(reversed(range(len(STORE_QUERIES)))) == cold_outcomes
     # the last query exhausts 357 rows; the replay holds whole batches up to the first boundary at or past the cap
     replay = _replay((4, ("1", "2"), ("p",)))
-    assert replay.rows >= cap > replay.rows - len(replay.batches[-1][2])
-    assert replay.rows == sum(len(weights) for _, _, weights, _ in replay.batches)
+    assert replay.rows >= cap > replay.rows - len(replay.batches[-1])
+    assert replay.rows == sum(map(len, replay.batches))
 
 
 @pytest.mark.parametrize("cap", [None, 300])
@@ -536,6 +536,19 @@ def test_a_replayed_exhaustion_enumerates_no_class(monkeypatch, cap):
     for again in (bounds, SearchBounds(4, ("2", "1", "2"), ("p",), seed=7, instance_count=3)):
         assert find(parse(text), again) == first
     assert calls == []
+    _replay.cache_clear()
+
+
+def test_a_repeated_query_builds_its_witness_model_once(monkeypatch):
+    built, real = [], _iso._model
+    monkeypatch.setattr(_iso, "_model", lambda *args: built.append(args) or real(*args))
+    _replay.cache_clear()
+    f, bounds = parse("p & ~K1 p"), SearchBounds(3, ("1",), ("p",))
+    first = find_model(f, bounds)
+    # the replayed batch keeps the row's model: later queries with the same witness row share it
+    for again in (find_model(f, bounds), find_countermodel(Neg(f), bounds)):
+        assert again == first and again.witness.model is first.witness.model
+    assert len(built) == 1
     _replay.cache_clear()
 
 
@@ -618,14 +631,14 @@ def root_batches(bounds) -> list:
     return _replay((bounds.max_states, bounds.agents, bounds.atoms)).batches
 
 
-def fill_root_relations(masks, rng) -> None:
+def fill_root_relations(batch, rng) -> None:
     """Empty a batch's shared root relations, or fill some or all of what a root context reads."""
     if rng.random() < 0.3:
-        masks.rels.clear()
+        batch.rels.clear()
         return
-    root = Context(masks)
-    groups = all_groups(sorted(masks.agents))
-    keys = sorted(masks.agents) + groups + [(g,) for g in groups]
+    root = Context(batch)
+    groups = all_groups(sorted(batch.agents))
+    keys = sorted(batch.agents) + groups + [(g,) for g in groups]
     for key in rng.sample(keys, rng.randint(1, len(keys))):
         root._rel(key)
 
@@ -637,13 +650,13 @@ def test_outcomes_do_not_depend_on_what_the_root_relations_hold(cold_root_outcom
     rng.shuffle(order)  # queries on the other bounds come between two on the same bounds
     _replay.cache_clear()
     for k in order:
-        for *_, masks in root_batches(ROOT_QUERIES[k][2]):
-            fill_root_relations(masks, rng)
+        for batch in root_batches(ROOT_QUERIES[k][2]):
+            fill_root_relations(batch, rng)
         assert run_store_queries([k], ROOT_QUERIES) == {k: cold_root_outcomes[k]}
     for _, _, bounds in ROOT_QUERIES:
         # what a root context reads: at most each agent's, each group's and each group's common relation
-        assert all(len(masks.rels) <= len(bounds.agents) + 2 * (2 ** len(bounds.agents) - 1)
-                   for *_, masks in root_batches(bounds))
+        assert all(len(batch.rels) <= len(bounds.agents) + 2 * (2 ** len(bounds.agents) - 1)
+                   for batch in root_batches(bounds))
 
 
 def test_threads_filling_the_root_relations_get_the_cold_outcomes(cold_root_outcomes):
@@ -656,8 +669,8 @@ def test_threads_filling_the_root_relations_get_the_cold_outcomes(cold_root_outc
             random.Random(seed).shuffle(order)
             run_store_queries(order, ROOT_QUERIES)
             for _, _, bounds in ROOT_QUERIES:
-                for *_, masks in root_batches(bounds):
-                    masks.rels.clear()
+                for batch in root_batches(bounds):
+                    batch.rels.clear()
             results, errors = [], []
             start = threading.Barrier(workers, timeout=60)
 
