@@ -12,8 +12,9 @@ model instead, each model a class of weight 1.
 `_batches`, the one batcher, cuts rows (n, index tuple, weight) into
 batches, and `_stream` makes each a `_Batch`.  A batch packs the offset
 masks of `batch.py` from its index columns as a formula reads them, and
-decodes an extension back to rows, their models and states.  The sweeps
-stream their labelled rows (`_labelled`), each of weight 1, in batches of
+decodes an extension back to rows, their models and states.  Rows become
+models one size run at a time (`_models`).  The sweeps stream their
+labelled rows (`_labelled`), each of weight 1, in batches of
 `BATCH_MODELS`.  A search streams the class rows in batches of 4 rows that
 double up to `BATCH_MODELS`, so that an early witness costs a small batch
 and an exhausted search few large ones.  Neither the rows nor the batches
@@ -120,12 +121,13 @@ def _labelled(n: int, agents: int, atoms: int) -> Iterator[tuple]:
     return product(*[range(len(_values(n)[1]))] * agents, *[range(1 << n)] * atoms)
 
 
-def _model(n: int, idx: tuple, agent_ids: Sequence[str], atom_names: Sequence[str]) -> Model:
-    """The n-state model of an index tuple: one partition per agent, then one subset per atom."""
+def _models(n: int, index_rows: Iterable, agent_ids: Sequence[str], atom_names: Sequence[str]) -> Iterator[Model]:
+    """Each index tuple's n-state model (a partition per agent, then a subset per atom): the one place a row
+    becomes a `Model`.  A run of rows reads the size's values and the agent set once."""
     states, parts, subsets = _values(n)
-    return Model(states=states, agents=frozenset(agent_ids),
-                 relations={a: parts[k] for a, k in zip(agent_ids, idx)},
-                 valuation={p: subsets[k] for p, k in zip(atom_names, idx[len(agent_ids):])})
+    agents, k, part, subset = frozenset(agent_ids), len(agent_ids), parts.__getitem__, subsets.__getitem__
+    for idx in index_rows:
+        yield Model(states, agents, dict(zip(agent_ids, map(part, idx))), dict(zip(atom_names, map(subset, idx[k:]))))
 
 
 # the action tables hold n! * (B(n) + 2^n) entries: 5.1 M at 7 states, 177 M at 8
@@ -313,10 +315,12 @@ class _Batch(_Masks):
             rows &= rows - 1
 
     def models(self) -> None:
-        """Build every row's model at once, as a model-by-model loop would."""
+        """Build every row's model, one size run at a time.  `points` builds a reported row's model on its
+        own; the sweeps build every row only because the benchmark's RSS reading depends on what a pass
+        allocates (ROADMAP item 1), and dropping this call is item 2."""
         for n, a, b in self.runs:
             rows = zip(*(column[a:b] for column in self.columns))
-            self._models.update(enumerate([_model(n, idx, self.agent_ids, self.atom_names) for idx in rows], a))
+            self._models.update(enumerate(_models(n, rows, self.agent_ids, self.atom_names), a))
 
     def model(self, k: int) -> Model:
         """Row k's model, built when first asked for and kept: queries replaying the batch share it, since
@@ -324,8 +328,8 @@ class _Batch(_Masks):
         m = self._models.get(k)
         if m is None:
             n = next(n for n, _, b in self.runs if k < b)
-            m = self._models.setdefault(k, _model(n, tuple(column[k] for column in self.columns),
-                                                  self.agent_ids, self.atom_names))
+            (m,) = _models(n, [tuple(column[k] for column in self.columns)], self.agent_ids, self.atom_names)
+            m = self._models.setdefault(k, m)
         return m
 
 

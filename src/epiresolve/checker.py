@@ -69,7 +69,7 @@ class _Sets:
 
     @staticmethod
     def box(rel: Partition, body: frozenset, alive: frozenset) -> frozenset:
-        return frozenset().union(*(b for b in rel.blocks if b <= body))
+        return frozenset().union(*filter(body.issuperset, rel.blocks))
 
     common_box = box
 

@@ -135,7 +135,7 @@ class Partition:
         return all(block <= other.block_of(next(iter(block))) for block in self.blocks)
 
     def restrict(self, keep: frozenset) -> "Partition":
-        return Partition(frozenset(b & keep for b in self.blocks if b & keep))
+        return Partition(frozenset(filter(None, (b & keep for b in self.blocks))))
 
     def sorted_blocks(self) -> list:
         return sorted([sorted(b) for b in self.blocks])

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .batch import BATCH_MODELS
 from .checker import Context, PointedModel
 from .kripke import Model, PreModel, all_groups, model_to_dict
-from ._iso import _labelled, _model, _replay, _signature, _stream, _values, set_partitions
+from ._iso import _labelled, _models, _replay, _signature, _stream, _values, set_partitions
 from .syntax import (
     TRUE,
     FALSE,
@@ -105,8 +105,7 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[Model]:
     """Every model with 1..max_states states over the bounds' agents and atoms."""
     agent_ids, atom_names = _signature(bounds)
     for n in range(1, bounds.max_states + 1):
-        for idx in _labelled(n, len(agent_ids), len(atom_names)):
-            yield _model(n, idx, agent_ids, atom_names)
+        yield from _models(n, _labelled(n, len(agent_ids), len(atom_names)), agent_ids, atom_names)
 
 
 def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Sequence[str] = ()) -> Iterator[PreModel]:
@@ -117,7 +116,7 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
     group refines every smaller group inside it.
     """
     agent_ids = sorted(set(agents))  # a repeated id counts once, as in SearchBounds
-    atom_names = sorted(set(atoms))
+    atom_names, agent_set = sorted(set(atoms)), frozenset(agent_ids)
     groups = all_groups(agent_ids)
     larger = [g for g in groups if len(g) > 1]
     for n in range(1, max_states + 1):
@@ -140,13 +139,7 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
 
             for group_relations in rec(0):
                 for values in product(subsets, repeat=len(atom_names)):
-                    yield PreModel(
-                        states=states,
-                        agents=frozenset(agent_ids),
-                        relations=relations,
-                        valuation=dict(zip(atom_names, values)),
-                        group_relations=group_relations,
-                    )
+                    yield PreModel(states, agent_set, relations, dict(zip(atom_names, values)), group_relations)
 
 
 def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutcome:

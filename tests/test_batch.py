@@ -12,12 +12,13 @@ import importlib
 import random
 import sys
 import weakref
-from itertools import islice
+from functools import lru_cache
+from itertools import islice, product
 
 import pytest
 
 from epiresolve import checker, search
-from epiresolve._iso import _labelled, _model, _slot_bytes, _stream, _values
+from epiresolve._iso import _labelled, _slot_bytes, _stream, _values, set_partitions
 from epiresolve.batch import BATCH_MODELS
 from epiresolve.checker import Context
 from epiresolve.kripke import Model, as_premodel
@@ -26,7 +27,7 @@ from epiresolve.syntax import TRUE, And, parse
 
 from reference_evaluator import Evaluator
 
-from test_search import break_c1, corrupt_rd1, drop_t_d
+from test_search import break_c1, corrupt_rd1, drop_t_d, signature
 
 AG = {"1", "2"}
 
@@ -52,11 +53,27 @@ def formulas(atoms, seed, count):
     return out + [parse(text, AG) for text in HANDPICKED if set(atoms) >= {"p", "q"} or "q" not in text]
 
 
+@lru_cache(maxsize=None)
+def row_values(n):
+    """(states, block lists, subsets) of n-state rows, apart from `_iso`'s builder: partition k is the
+    k-th of `set_partitions`, and subset k holds state str(i) when bit i of k is set."""
+    names = [str(i) for i in range(n)]
+    subsets = [[s for i, s in enumerate(names) if k >> i & 1] for k in range(1 << n)]
+    return names, list(set_partitions(names)), subsets
+
+
+def row_model(n, idx, agents, atoms):
+    """The oracle of a labelled row: `Model.make` of its partitions (one per agent), then its subsets."""
+    names, parts, subsets = row_values(n)
+    return Model.make(names, {a: parts[k] for a, k in zip(agents, idx)},
+                      {p: subsets[k] for p, k in zip(atoms, idx[len(agents):])}, agents=agents)
+
+
 def packed_batches(n, rows, agents, atoms):
     """(models, root context) of each run of BATCH_MODELS n-state index rows, as `_stream` packs them."""
     rows, start = list(rows), 0
     for batch in _stream([(n, idx, 1) for idx in rows], agents, atoms, BATCH_MODELS):
-        yield [_model(n, idx, agents, atoms) for idx in rows[start:start + len(batch)]], Context(batch)
+        yield [row_model(n, idx, agents, atoms) for idx in rows[start:start + len(batch)]], Context(batch)
         start += len(batch)
 
 
@@ -78,6 +95,24 @@ def assert_agrees(batches, fs):
         for f in fs:
             expected = [Evaluator(m).extension(f) for m in models]
             assert per_model(models, root.extension(f)) == expected, f
+
+
+@pytest.mark.parametrize("max_states, agents, atoms", [(4, 2, 1), (3, 3, 1), (3, 2, 2)])
+def test_every_builder_makes_each_rows_model(max_states, agents, atoms):
+    agent_ids, atom_names = signature(agents, atoms)
+    # every labelled row, index tuples in lexicographic order within each size
+    rows = [(n, idx, 1) for n in range(1, max_states + 1)
+            for idx in product(*[range(len(row_values(n)[1]))] * agents, *[range(1 << n)] * atoms)]
+    expected = [row_model(n, idx, agent_ids, atom_names) for n, idx, _ in rows]
+    assert list(enumerate_models(SearchBounds(max_states, agent_ids, atom_names))) == expected
+    # whole batches of several size runs each, and batches of 4, 8, ... rows, each row built on its own, last first
+    whole, alone = [], []
+    for batch in _stream(rows, agent_ids, atom_names, BATCH_MODELS):
+        batch.models()
+        whole += [batch.model(k) for k in range(len(batch))]
+    for batch in _stream(rows, agent_ids, atom_names):
+        alone += reversed([batch.model(k) for k in reversed(range(len(batch)))])
+    assert whole == expected and alone == expected
 
 
 def test_labelled_batches_are_the_enumeration_in_order():

@@ -18,7 +18,7 @@ from conftest import model_list
 from epiresolve.checker import Context, satisfies
 from epiresolve.batch import BATCH_MODELS
 from epiresolve.kripke import all_groups, group_relation, validate
-from epiresolve._iso import _batches, _classes, _model, _pair_table, _replay, _subset_table, _values
+from epiresolve._iso import _batches, _classes, _models, _pair_table, _replay, _subset_table, _values
 from epiresolve.search import (
     FormulaGen,
     SearchBounds,
@@ -194,7 +194,7 @@ def classes(bounds):
 def representatives(bounds):
     """(model, class size) of every row of `_classes`."""
     agent_ids, atom_names = list(bounds.agents), list(bounds.atoms)
-    return [(_model(n, idx, agent_ids, atom_names), size) for n, idx, size in classes(bounds)]
+    return [(m, size) for n, idx, size in classes(bounds) for m in _models(n, [idx], agent_ids, atom_names)]
 
 
 class TestIsomorphismClasses:
@@ -333,7 +333,8 @@ def characteristic(m, state):
 
 def assert_batched_witness(bounds, rows, row, labelled):
     """The search meets row's characteristic formula at row, as a labelled loop does."""
-    m = _model(*rows[row][:2], list(bounds.agents), list(bounds.atoms))
+    n, idx, _ = rows[row]
+    (m,) = _models(n, [idx], list(bounds.agents), list(bounds.atoms))
     state = max(m.states)
     f = characteristic(m, state)
     _, first, first_state = labelled_first_point(f, labelled, falsify=False)
@@ -540,8 +541,14 @@ def test_a_replayed_exhaustion_enumerates_no_class(monkeypatch, cap):
 
 
 def test_a_repeated_query_builds_its_witness_model_once(monkeypatch):
-    built, real = [], _iso._model
-    monkeypatch.setattr(_iso, "_model", lambda *args: built.append(args) or real(*args))
+    built, real = [], _iso._models
+
+    def counted(n, rows, *names):  # every row that becomes a model
+        for m in real(n, rows, *names):
+            built.append(m)
+            yield m
+
+    monkeypatch.setattr(_iso, "_models", counted)
     _replay.cache_clear()
     f, bounds = parse("p & ~K1 p"), SearchBounds(3, ("1",), ("p",))
     first = find_model(f, bounds)
