@@ -262,8 +262,8 @@ class _Batch(_Masks):
 
     The batch packs an agent's or an atom's masks when a formula first
     reads them, each index column through its rows' size tables, and it
-    decodes an extension back to rows (`rows`, `points`).  ``rels`` is the
-    relation map that every root context on the batch shares and fills.
+    decodes an extension back to rows (`rows`, `points`).  Every root
+    context on the batch shares and fills its ``rels`` and ``steps``.
     The batch refers to no context, so a finished batch is freed at once.
     """
 
@@ -275,6 +275,7 @@ class _Batch(_Masks):
         self.runs = [(n, bisect_left(sizes, n), bisect_right(sizes, n)) for n in range(sizes[0], sizes[-1] + 1)]
         self.columns = list(zip(*indexes))
         self.agent_ids, self.atom_names, self.agents = agent_ids, atom_names, frozenset(agent_ids)
+        self.map, self.steps = frozenset((a, frozenset((a,))) for a in agent_ids), {}
         self.slot, self.full = _slot_bytes(sizes[0]), _pack(_subset_table(n)[-1] * (b - a) for n, a, b in self.runs)
         self.rels, self._atoms, self._models = {}, {}, {}
 

@@ -3,20 +3,21 @@
 One evaluation context serves models, pre-models and batches of models
 (`batch.py`), memoizing per formula the set of states where it holds, in
 postorder and on an explicit stack, so formulas of any depth evaluate.  No
-updated model is built.  ``R_G`` opens a child context that links to its
-parent's relations and to G, ``[phi]psi`` one that keeps its parent's group
-and whose alive set is phi's extension.  A child reads each relation from
-its parent one step of `resolve` (or `resolve_pre`) away: G's members read
-G's, a group meeting G reads its union with G's, so a chain of resolutions
-selects the base relation `delta` names at one step per level.  C closes
-the agent relations inside alive.
+updated model is built.  A context is a map from each agent to the group
+whose meet it reads, and an alive set: ``R_G`` maps G's members to the
+union of what they read, so a chain of resolutions selects the group
+`delta` names, and ``[phi]psi`` narrows alive to phi's extension.  The
+root keeps one table from (map, alive) to a context, so equal contexts
+reached by different prefixes evaluate once.
 
 Relations come from an algebra: frozensets and partitions for one model
-or pre-model, or a batch's offset masks.  The root context's relation map
-is the algebra's ``rels``.  One model's starts with its agents' relations,
-a pre-model's also with its stored group relations, which its D reads, and
-a batch's starts empty.  After that `Context._rel` alone fills it: with an
-agent's relation on first use, and with a group's as its members' meet.
+or pre-model, or a batch's offset masks.  K, D and C read the root's
+relation map, the algebra's ``rels``, restricted to alive inside an
+announcement; C closes the agent relations inside alive.  One model's
+relation map starts with its agents' relations, a pre-model's also with
+its stored group relations, and a batch's starts empty.  `Context._rel`
+alone fills it: with an agent's relation on first use, and with a group's
+as its members' meet.  A pre-model's root maps each agent to its own id.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from typing import Iterable
 
 from .kripke import AnyModel, Model, Partition, PreModel, all_groups
 from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children
+
+_SELF = "self"  # what _kids holds for a key that opens the context itself; a link to itself would be a cycle
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class _Sets:
     lacking one).
     """
 
-    __slots__ = ("model", "agents", "full", "rels")
+    __slots__ = ("model", "agents", "map", "steps", "full", "rels")
     empty = frozenset()
     restrict = staticmethod(Partition.restrict)
     meet = staticmethod(partial(reduce, Partition.meet))
@@ -63,6 +66,7 @@ class _Sets:
 
     def __init__(self, model: AnyModel):
         self.model, self.agents, self.full, self.rels = model, model.agents, model.states, dict(model.relations)
+        self.map, self.steps = frozenset((a, frozenset((a,))) for a in model.agents), {}
 
     def atom(self, name: str) -> frozenset:
         return self.model.valuation.get(name, self.empty)
@@ -75,59 +79,61 @@ class _Sets:
 
 
 class Context:
-    """Memoized extensions after the resolutions and announcements that opened it, inside an alive set.
+    """Memoized extensions in one (map, alive set); ``map`` pairs each agent with the root key it reads.
 
-    Extensions are combined only with ``&``, ``|`` and ``alive ^ x`` (the
-    complement inside alive), which frozensets and ints share.
+    ``_kids`` maps what R (a group) or an announcement ((announced,)) opens here to the context it opens.
+    The root's ``_kids`` is also the table: it maps each context below the root by its map, or by (map,
+    alive) inside an announcement, keys that never equal a group or an (announced,).  A context refers
+    only to contexts below it, so a dropped tree is freed at once.  Extensions are combined only with
+    ``&``, ``|`` and ``alive ^ x`` (the complement inside alive), which frozensets and ints share.
     """
 
-    __slots__ = ("alg", "up", "group", "alive", "_ext", "_rels", "_kids")
+    __slots__ = ("alg", "map", "alive", "_ext", "_rels", "_kids")
 
-    def __init__(self, alg, parent: Context | None = None, group=None, alive=None, rels=None):
-        # up is parent's (relation map, group, alive set, up); a link to parent would make the tree a reference cycle
-        self.alg, self.group, self._ext, self._kids = alg, group, {}, {}
-        if parent is None:  # alg's root
-            self.up, self.alive, self._rels = None, alg.full, alg.rels
+    def __init__(self, alg, map=None, alive=None, rels=None):
+        self.alg, self._ext, self._kids = alg, {}, {}
+        if map is None:  # alg's root, whose relation map is the algebra's
+            self.map, self.alive, self._rels = alg.map, alg.full, alg.rels
         else:
-            self.up, self.alive, self._rels = (parent._rels, parent.group, parent.alive, parent.up), alive, rels
+            self.map, self.alive, self._rels = map, alive, rels
+
+    def _union(self, g: frozenset) -> frozenset:
+        """The root key of what group g reads here: the union of what its members read (an own id as a singleton)."""
+        return frozenset().union(*[(k,) if type(k) is str else k for a, k in self.map if a in g])
 
     def _rel(self, key):
         """What K (key its agent), D (key its group) or C (key (group,)) reads, restricted to alive."""
         rel = self._rels.get(key)
-        if rel is None and type(key) is tuple:
-            rel = self._rels[key] = self.alg.common([self._rel(a) for a in sorted(key[0])])
-        elif rel is None:
-            # up to a map holding the key: across R_g, g's members read g's relation, a group meeting g its union
-            path, rels, g, alive, up = [], self._rels, self.group, self.alive, self.up
-            while rel is None and up is not None:
-                path.append((rels, key, alive if alive is not up[2] else None))  # an announcement's child narrows
-                if g is not up[1] and (key in g if type(key) is str else key & g):  # not an announcement's child
-                    key = g if type(key) is str else key | g
-                rels, g, alive, up = up
-                rel = rels.get(key)
-            if rel is None:  # rels is the root's: fill the members it lacks, then a group with their meet
-                alg, g = self.alg, frozenset((key,)) if type(key) is str else key
-                if not g <= alg.agents:
-                    raise ValueError(f"undeclared agent {sorted(g - alg.agents)[0]!r}")
-                for a in g:
-                    if a not in rels:
-                        rels[a] = alg.agent(a)
-                rel = rels[key] if type(key) is str else rels.setdefault(key, alg.meet([rels[a] for a in sorted(g)]))
-            for rels, key, narrowed in reversed(path):
-                rels[key] = rel = rel if narrowed is None else self.alg.restrict(rel, narrowed)
+        if rel is None:
+            alg, rels = self.alg, self.alg.rels
+            if type(key) is tuple:
+                rel = alg.common([self._rel(a) for a in sorted(key[0])])
+            else:  # the root's relation for what the map names: an agent's, or a group's as its members' meet
+                name = dict(self.map)[key] if type(key) is str else self._union(key)
+                rel = rels.get(name)
+                if rel is None:  # fill the members the root lacks, then a group with their meet
+                    members = [rels[a] if a in rels else rels.setdefault(a, alg.agent(a))
+                               for a in (sorted(name) if type(name) is frozenset else (name,))]
+                    rel = members[0] if len(members) == 1 else rels.setdefault(name, alg.meet(members))
+                if self.alive is not alg.full:
+                    rel = alg.restrict(rel, self.alive)
+            self._rels[key] = rel
         return rel
 
-    def _child(self, key, alive) -> Context:
-        """The child that R (key its group) or an announcement (key (announced,)) opens."""
-        if key == self.group:
-            return self  # R_G right after R_G, announcements between or not, changes nothing
-        child = self._kids.get(key)
-        if child is None:
-            if type(key) is tuple:  # an announcement's child keeps self's group
-                child = self._kids[key] = Context(self.alg, self, self.group, alive, {})
-            else:  # G's members read G's relation, and reading it checks that G's agents are declared
-                child = self._kids[key] = Context(self.alg, self, key, alive, dict.fromkeys(key, self._rel(key)))
-        return child
+    def _child(self, key, table):
+        """What R (key its group) or an announcement (key (announced,)) opens: _SELF, or a context below."""
+        if type(key) is tuple:  # the map stays, alive narrows
+            map, alive, rels = _SELF if key[0] == self.alive else self.map, key[0], {}
+        else:  # G's members read the union of what they read; the algebra keeps each step for all its roots
+            step = key if self.map is self.alg.map else (self.map, key)  # from the root's map, keyed by G alone
+            map, alive, rels = self.alg.steps.get(step), self.alive, dict.fromkeys(key, self._rel(key))
+            if map is None:
+                map = frozenset((a, self._union(key) if a in key else k) for a, k in self.map)
+                map = self.alg.steps[step] = _SELF if map == self.map else map
+        if map is not _SELF:
+            map = table.setdefault(map if alive is self.alg.full else (map, alive), Context(self.alg, map, alive, rels))
+        self._kids[key] = map
+        return map
 
     def extension(self, f: Formula):
         """The states where f holds.  Each context runs its part of f by its plan; an R or announcement
@@ -135,7 +141,9 @@ class Context:
         out = self._ext.get(f)
         if out is not None:
             return out
-        frames, ctx, plan, start = [], self, _plan(f), 0
+        if not f._agents <= self.alg.agents:
+            raise ValueError(f"undeclared agent {min(f._agents - self.alg.agents)!r}")
+        frames, ctx, plan, start, table = [], self, _plan(f), 0, self._kids
         while True:
             ext, alive, alg = ctx._ext, ctx.alive, ctx.alg
             for i, g in enumerate(islice(plan, start, None) if start else plan, start):
@@ -154,16 +162,17 @@ class Context:
                     out = alg.box(ctx._rel(g.agent if cls is K else g.group), ext[g.body], alive)
                 elif cls is C:
                     out = alg.common_box(ctx._rel((g.group,)), ext[g.body], alive)
-                elif cls is R or cls is Ann and ext[g.announced]:  # the body holds in a child context
-                    announced = cls is Ann and ext[g.announced]
-                    child = ctx._child((announced,), announced) if announced else ctx._child(g.group, alive)
+                elif cls is R or cls is Ann and ext[g.announced]:  # the body holds in ctx or a context below it
+                    key = g.group if cls is R else (ext[g.announced],)
+                    child = ctx._kids.get(key) or ctx._child(key, table)
+                    child = ctx if child is _SELF else child
                     out = child._ext.get(g.body)
                     if out is None:  # come back to g once the body's plan has run in the child
                         frames.append((ctx, plan, i))
                         ctx, plan, start = child, _plan(g.body), 0
                         break
-                    if announced:
-                        out = (alive ^ announced) | out
+                    if cls is Ann:
+                        out = (alive ^ key[0]) | out
                 else:  # true, false, or an announcement that holds nowhere
                     out = alg.empty if cls is Bot else alive
                 ext[g] = out
@@ -190,6 +199,7 @@ class PseudoEvaluator(Evaluator):
 
     def __init__(self, model: PreModel):
         Evaluator.__init__(self, model)
+        self.map = frozenset((a, a) for a in model.agents)  # its own relation, until a resolution names it
         for g in all_groups(model.agents):  # PreModel.make stores every group's relation; a raw pre-model
             self._rels[g] = model.group_relations[g]  # lacking one fails here, and its D never reads a meet
 

@@ -116,6 +116,8 @@ def enumerate_pseudo_models(max_states: int, agents: Sequence[str], atoms: Seque
     group refines every smaller group inside it.
     """
     agent_ids = sorted(set(agents))  # a repeated id counts once, as in SearchBounds
+    if not agent_ids:  # a pre-model has at least one agent
+        raise ValueError("enumerate_pseudo_models needs at least one agent")
     atom_names, agent_set = sorted(set(atoms)), frozenset(agent_ids)
     groups = all_groups(agent_ids)
     larger = [g for g in groups if len(g) > 1]

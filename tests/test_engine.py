@@ -1,8 +1,9 @@
 """The evaluation context against the reference evaluators.
 
 `reference_evaluator` builds every resolved and restricted model; the
-engine's contexts read each relation one resolution step from their
-parent's, inside an alive set.  They must agree on every extension: for
+engine keeps one context per (map from each agent to the group whose meet
+it reads, alive set), and reads each relation from the root's map, inside
+the alive set.  They must agree on every extension: for
 `Evaluator` and for batches of index rows packed by `_iso._Batch` on
 every model up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1,
 and for `PseudoEvaluator` on those models' embeddings resolved by every
@@ -17,6 +18,7 @@ import tracemalloc
 import pytest
 
 import reference_evaluator as ref
+from epiresolve import checker
 from epiresolve.checker import Context, Evaluator, PseudoEvaluator
 from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, is_pseudo, iterated_relation, resolve_pre
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
@@ -131,8 +133,9 @@ def test_agent_named_by_its_own_resolution_reads_the_group_relation():
 
 
 def test_alternating_resolutions_take_one_step_per_level():
-    # 4,000 alternating levels: each context reads its parent's relations, so memory grows linearly
-    # (about 4 MB); a context that kept and rescanned its whole resolution prefix needs about 68 MB
+    # 4,000 alternating levels: after three of them every agent reads the grand coalition's meet, so the
+    # levels share one context and only the plan frames grow (about 0.6 MB); a context per level needs
+    # about 5 MB, and a context that kept and rescanned its whole resolution prefix about 68 MB
     m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]], "3": [["a", "c"], ["b"]]},
                    {"p": ["a", "b"]})
     f = parse("R{1,2} R{1,3} " * 2000 + "K2 p")
@@ -144,7 +147,7 @@ def test_alternating_resolutions_take_one_step_per_level():
         tracemalloc.stop()
     rel = iterated_relation(m, ["1,2", "1,3"] * 2000, "2")
     assert got == {s for s in m.states if rel.block_of(s) <= m.valuation["p"]}
-    assert peak < 20e6, peak
+    assert peak < 2e6, peak
 
 
 def test_a_dropped_context_tree_is_freed_at_once():
@@ -160,9 +163,37 @@ def test_a_dropped_context_tree_is_freed_at_once():
         gc.enable()
 
 
+def contexts_on(alg) -> list:
+    return [ctx for ctx in gc.get_objects() if isinstance(ctx, Context) and ctx.alg is alg]
+
+
+def test_a_whole_set_announcement_opens_no_context(monkeypatch):
+    # an announcement true on every live state keeps the (map, alive) pair, so its body is the root's
+    m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]]}, {"p": ["a", "b"]})
+    calls = []
+    monkeypatch.setattr(checker._Sets, "restrict", staticmethod(lambda rel, alive: calls.append(alive) or rel))
+    f = parse("[p | ~p] (K1 p & K2 p & D{1,2} p)")
+    ev = Evaluator(m)
+    assert ev.extension(f) == ref.Evaluator(m).extension(f)
+    assert calls == [] and contexts_on(ev.alg) == [ev]
+
+
+def test_equal_contexts_reached_by_different_prefixes_are_one():
+    # R{i} keeps a model's map, R{1,2} R{1} is R{1,2}, and R{1} R{2} is R{2} R{1}: two contexts in all
+    f = parse("R{1} R{2} K1 p & R{2} R{1} K1 p & R{1,2} R{1} K2 p & R{1,2} K2 p")
+    m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]]}, {"p": ["a", "b"]})
+    ev = Evaluator(m)
+    assert ev.extension(f) == ref.Evaluator(m).extension(f)
+    assert len(contexts_on(ev.alg)) == 2
+    rows = [(0, 1, 1), (1, 0, 2), (1, 1, 3)]  # two states, agents 1 and 2, atom p
+    ((models, root),) = packed_batches(2, rows, ("1", "2"), ("p",))
+    assert per_model(models, root.extension(f)) == [ref.Evaluator(m).extension(f) for m in models]
+    assert len(contexts_on(root.alg)) == 2
+
+
 @pytest.mark.parametrize("text", ["R{1} K2 p", "R{1} D{1,2} p", "R{1} C{2} p", "R{1} R{2} p",
                                   "[p] K2 p", "[p] D{1,2} p", "[p] C{1,2} p", "[p] R{1,2} p",
-                                  "R{1} [p] R{2} p"])
+                                  "R{1} [p] R{2} p", "[false] K2 p", "[p & ~p] R{2} p"])
 def test_undeclared_agent_in_child_contexts(text):
     m = Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]})
     f = parse(text)

@@ -810,6 +810,13 @@ def test_enumerate_pseudo_models_counts_a_repeated_id_once():
     assert list(enumerate_pseudo_models(2, ["2", "1", "2"], ["p", "p"])) == pair
 
 
+@pytest.mark.parametrize("agents", [[], ()])
+def test_enumerate_pseudo_models_needs_an_agent(agents):
+    # a pre-model without agents fails validate ("agents: empty"), so none is yielded
+    with pytest.raises(ValueError, match="at least one agent"):
+        list(enumerate_pseudo_models(2, agents, ["p"]))
+
+
 def test_formula_gen_is_seed_deterministic():
     a = FormulaGen(["1", "2"], ["p"], seed=42)
     b = FormulaGen(["1", "2"], ["p"], seed=42)
