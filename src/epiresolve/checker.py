@@ -54,8 +54,8 @@ class _Sets:
     """The single-model algebra: frozensets of states and partitions.
 
     It has no ``agent``: ``rels`` starts with every declared agent's
-    relation, which `Model.make` stores (`validate` reports a raw model
-    lacking one).
+    relation, which `Model.make` stores; a raw model lacking one is
+    rejected here, by name.
     """
 
     __slots__ = ("model", "agents", "map", "steps", "full", "rels")
@@ -66,6 +66,8 @@ class _Sets:
 
     def __init__(self, model: AnyModel):
         self.model, self.agents, self.full, self.rels = model, model.agents, model.states, dict(model.relations)
+        if not self.agents <= self.rels.keys():
+            raise ValueError(f"no relation for agent {min(self.agents - self.rels.keys())!r}")
         self.map, self.steps = frozenset((a, frozenset((a,))) for a in model.agents), {}
 
     def atom(self, name: str) -> frozenset:

@@ -17,7 +17,11 @@ Schemata and class-level rules keep each formula's first failure and stop
 once every formula has failed; RR_C counts, per instance, the models where
 its premise never fails, and reports those where its conclusion does.
 Both report what a model-by-model loop would: the same first witness per
-formula and the same model count.
+formula and the same model count.  One instantiator, `_instance`, draws
+every schema, rule and RR_C instance from one table of rows (`_SCHEMATA`,
+`_RULES`, `_RRC`), each naming its metavariables in draw order; `_DRAWS`
+draws them and holds each side condition once: nested, overlapping and
+disjoint group pairs.
 
 Search and sweeps evaluate a formula once over each batch that
 `_iso._stream` packs (`batch.py`), and the batch decodes the extension:
@@ -30,6 +34,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial, reduce
 from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -201,9 +206,9 @@ class FormulaGen:
     def group(self) -> Group:
         return self.rng.choice(self.group_list)
 
-    def disjoint_pair(self) -> tuple:
+    def disjoint_pair(self) -> Optional[tuple]:
         if len(self.agent_ids) < 2:  # no two groups are disjoint: the draw would never end
-            raise ValueError("RD2 needs at least two agents in the bounds")
+            return None
         while True:
             g, h = self.group(), self.group()
             if not g & h:
@@ -265,138 +270,90 @@ class FormulaGen:
             return Implies(a, Implies(b, a))
         return Implies(And(Implies(a, b), a), b)
 
-    def valid_biased(self) -> Formula:
-        if self.rng.random() < 0.5:
-            return self.tautology(self.formula(), self.formula())
-        return self.formula()
-
 
 # ---------------------------------------------------------------------------
-# Axiom schemata and rules
+# Axiom schemata and rules: one table of rows, one instantiator
+
+# What each metavariable of a draw spec draws; None means the bounds hold no instance
+_DRAWS = {
+    "a": FormulaGen.formula, "b": FormulaGen.formula,
+    "t": lambda gen: gen.tautology(gen.formula(), gen.formula()),
+    "p": lambda gen: Atom(gen.rng.choice(gen.atom_names)) if gen.atom_names else None,
+    "i": FormulaGen.agent,
+    "G": FormulaGen.group, "H": FormulaGen.group,
+    "G<H": FormulaGen.nested_pair,       # G a subset of H
+    "G^H": FormulaGen.overlapping_pair,  # G and H overlap
+    "G|H": FormulaGen.disjoint_pair,     # G and H disjoint; None with fewer than two agents
+    "G*": lambda gen: [gen.group() for _ in range(gen.rng.randint(0, 2))],  # RR_C's prefix G_1..G_n, n <= 2
+}
+# a rule's premises: a tautology half the time, so that the rules fire
+_DRAWS["a'"] = _DRAWS["b'"] = lambda gen: _DRAWS["t"](gen) if gen.rng.random() < 0.5 else gen.formula()
 
 
-def _schema_builders(with_common: bool) -> dict:
-    def pc(gen):
-        return gen.tautology(gen.formula(), gen.formula())
+def _resolved(prefix: Sequence[Group], f: Formula) -> Formula:
+    """R_G1 .. R_Gn f."""
+    return reduce(lambda body, g: R(g, body), reversed(prefix), f)
 
-    def k(gen):
-        a, b, i = gen.formula(), gen.formula(), gen.agent()
-        return Implies(K(i, Implies(a, b)), Implies(K(i, a), K(i, b)))
 
-    def t(gen):
-        a = gen.formula()
-        return Implies(K(gen.agent(), a), a)
+# Rows (name, systems, draw spec, template): the template builds a schema's
+# instance from the drawn values, or a rule's as (premises, conclusion)
+_SCHEMATA = (
+    ("PC", "rd rcd", "t", lambda t: t),
+    ("K", "rd rcd", "a b i", lambda a, b, i: Implies(K(i, Implies(a, b)), Implies(K(i, a), K(i, b)))),
+    ("T", "rd rcd", "a i", lambda a, i: Implies(K(i, a), a)),
+    ("4", "rd rcd", "a i", lambda a, i: Implies(K(i, a), K(i, K(i, a)))),
+    ("5", "rd rcd", "a i", lambda a, i: Implies(Neg(K(i, a)), K(i, Neg(K(i, a))))),
+    ("K_D", "rd rcd", "a b G", lambda a, b, g: Implies(D(g, Implies(a, b)), Implies(D(g, a), D(g, b)))),
+    ("T_D", "rd rcd", "a G", lambda a, g: Implies(D(g, a), a)),
+    ("5_D", "rd rcd", "a G", lambda a, g: Implies(Neg(D(g, a)), D(g, Neg(D(g, a))))),
+    ("D1", "rd rcd", "a i", lambda a, i: Iff(K(i, a), D(frozenset([i]), a))),
+    ("D2", "rd rcd", "G<H a", lambda g, h, a: Implies(D(g, a), D(h, a))),
+    ("K_C", "rcd", "a b G", lambda a, b, g: Implies(C(g, Implies(a, b)), Implies(C(g, a), C(g, b)))),
+    ("T_C", "rcd", "a G", lambda a, g: Implies(C(g, a), a)),
+    ("C1", "rcd", "a G", lambda a, g: Implies(C(g, a), E(g, C(g, a)))),
+    ("C2", "rcd", "a G", lambda a, g: Implies(C(g, Implies(a, E(g, a))), Implies(a, C(g, a)))),
+    ("RA", "rd rcd", "p G", lambda p, g: Iff(R(g, p), p)),
+    ("RC", "rd rcd", "a b G", lambda a, b, g: Iff(R(g, And(a, b)), And(R(g, a), R(g, b)))),
+    ("RN", "rd rcd", "a G", lambda a, g: Iff(R(g, Neg(a)), Neg(R(g, a)))),
+    ("RD1", "rd rcd", "G^H a", lambda g, h, a: Iff(R(g, D(h, a)), D(g | h, R(g, a)))),
+    ("RD2", "rd rcd", "G|H a", lambda g, h, a: Iff(R(g, D(h, a)), D(h, R(g, a)))),
+)
+_RULES = (
+    ("MP", "rd rcd", "a' b'", lambda a, b: ([a, Implies(a, b)], b)),
+    ("N", "rd rcd", "a' i", lambda a, i: ([a], K(i, a))),
+    ("N_R", "rd rcd", "a' G", lambda a, g: ([a], R(g, a))),
+    ("N_C", "rcd", "a' G", lambda a, g: ([a], C(g, a))),
+)
+# checked model-locally, by check_rule_rrc
+_RRC = ("RR_C", "rcd", "a b H G*",
+        lambda phi, psi, h, prefix: ([Implies(phi, And(E(h, phi), _resolved(prefix, psi)))],
+                                     Implies(phi, _resolved(prefix, C(h, psi)))))
 
-    def four(gen):
-        a, i = gen.formula(), gen.agent()
-        return Implies(K(i, a), K(i, K(i, a)))
 
-    def five(gen):
-        a, i = gen.formula(), gen.agent()
-        return Implies(Neg(K(i, a)), K(i, Neg(K(i, a))))
-
-    def k_d(gen):
-        a, b, g = gen.formula(), gen.formula(), gen.group()
-        return Implies(D(g, Implies(a, b)), Implies(D(g, a), D(g, b)))
-
-    def t_d(gen):
-        a = gen.formula()
-        return Implies(D(gen.group(), a), a)
-
-    def five_d(gen):
-        a, g = gen.formula(), gen.group()
-        return Implies(Neg(D(g, a)), D(g, Neg(D(g, a))))
-
-    def d1(gen):
-        a, i = gen.formula(), gen.agent()
-        return Iff(K(i, a), D(frozenset([i]), a))
-
-    def d2(gen):
-        g, h = gen.nested_pair()
-        a = gen.formula()
-        return Implies(D(g, a), D(h, a))
-
-    def k_c(gen):
-        a, b, g = gen.formula(), gen.formula(), gen.group()
-        return Implies(C(g, Implies(a, b)), Implies(C(g, a), C(g, b)))
-
-    def t_c(gen):
-        a = gen.formula()
-        return Implies(C(gen.group(), a), a)
-
-    def c1(gen):
-        a, g = gen.formula(), gen.group()
-        return Implies(C(g, a), E(g, C(g, a)))
-
-    def c2(gen):
-        a, g = gen.formula(), gen.group()
-        return Implies(C(g, Implies(a, E(g, a))), Implies(a, C(g, a)))
-
-    def ra(gen):
-        if not gen.atom_names:
+def _instance(draws: Sequence, template, gen: FormulaGen):
+    """The template over the draws' values, drawn in order; None when a draw finds no value in the bounds."""
+    values = []
+    for draw in draws:
+        value = draw(gen)
+        if value is None:
             return None
-        p = Atom(gen.rng.choice(gen.atom_names))
-        return Iff(R(gen.group(), p), p)
+        values += value if type(value) is tuple else (value,)
+    return template(*values)
 
-    def rc(gen):
-        a, b, g = gen.formula(), gen.formula(), gen.group()
-        return Iff(R(g, And(a, b)), And(R(g, a), R(g, b)))
 
-    def rn(gen):
-        a, g = gen.formula(), gen.group()
-        return Iff(R(g, Neg(a)), Neg(R(g, a)))
-
-    def rd1(gen):
-        g, h = gen.overlapping_pair()
-        a = gen.formula()
-        return Iff(R(g, D(h, a)), D(g | h, R(g, a)))
-
-    def rd2(gen):
-        if len(gen.agent_ids) < 2:  # no two groups are disjoint
-            return None
-        g, h = gen.disjoint_pair()
-        a = gen.formula()
-        return Iff(R(g, D(h, a)), D(h, R(g, a)))
-
-    builders = {
-        "PC": pc, "K": k, "T": t, "4": four, "5": five,
-        "K_D": k_d, "T_D": t_d, "5_D": five_d, "D1": d1, "D2": d2,
-    }
-    if with_common:
-        builders.update({"K_C": k_c, "T_C": t_c, "C1": c1, "C2": c2})
-    builders.update({"RA": ra, "RC": rc, "RN": rn, "RD1": rd1, "RD2": rd2})
-    return builders
+@lru_cache(maxsize=None)  # each sweep job asks; read-only, so callers that change it copy it
+def _builders(rows: tuple, system: str) -> dict:
+    """The rows of a proof system, as instance builders callable(gen) by name."""
+    system = system.lower()
+    if system not in ("rd", "rcd"):
+        raise ValueError(f"unknown system {system!r} (expected 'rd' or 'rcd')")
+    return {name: partial(_instance, [_DRAWS[var] for var in spec.split()], template)
+            for name, systems, spec, template in rows if system in systems.split()}
 
 
 def schema_builders(system: str) -> dict:
     """The schema table of a proof system, as instance builders by name."""
-    system = system.lower()
-    if system in ("rd", "rcd"):
-        return _schema_builders(with_common=system == "rcd")
-    raise ValueError(f"unknown system {system!r} (expected 'rd' or 'rcd')")
-
-
-def _rule_builders(system: str) -> dict:
-    def mp(gen):
-        a, b = gen.valid_biased(), gen.valid_biased()
-        return [a, Implies(a, b)], b
-
-    def n(gen):
-        a = gen.valid_biased()
-        return [a], K(gen.agent(), a)
-
-    def n_r(gen):
-        a = gen.valid_biased()
-        return [a], R(gen.group(), a)
-
-    def n_c(gen):
-        a = gen.valid_biased()
-        return [a], C(gen.group(), a)
-
-    rules = {"MP": mp, "N": n, "N_R": n_r}
-    if system.lower() == "rcd":
-        rules["N_C"] = n_c
-    return rules
+    return dict(_builders(_SCHEMATA, system))
 
 
 @dataclass
@@ -517,20 +474,25 @@ def _model_count(agent_ids: Sequence[str], atom_names: Sequence[str], max_states
                for _, parts, subsets in map(_values, range(1, max_states + 1)))
 
 
-def _draw(builder, gen: FormulaGen, count: int) -> list:
-    """Up to count seeded instances of a builder, each once, as (premises, conclusion).
+def _draw(builders: dict, seed: int, system: str, signature: tuple, count: int) -> dict:
+    """Up to count seeded instances of each builder, each once, as (premises, conclusion), by name.
 
-    A schema instance has no premises.  A builder returns None when the
+    The k-th builder draws from a generator of its own, seeded seed + k.  A
+    schema instance has no premises.  A builder returns None when the
     bounds hold no instance of it.
     """
-    drawn: dict = {}
-    for _ in range(count):
-        inst = builder(gen)
-        if inst is None:
-            break
-        premises, conclusion = inst if isinstance(inst, tuple) else ((), inst)
-        drawn.setdefault((tuple(premises), conclusion), None)
-    return list(drawn)
+    table = {}
+    for offset, (name, builder) in enumerate(builders.items()):
+        gen = FormulaGen(*signature, seed=seed + offset, allow_c=system.lower() == "rcd")
+        drawn: dict = {}
+        for _ in range(count):
+            inst = builder(gen)
+            if inst is None:
+                break
+            premises, conclusion = inst if isinstance(inst, tuple) else ((), inst)
+            drawn.setdefault((tuple(premises), conclusion), None)
+        table[name] = list(drawn)
+    return table
 
 
 # agents and atoms of the soundness sweeps, where the bounds declare none
@@ -550,7 +512,7 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
     restricts the sweep to the named subset.  A schema with no instance in
     the bounds (RD2 with one agent, RA without atoms) is ok with 0 instances.
     """
-    builders = dict(schema_builders(system))
+    builders = schema_builders(system)
     if override:
         unknown = set(override) - set(builders)
         if unknown:
@@ -563,15 +525,9 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
             raise ValueError(f"unknown schema {sorted(unknown)[0]!r}")
         builders = {name: builders[name] for name in builders if name in wanted}
     agent_ids, atom_names = _signature(bounds, *_SWEEP_SIGNATURE)
-
-    def draw(table: dict, seed: int) -> dict:
-        return {name: _draw(builder, FormulaGen(agent_ids, atom_names, seed=seed + offset,
-                                                allow_c=system.lower() == "rcd"),
-                            bounds.instance_count)
-                for offset, (name, builder) in enumerate(table.items())}
-
+    draw = partial(_draw, system=system, signature=(agent_ids, atom_names), count=bounds.instance_count)
     checked = {"schema": draw(builders, bounds.seed),
-               "rule": draw(_rule_builders(system) if include_rules else {}, bounds.seed + 1000)}
+               "rule": draw(_builders(_RULES, system) if include_rules else {}, bounds.seed + 1000)}
 
     # one pass over the model stream decides class-validity of every formula
     formulas = list(dict.fromkeys(f for table in checked.values() for instances in table.values()
@@ -605,8 +561,6 @@ def check_schema(system: str, bounds: SearchBounds = DEFAULT_SCHEMA_BOUNDS,
 
 
 DEFAULT_RRC_BOUNDS = SearchBounds(4, *_SWEEP_SIGNATURE)
-# an instance resolves G_1..G_n before psi and C_H psi, n drawn from 0..2
-_RRC_MAX_PREFIX = 2
 
 
 def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS) -> Result:
@@ -618,16 +572,8 @@ def check_rule_rrc(bounds: SearchBounds = DEFAULT_RRC_BOUNDS) -> Result:
     every state too.
     """
     agent_ids, atom_names = _signature(bounds, *_SWEEP_SIGNATURE)
-
-    def rrc(gen):
-        phi, psi, h = gen.formula(), gen.formula(), gen.group()
-        boxed_psi, boxed_c = psi, C(h, psi)
-        for g in reversed([gen.group() for _ in range(gen.rng.randint(0, _RRC_MAX_PREFIX))]):
-            boxed_psi, boxed_c = R(g, boxed_psi), R(g, boxed_c)
-        return [Implies(phi, And(E(h, phi), boxed_psi))], Implies(phi, boxed_c)
-
-    gen = FormulaGen(agent_ids, atom_names, seed=bounds.seed, allow_c=True)
-    instances = _draw(rrc, gen, bounds.instance_count)
+    (instances,) = _draw(_builders((_RRC,), "rcd"), bounds.seed, "rcd", (agent_ids, atom_names),
+                         bounds.instance_count).values()
     formulas = [f for (premise,), conclusion in instances for f in (premise, conclusion)]
     hits, found = 0, []
     for start, batch, bad in _sweep(formulas, SearchBounds(bounds.max_states, agent_ids, atom_names)):

@@ -262,6 +262,16 @@ def test_a_premodel_without_a_stored_group_relation_is_refused():
         PseudoEvaluator(replace(pre, group_relations=stored))
 
 
+@pytest.mark.parametrize("text", ["K2 p", "R{1} K2 p"])
+def test_a_raw_model_without_an_agents_relation_is_refused_by_name(text):
+    # raw-constructed: Model.make stores every declared agent's relation
+    m = model_list(2, ("1", "2"), ("p",))[7]
+    lacking = replace(m, relations={"1": m.relations["1"]})
+    for raw in (lacking, replace(as_premodel(m), relations=lacking.relations)):
+        with pytest.raises(ValueError, match="no relation for agent '2'"):
+            extension(raw, parse(text, AG))
+
+
 def test_evaluation_is_deterministic():
     m = model_list(2, ("1", "2"), ("p",))[7]
     f = parse("R{1,2} (C{1,2} p | [p] K1 p)", AG)

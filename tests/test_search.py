@@ -9,6 +9,7 @@ import time
 from itertools import islice, permutations, product
 from math import factorial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -32,7 +33,7 @@ from epiresolve.search import (
     schema_builders,
     set_partitions,
 )
-from epiresolve.syntax import FALSE, TRUE, And, Atom, C, D, E, Iff, Implies, K, Neg, Or, R, parse, reduce
+from epiresolve.syntax import FALSE, TRUE, And, Atom, C, D, E, Iff, Implies, K, Neg, Or, R, parse, reduce, render
 
 AG3 = {"1", "2", "3"}
 
@@ -844,9 +845,8 @@ def test_schema_entry_shape():
 
 
 def test_rule_entry_shape(monkeypatch):
-    builders = search._rule_builders
-    monkeypatch.setattr(search, "_rule_builders", lambda system: {
-        "MP": builders(system)["MP"], "BAD": lambda gen: ([TRUE], K(gen.agent(), Atom("p")))})
+    mp = next(row for row in search._RULES if row[0] == "MP")
+    monkeypatch.setattr(search, "_RULES", (mp, ("BAD", "rd rcd", "i", lambda i: ([TRUE], K(i, Atom("p"))))))
     report = check_schema("rd", SearchBounds(1, ("1", "2"), ("p",), instance_count=1), schemas=["T"])
     model = ('{"agents": ["1", "2"], "props": ["p"], "states": ["0"], '
              '"relations": {"1": [["0"]], "2": [["0"]]}, "valuation": {"p": []}}')
@@ -946,3 +946,98 @@ def test_schemata_without_instances_in_the_bounds_are_ok():
     assert report.ok and all(rule.fired > 0 for rule in report.rules)
     assert "  schema RD2: ok (0 instances)" in report.text().split("\n")
 
+
+
+# ---------------------------------------------------------------------------
+# the draws, pinned: every instance that each schema, rule and RR_C draws, in
+# draw order, so that a change to how instances are drawn keeps the RNG order
+
+
+DRAW_SIGNATURES = [(("1", "2"), ("p",)), (("1", "2", "3"), ("p", "q")), (("1",), ())]
+
+
+def drawn_instances() -> list:
+    """Rendered draws through `schema_builders` and through the sweeps' own draws, whose sweep is skipped."""
+    lines, swept = [], []
+
+    def sweep(formulas, bounds, first_only=False):
+        swept.append(formulas)
+        return iter(())
+
+    with mock.patch.object(search, "_sweep", sweep):
+        for system, seed, (agents, atoms) in product(("rd", "rcd"), range(3), DRAW_SIGNATURES):
+            lines.append(f"{system} {seed} {agents} {atoms}")
+            for name, builder in schema_builders(system).items():
+                gen = FormulaGen(agents, atoms, seed=seed, allow_c=system == "rcd")
+                lines += [name] + [render(f) if f is not None else "-" for f in (builder(gen) for _ in range(5))]
+            bounds = SearchBounds(2, agents, atoms, seed=seed, instance_count=30)
+            report = check_schema(system, bounds)
+            rrc = check_rule_rrc(bounds)
+            lines += [f"{r.name} {r.instances}" for r in report.schemata + report.rules + [rrc]]
+            lines += [render(f) for formulas in swept for f in formulas]
+            swept.clear()
+    return lines
+
+
+def test_every_draw_is_pinned():
+    # taken before the schema table replaced one builder function per schema, by
+    # PYTHONPATH=src:tests python -c 'import test_search as t; print(t.sha256("\n".join(t.drawn_instances())))'
+    assert sha256("\n".join(drawn_instances())) == "0fb32efbbefe25e0b6f7aadf6a2af9acde31da2796b69d69d50216fe39da547e"
+
+
+# ---------------------------------------------------------------------------
+# the schema table, read as textbook patterns: each row's template applied to
+# placeholder values is the pattern, a rule's as (premises, conclusion)
+
+
+PLACEHOLDERS = {"a": Atom("a"), "a'": Atom("a"), "b": Atom("b"), "b'": Atom("b"), "t": Atom("t"), "p": Atom("p"),
+                "i": "i", "G": grp("G"), "H": grp("H"), "G<H": (grp("G"), grp("H")), "G^H": (grp("G"), grp("H")),
+                "G|H": (grp("G"), grp("H")), "G*": [grp("F"), grp("G")]}
+
+PATTERNS = {
+    "PC": "t",
+    "K": "Ki (a -> b) -> (Ki a -> Ki b)",
+    "T": "Ki a -> a",
+    "4": "Ki a -> Ki Ki a",
+    "5": "~Ki a -> Ki ~Ki a",
+    "K_D": "D{G} (a -> b) -> (D{G} a -> D{G} b)",
+    "T_D": "D{G} a -> a",
+    "5_D": "~D{G} a -> D{G} ~D{G} a",
+    "D1": "Ki a <-> D{i} a",
+    "D2": "D{G} a -> D{H} a",
+    "K_C": "C{G} (a -> b) -> (C{G} a -> C{G} b)",
+    "T_C": "C{G} a -> a",
+    "C1": "C{G} a -> E{G} C{G} a",
+    "C2": "C{G} (a -> E{G} a) -> (a -> C{G} a)",
+    "RA": "R{G} p <-> p",
+    "RC": "R{G} (a & b) <-> R{G} a & R{G} b",
+    "RN": "R{G} ~a <-> ~R{G} a",
+    "RD1": "R{G} D{H} a <-> D{G,H} R{G} a",
+    "RD2": "R{G} D{H} a <-> D{H} R{G} a",
+    "MP": (["a", "a -> b"], "b"),
+    "N": (["a"], "Ki a"),
+    "N_R": (["a"], "R{G} a"),
+    "N_C": (["a"], "C{G} a"),
+    "RR_C": (["a -> E{H} a & R{F} R{G} b"], "a -> R{F} R{G} C{H} b"),
+}
+
+
+def test_every_row_builds_its_textbook_pattern():
+    assert PLACEHOLDERS.keys() == search._DRAWS.keys()
+    rows = search._SCHEMATA + search._RULES + (search._RRC,)
+    assert [row[0] for row in rows] == list(PATTERNS)
+
+    def textbook(text):
+        return parse(text, agents=["i", "F", "G", "H"])
+
+    for name, _, spec, template in rows:
+        values = []
+        for var in spec.split():
+            value = PLACEHOLDERS[var]
+            values += value if type(value) is tuple else (value,)
+        pattern = PATTERNS[name]
+        if isinstance(pattern, str):
+            assert template(*values) is textbook(pattern), name
+        else:
+            premises, conclusion = template(*values)
+            assert (premises, conclusion) == ([textbook(p) for p in pattern[0]], textbook(pattern[1])), name
