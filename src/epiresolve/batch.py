@@ -16,15 +16,14 @@ the model's own size).  The diamond of a set Y is then
 Intersecting relations ANDs their masks offset by offset.
 
 `_Masks` is the batch algebra of `checker.Context`, which evaluates
-models, pre-models and batches alike: it meets an agent's masks for a
-group, and the context keeps both in the batch's ``rels``.  Meet commutes
-with restriction, so a relation needs no restricting: box masks with the
-alive set, and only common knowledge keeps its fixpoint inside alive.
+models, pre-models and batches alike: it meets two relations' masks, a
+group's stored subgroup's with an agent's, and the context keeps both in
+the batch's ``rels``.  Meet commutes with restriction, so a relation needs
+no restricting: box masks with the alive set, and only common knowledge
+keeps its fixpoint inside alive.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 # Models per batch.  Larger batches amortize packing further but raise
 # peak memory; 256 keeps every mask at a few hundred bytes for n <= 8.
@@ -39,13 +38,10 @@ def _diamond(rel: tuple, y: int) -> int:
     return out
 
 
-def _meet(rels: Sequence[tuple]) -> tuple:
-    """Intersection of relations: AND the masks offset by offset."""
-    masks = dict(rels[0])
-    for rel in rels[1:]:
-        other = dict(rel)
-        masks = {d: m & other[d] for d, m in masks.items() if d in other}
-    return tuple((d, m) for d, m in masks.items() if m)
+def _meet(rel: tuple, other: tuple) -> tuple:
+    """Intersection of two relations: AND the masks offset by offset."""
+    other = dict(other)
+    return tuple((d, both) for d, m in rel if (both := m & other.get(d, 0)))
 
 
 def _pack(chunks) -> int:
@@ -56,7 +52,7 @@ class _Masks:
     """The batch algebra over offset masks; `_iso._Batch` adds a batch's own atom and agent masks."""
 
     empty = 0
-    restrict = staticmethod(lambda rel, alive: rel)  # box and common_box mask with alive instead
+    restrict = staticmethod(lambda rel, name, alive: rel)  # box and common_box mask with alive instead
     meet = staticmethod(_meet)
     common = staticmethod(tuple)
 

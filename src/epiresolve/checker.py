@@ -11,19 +11,21 @@ root keeps one table from (map, alive) to a context, so equal contexts
 reached by different prefixes evaluate once.
 
 Relations come from an algebra: frozensets and partitions for one model
-or pre-model, or a batch's offset masks.  K, D and C read the root's
-relation map, the algebra's ``rels``, restricted to alive inside an
-announcement; C closes the agent relations inside alive.  One model's
-relation map starts with its agents' relations, a pre-model's also with
-its stored group relations, and a batch's starts empty.  `Context._rel`
-alone fills it: with an agent's relation on first use, and with a group's
-as its members' meet.  A pre-model's root maps each agent to its own id.
+or pre-model, or a batch's offset masks.  Every one is reflexive, so a K,
+D or C whose body is empty or all of alive reads none.  The others read
+the root's relation map, the algebra's ``rels``, restricted to alive
+inside an announcement (one model keeps a copy per alive set); C closes
+the agent relations inside alive.  One model's relation map starts with
+its agents' relations, a pre-model's also with its stored group
+relations, and a batch's starts empty.  `Context._root` alone fills it:
+with an agent's relation on first use, and with a group's as one meet,
+of the kept relation of the group less its largest member with that
+member's.  A pre-model's root maps each agent to its own id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from itertools import islice
 from typing import Iterable
 
@@ -55,13 +57,12 @@ class _Sets:
 
     It has no ``agent``: ``rels`` starts with every declared agent's
     relation, which `Model.make` stores; a raw model lacking one is
-    rejected here, by name.
+    rejected here, by name.  ``rels`` also keeps each restricted copy.
     """
 
     __slots__ = ("model", "agents", "map", "steps", "full", "rels")
     empty = frozenset()
-    restrict = staticmethod(Partition.restrict)
-    meet = staticmethod(partial(reduce, Partition.meet))
+    meet = staticmethod(Partition.meet)
     common = staticmethod(Partition.join_all)
 
     def __init__(self, model: AnyModel):
@@ -72,6 +73,10 @@ class _Sets:
 
     def atom(self, name: str) -> frozenset:
         return self.model.valuation.get(name, self.empty)
+
+    def restrict(self, rel: Partition, name, alive: frozenset) -> Partition:
+        """rel, the root's relation for name, restricted to alive: one copy per (name, alive) for every context."""
+        return self.rels.get((name, alive)) or self.rels.setdefault((name, alive), rel.restrict(alive))
 
     @staticmethod
     def box(rel: Partition, body: frozenset, alive: frozenset) -> frozenset:
@@ -104,22 +109,29 @@ class Context:
         return frozenset().union(*[(k,) if type(k) is str else k for a, k in self.map if a in g])
 
     def _rel(self, key):
-        """What K (key its agent), D (key its group) or C (key (group,)) reads, restricted to alive."""
+        """What K (key its agent), D (key its group) or C (key (group,)) reads, restricted to alive.
+        Only a box whose body is neither empty nor alive reads one: every relation here is reflexive."""
         rel = self._rels.get(key)
         if rel is None:
-            alg, rels = self.alg, self.alg.rels
+            alg = self.alg
             if type(key) is tuple:
                 rel = alg.common([self._rel(a) for a in sorted(key[0])])
-            else:  # the root's relation for what the map names: an agent's, or a group's as its members' meet
+            else:
                 name = dict(self.map)[key] if type(key) is str else self._union(key)
-                rel = rels.get(name)
-                if rel is None:  # fill the members the root lacks, then a group with their meet
-                    members = [rels[a] if a in rels else rels.setdefault(a, alg.agent(a))
-                               for a in (sorted(name) if type(name) is frozenset else (name,))]
-                    rel = members[0] if len(members) == 1 else rels.setdefault(name, alg.meet(members))
-                if self.alive is not alg.full:
-                    rel = alg.restrict(rel, self.alive)
+                rel = self._root(name) if self.alive is alg.full else alg.restrict(self._root(name), name, self.alive)
             self._rels[key] = rel
+        return rel
+
+    def _root(self, name):
+        """The root's relation for an agent, or a group's: the meet of the kept relation of the group less
+        its largest member with that member's.  A pre-model's root holds every group's, and meets none."""
+        rels = self.alg.rels
+        rel = rels.get(name)
+        if rel is None:
+            if type(name) is str:
+                return rels.setdefault(name, self.alg.agent(name))
+            rest = name - {last := max(name)}
+            rel = rels.setdefault(name, self.alg.meet(self._root(rest), self._root(last))) if rest else self._root(last)
         return rel
 
     def _child(self, key, table):
@@ -137,13 +149,13 @@ class Context:
         self._kids[key] = map
         return map
 
-    def extension(self, f: Formula):
+    def extension(self, f: Formula, checked: bool = False):
         """The states where f holds.  Each context runs its part of f by its plan; an R or announcement
         node whose body the child context lacks waits on a stack of frames until the body's plan has run there."""
         out = self._ext.get(f)
         if out is not None:
             return out
-        if not f._agents <= self.alg.agents:
+        if not (checked or f._agents <= self.alg.agents):  # checked: the caller has checked f's agents
             raise ValueError(f"undeclared agent {min(f._agents - self.alg.agents)!r}")
         frames, ctx, plan, start, table = [], self, _plan(f), 0, self._kids
         while True:
@@ -160,10 +172,11 @@ class Context:
                     out = alive ^ ext[g.body]
                 elif cls is And:
                     out = ext[g.left] & ext[g.right]
-                elif cls is K or cls is D:
-                    out = alg.box(ctx._rel(g.agent if cls is K else g.group), ext[g.body], alive)
-                elif cls is C:
-                    out = alg.common_box(ctx._rel((g.group,)), ext[g.body], alive)
+                elif cls is K or cls is D or cls is C:
+                    out = ext[g.body]
+                    if out and out != alive:  # a reflexive relation keeps an empty or a full body as it is
+                        box = alg.common_box if cls is C else alg.box
+                        out = box(ctx._rel(g.agent if cls is K else g.group if cls is D else (g.group,)), out, alive)
                 elif cls is R or cls is Ann and ext[g.announced]:  # the body holds in ctx or a context below it
                     key = g.group if cls is R else (ext[g.announced],)
                     child = ctx._kids.get(key) or ctx._child(key, table)

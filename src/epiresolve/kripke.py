@@ -109,8 +109,10 @@ class Partition:
     def join_all(parts: Sequence["Partition"]) -> "Partition":
         """Transitive closure of the union of the relations: connected components
         over blocks, each block entered once from one of its states and its
-        unseen states added by a set difference.  Linear in states × partitions."""
+        unseen states added by a set difference.  Linear in states × partitions,
+        and it stops as soon as one component covers every state."""
         indexes = [part._block_index for part in parts]
+        n = len(indexes[0]) if indexes else 0
         entered: set = set()
         out = set()
         for part in parts:
@@ -127,6 +129,10 @@ class Partition:
                             new = block - component
                             component |= new
                             todo.extend(new)
+                            if len(component) == n:  # every state, if the parts share the first one's
+                                if all(map(component.issuperset, indexes)):
+                                    return Partition(frozenset([frozenset(component)]))
+                                n = 0  # they do not, so no component covers them all: check no more
                 out.add(first if len(component) == len(first) else frozenset(component))
         return Partition(frozenset(out))
 

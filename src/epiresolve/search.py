@@ -157,7 +157,7 @@ def _first_point(f: Formula, bounds: SearchBounds, falsify: bool) -> SearchOutco
     examined = classes = 0
     # seed and instance_count do not change a search: equal signatures and max_states share one replay
     for batch in _replay((bounds.max_states, agent_ids, atom_names)):
-        ext = Context(batch).extension(f)
+        ext = Context(batch).extension(f, checked=True)  # against the bounds, above
         for k, m, state in batch.points(batch.full & ~ext if falsify else ext):  # the first point is the witness
             return SearchOutcome(PointedModel(m, state), bounds.max_states,
                                  examined + sum(batch.weights[:k + 1]), classes + k + 1)

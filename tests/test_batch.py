@@ -206,10 +206,14 @@ def test_undeclared_agent_is_a_value_error_everywhere(text):
     # the same model as an index row: one block, p at state 0
     ((_, root),) = packed_batches(2, [(0, 1)], ("1",), ("p",))
     evaluators = [checker.Evaluator(m).extension, checker.PseudoEvaluator(as_premodel(m)).extension,
-                  root.extension]
+                  root.extension, lambda f: checker.satisfies(m, "a", f), lambda f: checker.extension(m, f)]
     for extension in evaluators:
         with pytest.raises(ValueError, match="undeclared agent '2'"):
             extension(f)
+    # a search checks the query's agents against its bounds once, and its batches do not check them again
+    for find in (search.find_model, search.find_countermodel):
+        with pytest.raises(ValueError, match="query mentions agent '2' outside the search bounds"):
+            find(f, SearchBounds(2, ("1",), ("p",)))
 
 
 # ---------------------------------------------------------------------------

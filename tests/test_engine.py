@@ -18,9 +18,10 @@ import tracemalloc
 import pytest
 
 import reference_evaluator as ref
-from epiresolve import checker
+from epiresolve import _iso, batch, checker
 from epiresolve.checker import Context, Evaluator, PseudoEvaluator
-from epiresolve.kripke import Model, PreModel, all_groups, as_premodel, is_pseudo, iterated_relation, resolve_pre
+from epiresolve.kripke import (Model, Partition, PreModel, all_groups, as_premodel, common_relation, group_relation,
+                               is_pseudo, iterated_relation, resolve_pre)
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
 from epiresolve.syntax import parse, render
 
@@ -171,7 +172,7 @@ def test_a_whole_set_announcement_opens_no_context(monkeypatch):
     # an announcement true on every live state keeps the (map, alive) pair, so its body is the root's
     m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]]}, {"p": ["a", "b"]})
     calls = []
-    monkeypatch.setattr(checker._Sets, "restrict", staticmethod(lambda rel, alive: calls.append(alive) or rel))
+    monkeypatch.setattr(checker._Sets, "restrict", lambda self, rel, name, alive: calls.append(alive) or rel)
     f = parse("[p | ~p] (K1 p & K2 p & D{1,2} p)")
     ev = Evaluator(m)
     assert ev.extension(f) == ref.Evaluator(m).extension(f)
@@ -189,6 +190,93 @@ def test_equal_contexts_reached_by_different_prefixes_are_one():
     ((models, root),) = packed_batches(2, rows, ("1", "2"), ("p",))
     assert per_model(models, root.extension(f)) == [ref.Evaluator(m).extension(f) for m in models]
     assert len(contexts_on(root.alg)) == 2
+
+
+THREE = Model.make(["a", "b", "c", "d"], {"1": [["a", "b"], ["c", "d"]], "2": [["a", "b", "c"]], "3": [["a", "d"]]},
+                   {"p": ["a", "b"], "q": ["c"]})
+THREE_ROWS = [(1, 4, 0, 3), (4, 2, 3, 5), (0, 0, 4, 6)]  # three states, agents 1-3, atom p
+
+
+@pytest.mark.parametrize("text", ["K1 (p | ~p)", "D{1,2} false", "C{1,2} (p | ~p)", "[p] K3 p", "[q] C{2,3} ~q"])
+def test_an_empty_or_full_body_reads_no_relation(monkeypatch, text):
+    # every relation is reflexive, so a box keeps an empty body and a full one; inside an announcement,
+    # full is every live state
+    def never(*args):
+        raise AssertionError("a relation was read")
+
+    f = parse(text)
+    want = ref.Evaluator(THREE).extension(f)
+    ((models, root),) = packed_batches(3, THREE_ROWS, ("1", "2", "3"), ("p",))
+    batch_want = [ref.Evaluator(m).extension(f) for m in models] if "q" not in text else None
+    for target, name in [(checker.Context, "_rel"), (checker._Sets, "meet"), (checker._Sets, "common"),
+                         (checker._Sets, "restrict"), (_iso._Batch, "agent")]:
+        monkeypatch.setattr(target, name, never)
+    assert Evaluator(THREE).extension(f) == want
+    if batch_want is not None:
+        assert per_model(models, root.extension(f)) == batch_want
+
+
+def test_a_group_meet_is_built_on_the_stored_meet_of_its_prefix(monkeypatch):
+    # D{1,2} meets 1 with 2, D{1,2,3} the stored {1,2} with 3, and D{1,3} 1 with 3: one two-way meet each
+    f, g = parse("D{1,2} ~p & D{1,2,3} ~p & D{1,3} ~p"), parse("D{1,2,3} ~p")
+    want = {h: ref.Evaluator(THREE).extension(h) for h in (f, g)}
+    for algebra in (checker._Sets, batch._Masks):
+        monkeypatch.setattr(algebra, "meet", staticmethod(lambda a, b, meet=algebra.meet: calls.append(a) or meet(a, b)))
+    calls = []
+    assert Evaluator(THREE).extension(f) == want[f]
+    assert calls == [THREE.relations["1"], group_relation(THREE, "1,2"), THREE.relations["1"]]
+    calls = []
+    assert Evaluator(THREE).extension(g) == want[g]
+    assert calls == [THREE.relations["1"], group_relation(THREE, "1,2")]  # the prefix {1,2} first, and kept
+    calls = []
+    ((models, root),) = packed_batches(3, THREE_ROWS, ("1", "2", "3"), ("p",))
+    assert per_model(models, root.extension(f)) == [ref.Evaluator(m).extension(f) for m in models]
+    assert len(calls) == 3
+
+
+def test_a_premodel_reads_its_stored_groups_and_never_meets(monkeypatch):
+    # a free pre-model's stored groups are not their members' meets: reading one as a meet would show
+    def never(*args):
+        raise AssertionError("a pre-model met two relations")
+
+    monkeypatch.setattr(checker._Sets, "meet", never)
+    rng = random.Random(36)
+    texts = ["D{1,2} p & D{1,2,3} p", "R{1,2} K1 p", "R{1} R{2,3} D{1,2} p", "R{1,3} C{1,2} ~p", "D{2,3} ~D{1,3} p"]
+    premodels = [pre for pre in (free_premodel(rng) for _ in range(200)) if len(pre.agents) == 3]
+    assert len(premodels) > 50
+    assert_matches(PseudoEvaluator, ref.PseudoEvaluator, premodels, [parse(text) for text in texts])
+
+
+def test_restricted_copies_are_shared_by_the_contexts_of_one_announcement(monkeypatch):
+    # the announcement's context and the R{1,2} context under it both read agent 3 inside {a, b, c}, whose
+    # copy is restricted once; the bodies are neither empty nor every live state, so each box reads one
+    f = parse("[p | q] (K3 p & R{1,2} K3 p)")
+    want, calls, restrict = ref.Evaluator(THREE).extension(f), [], Partition.restrict
+    monkeypatch.setattr(Partition, "restrict", lambda rel, keep: calls.append(rel) or restrict(rel, keep))
+    assert Evaluator(THREE).extension(f) == want
+    assert calls == [THREE.relations["3"], group_relation(THREE, "1,2")]
+
+
+def random_model(rng, n):
+    """A 3-agent model built as the benchmark's model files are: each agent puts each state into one of
+    n // 4 buckets, so that the three agents' join is one block."""
+    states = [f"w{k}" for k in range(n)]
+    relations = {}
+    for a in ("1", "2", "3"):
+        buckets = {}
+        for s in states:
+            buckets.setdefault(rng.randrange(n // 4), []).append(s)
+        relations[a] = list(buckets.values())
+    return Model.make(states, relations, {atom: [s for s in states if rng.random() < 0.5] for atom in ("p", "q")})
+
+
+def test_large_models_with_one_block_joins_match_reference():
+    rng = random.Random(37)
+    models = [random_model(rng, n) for n in (50, 80, 120, 200)]
+    assert all(len(common_relation(m, "1,2,3").blocks) == 1 for m in models)
+    gen = FormulaGen(["1", "2", "3"], ["p", "q"], seed=37, depth=4, allow_ann=True)
+    fs = [gen.formula() for _ in range(40)] + [parse(text) for text in HANDPICKED_3]
+    assert_matches(Evaluator, ref.Evaluator, models, fs)
 
 
 @pytest.mark.parametrize("text", ["R{1} K2 p", "R{1} D{1,2} p", "R{1} C{2} p", "R{1} R{2} p",

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from itertools import permutations
 
 import pytest
 
@@ -253,6 +254,26 @@ def reference_join(parts):
     return Partition(frozenset(map(frozenset, classes.values())))
 
 
+def union_find_join(parts):
+    """The closure of the union by union-find over the states: each block links its states to one root."""
+    parent = {s: s for p in parts for b in p.blocks for s in b}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    for p in parts:
+        for b in p.blocks:
+            root = find(min(b))
+            for s in b:
+                parent[find(s)] = root
+    classes = {}
+    for s in parent:
+        classes.setdefault(find(s), set()).add(s)
+    return Partition(frozenset(map(frozenset, classes.values())))
+
+
 def random_partition(rng, states):
     count = rng.randint(1, len(states))
     buckets = {}
@@ -301,6 +322,30 @@ class TestRelationAlgebraReference:
             assert left.meet(right).universe == left.universe & right.universe
             assert Partition.join_all([left, right]) == reference_join([left, right])
             assert Partition.join_all([left, right]).universe == left.universe | right.universe
+
+    def test_join_all_matches_union_find(self):
+        # an early exit that fires before the one component covers every state, or that takes a block
+        # for the whole join, splits or drops states; this oracle shares no code with join_all
+        rng = random.Random(71)
+        states = [f"w{k}" for k in range(12)]
+        one, discrete = Partition.of([states]), Partition.discrete(states)
+        links = Partition.of([states[k:k + 2] for k in range(0, 12, 2)])
+        shifted = Partition.of([states[k:k + 2] for k in range(1, 11, 2)])  # with links: a chain, whole at the end
+        nearly = Partition.of([states[k:k + 2] for k in range(1, 9, 2)])  # with links: w10, w11 stay apart
+        randoms = [random_partition(rng, states) for _ in range(4)]
+        for parts in [[one], [discrete], [one, discrete], [discrete, one], [links, shifted], [links, nearly],
+                      [discrete, links, shifted], [discrete, links, nearly, discrete], randoms[:3], randoms]:
+            for order in set(permutations(range(len(parts)))):
+                ordered = [parts[k] for k in order]
+                assert Partition.join_all(ordered) == union_find_join(ordered)
+                for keep in (frozenset(states[3:]), frozenset(states[::2]), frozenset(rng.sample(states, 7))):
+                    cut = [part.restrict(keep) for part in ordered]
+                    assert Partition.join_all(cut) == union_find_join(cut)
+                    uneven = [part.restrict(rng.choice([keep, frozenset(states) - keep])) for part in ordered]
+                    assert Partition.join_all(uneven) == union_find_join(uneven)
+        # each part covers as many states as the first component, but not the same ones
+        pair = [Partition.of([["a", "b"]]), Partition.of([["b"], ["c"]])]
+        assert Partition.join_all(pair) == union_find_join(pair) == Partition.of([["a", "b"], ["c"]])
 
     def test_lazy_index_keeps_equality_hash_and_pickling(self):
         # _block_index and universe are plain attributes, filled in on first use
