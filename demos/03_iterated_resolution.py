@@ -8,7 +8,7 @@ from epiresolve import (
     fig1,
     group_key,
     iterated_relation,
-    resolve_pre,
+    resolve,
 )
 
 
@@ -28,7 +28,7 @@ show({"1"}, [{"1"}, {"2", "3"}, {"1", "3"}])  # couplings chain through later gr
 m = fig1()
 pre = as_premodel(m)
 for g in [{"1", "2"}]:
-    pre = resolve_pre(pre, g)
+    pre = resolve(pre, g)  # a pre-model's update, since pre is one
 direct = iterated_relation(m, [{"1", "2"}], "1")
 print("\nagent 1 after updating:", pre.relations["1"].sorted_blocks())
 print("computed in place:      ", direct.sorted_blocks())

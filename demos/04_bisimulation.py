@@ -10,8 +10,8 @@ from epiresolve import (
     fig1_core,
     is_pre_bisimulation,
     parse,
-    resolve_pre,
-    satisfies_pseudo,
+    resolve,
+    satisfies,
     trans_bisimilar,
     witness_to_pairs,
 )
@@ -26,12 +26,13 @@ print("witness linking t with its copy:", witness_to_pairs(z))
 
 # The same witness survives a resolution, checked clause by clause.
 print("witness still valid after resolving {1,2}:",
-      is_pre_bisimulation(resolve_pre(pre, {"1", "2"}), resolve_pre(dup, {"1", "2"}), z) == [])
+      is_pre_bisimulation(resolve(pre, {"1", "2"}), resolve(dup, {"1", "2"}), z) == [])
 
-# Bisimilar points agree on everything, resolution operators included.
+# Bisimilar points agree on everything, resolution operators included;
+# satisfies gives pseudo satisfaction on a pre-model.
 f = parse("R{1,2} C{1,2} p", pre.agents)
 print(f"{f} at t / t':",
-      satisfies_pseudo(pre, "t", f), "/", satisfies_pseudo(dup, "t'", f))
+      satisfies(pre, "t", f), "/", satisfies(dup, "t'", f))
 
 # A model embeds into its own pre-model, trans-bisimilarly.
 m = fig1()

@@ -80,10 +80,6 @@ def _agree(a, b, z) -> bool:
     return all((x in va) == (y in vb) for va, vb in sides for x, y in z)
 
 
-def _as_pre(m: Union[Model, PreModel]) -> PreModel:
-    return m if isinstance(m, PreModel) else as_premodel(m)
-
-
 def _refined(a, b, labels: list) -> frozenset:
     """The greatest bisimulation on the labels, zig and zag alike: the cross
     pairs of each block of the coarsest partition of a ⊎ b that refines the
@@ -265,14 +261,14 @@ def bisimilar_pre(a: Union[Model, PreModel], s: str, b: Union[Model, PreModel], 
     """
     if not _atoms_agree(a, s, b, t, "bisimulation"):
         return None
-    a, b = _as_pre(a), _as_pre(b)
+    a, b = as_premodel(a), as_premodel(b)
     z = _refined(a, b, _pre_labels(a, b))
     return z if (s, t) in z else None
 
 
 def is_pre_bisimulation(a: Union[Model, PreModel], b: Union[Model, PreModel], pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed bisimulation; violations as data."""
-    a, b = _as_pre(a), _as_pre(b)
+    a, b = as_premodel(a), as_premodel(b)
     labels = _pre_labels(a, b)
     return _violations(a, b, labels, labels, pairs)
 
@@ -298,7 +294,7 @@ def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
     _genuine(m)
     if not _atoms_agree(m, s, n, t, "trans-bisimulation"):
         return None
-    n = _as_pre(n)
+    n = as_premodel(n)
     z = _refined(m, n, _trans_labels(m, n)[0])
     return z if (s, t) in z else None
 
@@ -306,7 +302,7 @@ def trans_bisimilar(m: Model, s: str, n: Union[Model, PreModel], t: str):
 def is_trans_bisimulation(m: Model, n: Union[Model, PreModel], pairs: Iterable[Pair]) -> list:
     """Clause-by-clause validation of a claimed trans-bisimulation; m must be a genuine model."""
     _genuine(m)
-    n = _as_pre(n)
+    n = as_premodel(n)
     return _violations(m, n, *_trans_labels(m, n), pairs)
 
 
@@ -318,7 +314,7 @@ def duplicate_state(p: Union[Model, PreModel], x: str, new_id: Optional[str] = N
     two states is a bisimulation.  The fresh id defaults to x with primes
     appended until it is unused.
     """
-    p = _as_pre(p)
+    p = as_premodel(p)
     _known(p, x)
     if new_id is None:
         new_id = x + "'"

@@ -15,12 +15,16 @@ or pre-model, or a batch's offset masks.  Every one is reflexive, so a K,
 D or C whose body is empty or all of alive reads none.  The others read
 the root's relation map, the algebra's ``rels``, restricted to alive
 inside an announcement (one model keeps a copy per alive set); C closes
-the agent relations inside alive.  One model's relation map starts with
-its agents' relations, a pre-model's also with its stored group
-relations, and a batch's starts empty.  `Context._root` alone fills it:
+the agent relations inside alive.  `Context._root` alone fills the map:
 with an agent's relation on first use, and with a group's as one meet,
 of the kept relation of the group less its largest member with that
-member's.  A pre-model's root maps each agent to its own id.
+member's.  The structure's kind picks the meaning once, where `_Sets`
+reads it: a model's map starts with its agents' relations, so its D reads
+the members' meet and its R hands that meet to each member; a
+pre-model's also starts with its stored group relations, and its root
+maps each agent to its own id, so its D and R read the stored relations
+and never a meet.  A batch's map starts empty.  `Evaluator` is the one
+entry for both kinds, and it refuses an announcement on a pre-model.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from .kripke import AnyModel, Model, Partition, PreModel, all_groups
-from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children
+from .kripke import AnyModel, Partition, PreModel, all_groups
+from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children, group_key
 
 _SELF = "self"  # what _kids holds for a key that opens the context itself; a link to itself would be a cycle
 
@@ -56,8 +60,10 @@ class _Sets:
     """The single-model algebra: frozensets of states and partitions.
 
     It has no ``agent``: ``rels`` starts with every declared agent's
-    relation, which `Model.make` stores; a raw model lacking one is
-    rejected here, by name.  ``rels`` also keeps each restricted copy.
+    relation, which `Model.make` stores, and for a pre-model also with
+    every group's stored relation, which `PreModel.make` stores; a raw
+    structure lacking one is rejected here, by name.  ``rels`` also keeps
+    each restricted copy.
     """
 
     __slots__ = ("model", "agents", "map", "steps", "full", "rels")
@@ -67,9 +73,17 @@ class _Sets:
 
     def __init__(self, model: AnyModel):
         self.model, self.agents, self.full, self.rels = model, model.agents, model.states, dict(model.relations)
-        if not self.agents <= self.rels.keys():
-            raise ValueError(f"no relation for agent {min(self.agents - self.rels.keys())!r}")
+        lacking = [f"agent {a!r}" for a in sorted(self.agents - self.rels.keys())]
         self.map, self.steps = frozenset((a, frozenset((a,))) for a in model.agents), {}
+        if isinstance(model, PreModel):  # each agent reads its own relation until a resolution names it
+            self.map = frozenset((a, a) for a in model.agents)
+            for g in all_groups(self.agents):  # so D reads the stored relation, and never a meet
+                if g in model.group_relations:
+                    self.rels[g] = model.group_relations[g]
+                else:
+                    lacking.append(f"group {group_key(g)!r}")
+        if lacking:
+            raise ValueError(f"no relation for {lacking[0]}")
 
     def atom(self, name: str) -> frozenset:
         return self.model.valuation.get(name, self.empty)
@@ -198,7 +212,8 @@ class Context:
 
 
 class Evaluator(Context):
-    """Extensions of formulas over one genuine model: the root context of its algebra."""
+    """Extensions of formulas over one model, or pseudo extensions over one pre-model: the root context
+    of its algebra.  An announcement on a pre-model is refused before any part of the formula is evaluated."""
 
     __slots__ = ("model",)
 
@@ -206,43 +221,26 @@ class Evaluator(Context):
         Context.__init__(self, _Sets(model))
         self.model = model
 
-
-class PseudoEvaluator(Evaluator):
-    """Extensions of announcement-free formulas over one pre-model, whose D reads the stored group relations."""
-
-    __slots__ = ()
-
-    def __init__(self, model: PreModel):
-        Evaluator.__init__(self, model)
-        self.map = frozenset((a, a) for a in model.agents)  # its own relation, until a resolution names it
-        for g in all_groups(model.agents):  # PreModel.make stores every group's relation; a raw pre-model
-            self._rels[g] = model.group_relations[g]  # lacking one fails here, and its D never reads a meet
-
     def extension(self, f: Formula):
-        if f._kinds & Ann._kind:  # before any part of f is evaluated
+        if f._kinds & Ann._kind and isinstance(self.model, PreModel):
             raise ValueError("pseudo satisfaction is undefined for announcements")
         return Context.extension(self, f)
 
 
-def evaluator_for(m: AnyModel):
-    return PseudoEvaluator(m) if isinstance(m, PreModel) else Evaluator(m)
-
-
-def satisfies(m: Model, state: str, f: Formula) -> bool:
+def satisfies(m: AnyModel, state: str, f: Formula) -> bool:
+    """Does f hold at state: satisfaction on a model, pseudo satisfaction on a pre-model."""
     if state not in m.states:
         raise ValueError(f"unknown state {state!r}")
     return state in Evaluator(m).extension(f)
 
 
-def satisfies_pseudo(m: PreModel, state: str, f: Formula) -> bool:
-    if state not in m.states:
-        raise ValueError(f"unknown state {state!r}")
-    return state in PseudoEvaluator(m).extension(f)
+# one entry point per operation: a pre-model's kind already picks pseudo satisfaction
+PseudoEvaluator, satisfies_pseudo = Evaluator, satisfies
 
 
 def extension(m: AnyModel, f: Formula) -> frozenset:
     """All states of m where f holds."""
-    return evaluator_for(m).extension(f)
+    return Evaluator(m).extension(f)
 
 
 def equivalent_on(points: Iterable[PointedModel], f: Formula, g: Formula):
@@ -251,8 +249,7 @@ def equivalent_on(points: Iterable[PointedModel], f: Formula, g: Formula):
     for pt in points:
         ev = evaluators.get(id(pt.model))
         if ev is None:
-            ev = evaluator_for(pt.model)
-            evaluators[id(pt.model)] = ev
+            ev = evaluators[id(pt.model)] = Evaluator(pt.model)
         if (pt.state in ev.extension(f)) != (pt.state in ev.extension(g)):
             return pt
     return True

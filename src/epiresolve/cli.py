@@ -15,15 +15,8 @@ import traceback
 from functools import lru_cache
 
 from .bisim import bisimilar_pre, trans_bisimilar, witness_to_pairs
-from .checker import satisfies, satisfies_pseudo
-from .kripke import (
-    PreModel,
-    load_model,
-    model_to_dict,
-    resolve,
-    resolve_pre,
-    save_model,
-)
+from .checker import satisfies
+from .kripke import load_model, model_to_dict, resolve, save_model
 from .search import (
     DEFAULT_RRC_BOUNDS,
     DEFAULT_SCHEMA_BOUNDS,
@@ -51,7 +44,7 @@ def cmd_check(args) -> int:
     if args.state not in m.states:
         raise ValueError(f"unknown state {args.state!r}")
     f = parse(args.formula, agents=m.agents)
-    result = (satisfies_pseudo if isinstance(m, PreModel) else satisfies)(m, args.state, f)
+    result = satisfies(m, args.state, f)
     if args.json:
         print(json.dumps({"state": args.state, "formula": render(f), "result": result}))
     else:
@@ -61,7 +54,7 @@ def cmd_check(args) -> int:
 
 def cmd_resolve(args) -> int:
     m = load_model(args.model)
-    out = (resolve_pre if isinstance(m, PreModel) else resolve)(m, args.group)
+    out = resolve(m, args.group)
     if args.out:
         save_model(out, args.out)
     else:

@@ -295,8 +295,11 @@ def require_agents(m: AnyModel, g: GroupLike) -> Group:
     return g
 
 
-def group_relation(m: Model, g: GroupLike) -> Partition:
-    """Intersection of the members' relations (blockwise common refinement)."""
+def group_relation(m: AnyModel, g: GroupLike) -> Partition:
+    """Intersection of the members' relations (blockwise common refinement).
+
+    By definition it reads agent relations, for a pre-model too, whose
+    stored group relations it never consults."""
     g = require_agents(m, g)
     members = sorted(g)
     out = m.relations[members[0]]
@@ -306,54 +309,57 @@ def group_relation(m: Model, g: GroupLike) -> Partition:
 
 
 def common_relation(m: AnyModel, g: GroupLike) -> Partition:
-    """Transitive closure of the union of the members' (agent) relations."""
+    """Transitive closure of the union of the members' (agent) relations, for either kind of structure."""
     g = require_agents(m, g)
     return Partition.join_all([m.relations[a] for a in sorted(g)])
 
 
-def resolve(m: Model, g: GroupLike) -> Model:
-    """The group-resolved update: members' relations become the intersection."""
-    g = as_group(g)
-    shared = group_relation(m, g)
-    relations = {a: (shared if a in g else p) for a, p in m.relations.items()}
-    return Model(states=m.states, agents=m.agents, relations=relations, valuation=m.valuation)
+def resolve(m: AnyModel, g: GroupLike) -> AnyModel:
+    """The group-resolved update, of the structure's own kind.
 
-
-def resolve_pre(m: PreModel, g: GroupLike) -> PreModel:
-    """The resolved update of a pre-model.
-
-    Members take over the stored group relation; a group relation moves to
-    the one indexed by the union whenever the groups intersect.
+    In a model the members' relations become their intersection.  In a
+    pre-model the members take over the stored group relation, and a group
+    relation moves to the one indexed by the union whenever the groups
+    intersect.
     """
     g = require_agents(m, g)
-    shared = m.group_relations[g]
+    pre = isinstance(m, PreModel)
+    shared = m.group_relations[g] if pre else group_relation(m, g)
     relations = {a: (shared if a in g else p) for a, p in m.relations.items()}
-    group_relations = {
-        h: (m.group_relations[h | g] if h & g else p) for h, p in m.group_relations.items()
-    }
-    return PreModel(states=m.states, agents=m.agents, relations=relations,
-                    valuation=m.valuation, group_relations=group_relations)
+    if not pre:
+        return Model(states=m.states, agents=m.agents, relations=relations, valuation=m.valuation)
+    stored = m.group_relations
+    return PreModel(states=m.states, agents=m.agents, relations=relations, valuation=m.valuation,
+                    group_relations={h: (stored[h | g] if h & g else p) for h, p in stored.items()})
 
 
-def as_premodel(m: Model) -> PreModel:
-    """Embed a model: every group gets the intersection of its members' relations."""
+resolve_pre = resolve  # one update for both kinds: a pre-model's kind already picks its meaning
+
+
+def as_premodel(m: AnyModel) -> PreModel:
+    """Embed a model: every group gets the intersection of its members' relations.
+    A pre-model is returned as it is."""
+    if isinstance(m, PreModel):
+        return m
     group_relations = {g: group_relation(m, g) for g in all_groups(m.agents)}
     return PreModel(states=m.states, agents=m.agents, relations=dict(m.relations),
                     valuation=m.valuation, group_relations=group_relations)
 
 
-def iterated_relation(m: Model, gs: Sequence[GroupLike], target: Union[Agent, GroupLike]) -> Partition:
-    """Relation of the target after a sequence of resolutions, computed in place.
+def iterated_relation(m: AnyModel, gs: Sequence[GroupLike], target: Union[Agent, GroupLike]) -> Partition:
+    """Relation of the target after a sequence of resolutions of a model, computed in place.
 
     No intermediate model is materialized: the sequence only ever selects
-    an intersection of base relations, and delta names which one.
+    an intersection of base relations, and delta names which one.  Like
+    `group_relation` it reads agent relations, for a pre-model too.
     """
     core = frozenset([target]) if isinstance(target, str) else as_group(target)
     return group_relation(m, delta(core, gs))
 
 
-def restrict(m: Model, keep: Iterable[str]) -> Model:
-    """The submodel on a non-empty subset of states (blockwise restriction)."""
+def restrict(m: AnyModel, keep: Iterable[str]) -> AnyModel:
+    """The substructure on a non-empty subset of states, of the structure's own kind (blockwise
+    restriction): a pre-model's group relations are restricted too."""
     keep = frozenset(keep)
     if not keep:
         raise ValueError("cannot restrict a model to an empty state set")
@@ -362,7 +368,10 @@ def restrict(m: Model, keep: Iterable[str]) -> Model:
         raise ValueError(f"cannot restrict to unknown states {sorted(stray)}")
     relations = {a: p.restrict(keep) for a, p in m.relations.items()}
     valuation = {atom: ss & keep for atom, ss in m.valuation.items()}
-    return Model(states=keep, agents=m.agents, relations=relations, valuation=valuation)
+    if not isinstance(m, PreModel):
+        return Model(states=keep, agents=m.agents, relations=relations, valuation=valuation)
+    return PreModel(states=keep, agents=m.agents, relations=relations, valuation=valuation,
+                    group_relations={g: p.restrict(keep) for g, p in m.group_relations.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -59,6 +59,7 @@ from .syntax import (
     Neg,
     Or,
     R,
+    _wrap_resolutions,
     render,
 )
 
@@ -290,11 +291,6 @@ _DRAWS = {
 _DRAWS["a'"] = _DRAWS["b'"] = lambda gen: _DRAWS["t"](gen) if gen.rng.random() < 0.5 else gen.formula()
 
 
-def _resolved(prefix: Sequence[Group], f: Formula) -> Formula:
-    """R_G1 .. R_Gn f."""
-    return reduce(lambda body, g: R(g, body), reversed(prefix), f)
-
-
 # Rows (name, systems, draw spec, template): the template builds a schema's
 # instance from the drawn values, or a rule's as (premises, conclusion)
 _SCHEMATA = (
@@ -326,8 +322,8 @@ _RULES = (
 )
 # checked model-locally, by check_rule_rrc
 _RRC = ("RR_C", "rcd", "a b H G*",
-        lambda phi, psi, h, prefix: ([Implies(phi, And(E(h, phi), _resolved(prefix, psi)))],
-                                     Implies(phi, _resolved(prefix, C(h, psi)))))
+        lambda phi, psi, h, prefix: ([Implies(phi, And(E(h, phi), _wrap_resolutions(prefix, psi)))],
+                                     Implies(phi, _wrap_resolutions(prefix, C(h, psi)))))
 
 
 def _instance(draws: Sequence, template, gen: FormulaGen):

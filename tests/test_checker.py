@@ -258,7 +258,7 @@ def test_a_premodel_without_a_stored_group_relation_is_refused():
     # raw-constructed: PreModel.make stores every group, and D never reads the members' meet instead
     pre = as_premodel(model_list(2, ("1", "2"), ("p",))[7])
     stored = {g: rel for g, rel in pre.group_relations.items() if g != grp("1,2")}
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no relation for group '1,2'"):
         PseudoEvaluator(replace(pre, group_relations=stored))
 
 

@@ -23,9 +23,9 @@ from epiresolve.checker import Context, Evaluator, PseudoEvaluator
 from epiresolve.kripke import (Model, Partition, PreModel, all_groups, as_premodel, common_relation, group_relation,
                                is_pseudo, iterated_relation, resolve_pre)
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
-from epiresolve.syntax import parse, render
+from epiresolve.syntax import TRUE, parse, render
 
-from conftest import model_list
+from conftest import WIDE, free_premodel, model_list
 from test_batch import HANDPICKED, labelled_batches, packed_batches, per_model
 
 # resolutions over overlapping and disjoint groups of three agents, around
@@ -95,22 +95,6 @@ def test_pseudo_models_match_reference():
                    formulas(agents, ["p"], seed=33, count=40, allow_ann=False))
 
 
-def free_premodel(rng):
-    """A pre-model of 1-3 states and agents 1-3 whose every relation is drawn on its own: a stored group
-    relation, a singleton's included, need not be its members' meet nor refine a smaller group's."""
-    states = ["a", "b", "c"][:rng.randint(1, 3)]
-    agents = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
-
-    def partition():
-        blocks = {}
-        for s in states:
-            blocks.setdefault(rng.randrange(len(states)), []).append(s)
-        return list(blocks.values())
-
-    return PreModel.make(states, {a: partition() for a in agents}, {g: partition() for g in all_groups(agents)},
-                         {"p": [s for s in states if rng.random() < 0.5]})
-
-
 def test_free_premodels_match_reference():
     rng = random.Random(34)
     premodels = [free_premodel(rng) for _ in range(150)]
@@ -119,6 +103,44 @@ def test_free_premodels_match_reference():
     fs = {k: [gen.formula() for _ in range(60)] for k, gen in gens.items()}
     for pre in premodels:
         assert_matches(PseudoEvaluator, ref.PseudoEvaluator, [pre], fs[len(pre.agents)])
+
+
+# every public way to evaluate a formula, as the set of states where it holds
+ENTRY_POINTS = {
+    "satisfies": lambda m, f: frozenset(s for s in m.states if checker.satisfies(m, s, f)),
+    "satisfies_pseudo": lambda m, f: frozenset(s for s in m.states if checker.satisfies_pseudo(m, s, f)),
+    "extension": checker.extension,
+    "Evaluator": lambda m, f: Evaluator(m).extension(f),
+    "PseudoEvaluator": lambda m, f: PseudoEvaluator(m).extension(f),
+    "equivalent_on": lambda m, f: frozenset(pt.state for pt in checker.points_of(m)
+                                            if checker.equivalent_on([pt], f, TRUE) is True),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_gives_a_premodel_pseudo_satisfaction(entry):
+    # the structure's kind picks the meaning: on a free pre-model, on CI's wide.json and on pseudo-models
+    # that are no embedding, each entry point reads the stored group relations, as the reference does
+    rng = random.Random(38)
+    free = [pre for pre in (free_premodel(rng) for _ in range(90)) if len(pre.agents) == 2 and not is_pseudo(pre)]
+    pseudo = [pre for pre in enumerate_pseudo_models(3, ("1", "2"), ["p"])  # their stored 1,2 is finer than the meet
+              if pre.group_relations[frozenset({"1", "2"})] != group_relation(pre, "1,2")][::10]
+    assert len(free) > 10 and len(pseudo) > 10
+    fs = formulas(("1", "2"), ("p",), seed=38, count=20, allow_ann=False) + [parse("D{1,2} p"), parse("R{1,2} K1 p")]
+    evaluate = ENTRY_POINTS[entry]
+    for pre in [WIDE] + free + pseudo:
+        want = ref.PseudoEvaluator(pre)
+        for f in fs:
+            assert evaluate(pre, f) == want.extension(f), (render(f), pre)
+    assert evaluate(WIDE, parse("D{1,2} p")) == evaluate(WIDE, parse("R{1,2} K1 p")) == frozenset()
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_gives_a_model_satisfaction(entry, FIG1):
+    fs = formulas(("1", "2"), ("p",), seed=39, count=20)
+    evaluate, want = ENTRY_POINTS[entry], ref.Evaluator(FIG1)
+    for f in fs:
+        assert evaluate(FIG1, f) == want.extension(f), render(f)
 
 
 def test_agent_named_by_its_own_resolution_reads_the_group_relation():
@@ -297,5 +319,6 @@ def test_undeclared_agent_in_child_contexts(text):
 @pytest.mark.parametrize("text", ["[K9 p] p", "[C{1,9} p] p", "R{1} [p] p", "~(p & [p] p)"])
 def test_premodel_rejects_announcements_before_their_antecedent(text):
     pre = as_premodel(Model.make(["a", "b"], {"1": [["a", "b"]]}, {"p": ["a"]}))
-    with pytest.raises(ValueError, match="pseudo satisfaction is undefined for announcements"):
-        PseudoEvaluator(pre).extension(parse(text))
+    for engine in (Evaluator, PseudoEvaluator):
+        with pytest.raises(ValueError, match="pseudo satisfaction is undefined for announcements"):
+            engine(pre).extension(parse(text))

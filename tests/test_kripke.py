@@ -26,9 +26,10 @@ from epiresolve.kripke import (
     validate,
 )
 from epiresolve.checker import satisfies
+from epiresolve.search import enumerate_pseudo_models
 from epiresolve.syntax import as_group, delta, parse
 
-from conftest import model_list
+from conftest import WIDE, free_premodel, model_list
 
 
 def grp(csv):
@@ -423,6 +424,19 @@ class TestResolvePre:
             for g in all_groups(m.agents):
                 assert as_premodel(resolve(m, g)) == resolve_pre(as_premodel(m), g)
 
+    def test_one_update_for_both_kinds(self, FIG1):
+        # the structure's kind picks the update: a pre-model stays one, reading its stored group relations
+        rng = random.Random(40)
+        pseudo = list(enumerate_pseudo_models(2, ("1", "2"), ["p"]))
+        for pre in [WIDE] + [free_premodel(rng) for _ in range(30)] + pseudo:
+            for g in all_groups(pre.agents):
+                out = resolve(pre, g)
+                assert type(out) is PreModel and out == resolve_pre(pre, g)
+                assert all(out.relations[a] == pre.group_relations[g] for a in g)
+        assert resolve(WIDE, "1,2").relations["1"].sorted_blocks() == [["s", "t"]]
+        for g in all_groups(FIG1.agents):
+            assert resolve_pre(FIG1, g) == resolve(FIG1, g)
+
     def test_update_preserves_pseudo_validation(self):
         for m in model_list(3, ("1", "2"), ()):
             pre = as_premodel(m)
@@ -438,6 +452,11 @@ class TestAsPremodel:
     def test_is_pseudo_for_enumerated_models(self):
         for m in model_list(3, ("1", "2"), ()):
             assert validate(as_premodel(m)) == []
+
+    def test_a_premodel_is_returned_as_it_is(self):
+        rng = random.Random(41)
+        for pre in [WIDE] + [free_premodel(rng) for _ in range(10)]:
+            assert as_premodel(pre) is pre
 
     def test_singleton_entries_match_agent_relations(self, FIG1):
         pre = as_premodel(FIG1)
@@ -509,6 +528,18 @@ class TestRestrict:
         sub = restrict(FIG1, {"s"})
         assert blocks(sub.relations["1"]) == [["s"]]
         assert sub.valuation["p"] == frozenset()
+
+    def test_a_premodel_keeps_its_kind_and_group_relations(self, FIG1):
+        keep = {"t", "v"}
+        assert restrict(as_premodel(FIG1), keep) == as_premodel(restrict(FIG1, keep))
+        rng = random.Random(42)
+        for pre in [WIDE] + [free_premodel(rng) for _ in range(30)]:
+            keep = sorted(pre.states)[:2]
+            sub = restrict(pre, keep)
+            assert type(sub) is PreModel
+            assert sub.group_relations == {g: rel.restrict(frozenset(keep)) for g, rel in pre.group_relations.items()}
+            assert is_pseudo(sub) or not is_pseudo(pre)  # restriction keeps a pseudo-model pseudo
+        assert restrict(WIDE, {"s"}).group_relations[grp("1,2")].sorted_blocks() == [["s"]]
 
     def test_empty_keep_rejected(self, FIG1):
         with pytest.raises(ValueError, match="empty"):
