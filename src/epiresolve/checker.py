@@ -25,6 +25,12 @@ pre-model's also starts with its stored group relations, and its root
 maps each agent to its own id, so its D and R read the stored relations
 and never a meet.  A batch's map starts empty.  `Evaluator` is the one
 entry for both kinds, and it refuses an announcement on a pre-model.
+
+`satisfies` decides f's boolean spine (the ~, &, atoms, true and false
+above its other nodes) at its one state, in one loop: ~ flips a bit, and
+each other node is one extension on the same evaluator (local model
+checking, Stirling & Walker 1991).  An & decides first a conjunct with no
+modal node, else its left one, and skips the other once that one is false.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from typing import Iterable
 from .kripke import AnyModel, Partition, PreModel, all_groups
 from .syntax import And, Ann, Atom, Bot, C, D, Formula, K, Neg, R, Top, _postorder, children, group_key
 
+_MODAL = K._kind | D._kind | C._kind | R._kind | Ann._kind  # the nodes that read other states
 _SELF = "self"  # what _kids holds for a key that opens the context itself; a link to itself would be a cycle
 
 
@@ -163,14 +170,19 @@ class Context:
         self._kids[key] = map
         return map
 
+    def refuse(self, f: Formula) -> None:
+        """Raise ValueError when f names an agent the algebra lacks."""
+        if not f._agents <= self.alg.agents:
+            raise ValueError(f"undeclared agent {min(f._agents - self.alg.agents)!r}")
+
     def extension(self, f: Formula, checked: bool = False):
         """The states where f holds.  Each context runs its part of f by its plan; an R or announcement
         node whose body the child context lacks waits on a stack of frames until the body's plan has run there."""
         out = self._ext.get(f)
         if out is not None:
             return out
-        if not (checked or f._agents <= self.alg.agents):  # checked: the caller has checked f's agents
-            raise ValueError(f"undeclared agent {min(f._agents - self.alg.agents)!r}")
+        if not checked:  # checked: the caller has refused f already
+            self.refuse(f)
         frames, ctx, plan, start, table = [], self, _plan(f), 0, self._kids
         while True:
             ext, alive, alg = ctx._ext, ctx.alive, ctx.alg
@@ -221,17 +233,38 @@ class Evaluator(Context):
         Context.__init__(self, _Sets(model))
         self.model = model
 
-    def extension(self, f: Formula):
+    def refuse(self, f: Formula) -> None:
         if f._kinds & Ann._kind and isinstance(self.model, PreModel):
             raise ValueError("pseudo satisfaction is undefined for announcements")
-        return Context.extension(self, f)
+        Context.refuse(self, f)
 
 
 def satisfies(m: AnyModel, state: str, f: Formula) -> bool:
-    """Does f hold at state: satisfaction on a model, pseudo satisfaction on a pre-model."""
+    """Does f hold at state: satisfaction on a model, pseudo satisfaction on a pre-model.  f's boolean spine
+    is decided at state alone; every refusal comes first, so a conjunct left unevaluated hides none."""
     if state not in m.states:
         raise ValueError(f"unknown state {state!r}")
-    return state in Evaluator(m).extension(f)
+    ev = Evaluator(m)
+    ev.refuse(f)
+    later, flip = [], False  # later: (the conjunct to decide once its sibling holds, the & node's flip)
+    while True:
+        cls = type(f)
+        if cls is Neg:
+            f, flip = f.body, not flip
+        elif cls is And:  # a conjunct with no modal node first, else the left one
+            swap = f.left._kinds & _MODAL and not f.right._kinds & _MODAL
+            later.append((f.left if swap else f.right, flip))
+            f, flip = f.right if swap else f.left, False
+        else:
+            value = flip ^ (state in ev.alg.atom(f.name) if cls is Atom else
+                            cls is Top or cls is not Bot and state in Context.extension(ev, f, True))
+            while later:  # an & whose first conjunct is false is false, so its parent's decides next
+                f, flip = later.pop()
+                if value:
+                    break
+                value = flip
+            else:
+                return value
 
 
 # one entry point per operation: a pre-model's kind already picks pseudo satisfaction

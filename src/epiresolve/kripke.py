@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import Agent, Group, GroupLike, as_group, delta, group_key
@@ -414,7 +414,10 @@ def _ids(value, what: str) -> list:
 
 
 def _blocks(value, what: str) -> list:
+    """A relation's blocks with ids read as text; blocks of strings alone pass as frozensets, unconverted."""
     blocks = _typed(value, list, what)
+    if set(map(type, blocks)) <= {list} and set(map(type, chain.from_iterable(blocks))) <= {str}:
+        return list(map(frozenset, blocks))  # one pass over the blocks and one over their ids
     for block in blocks:
         if not isinstance(block, list):
             raise ValueError(f"{what}: block must be a JSON array")

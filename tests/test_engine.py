@@ -8,7 +8,10 @@ the alive set.  They must agree on every extension: for
 every model up to 3 states x 2 agents x 2 atoms, 4 x 2 x 1 and 3 x 3 x 1,
 and for `PseudoEvaluator` on those models' embeddings resolved by every
 group, on a sample of the 3-state, 3-agent pseudo-models and on pre-models
-whose stored group relations are drawn freely.
+whose stored group relations are drawn freely.  `satisfies`, which decides
+a formula's negations and conjunctions at its one state, must agree with
+them at every state of those models and of pre-models, and must refuse
+what `extension` refuses even in a conjunct it leaves unevaluated.
 """
 
 import gc
@@ -23,7 +26,7 @@ from epiresolve.checker import Context, Evaluator, PseudoEvaluator
 from epiresolve.kripke import (Model, Partition, PreModel, all_groups, as_premodel, common_relation, group_relation,
                                is_pseudo, iterated_relation, resolve_pre)
 from epiresolve.search import FormulaGen, enumerate_pseudo_models
-from epiresolve.syntax import TRUE, parse, render
+from epiresolve.syntax import TRUE, And, Neg, parse, render
 
 from conftest import WIDE, free_premodel, model_list
 from test_batch import HANDPICKED, labelled_batches, packed_batches, per_model
@@ -322,3 +325,96 @@ def test_premodel_rejects_announcements_before_their_antecedent(text):
     for engine in (Evaluator, PseudoEvaluator):
         with pytest.raises(ValueError, match="pseudo satisfaction is undefined for announcements"):
             engine(pre).extension(parse(text))
+
+
+# `satisfies` decides the boolean spine at its state and evaluates each other node as an extension;
+# these put a modal conjunct on either side, under negations
+SPINES = ["p & K1 p", "K1 p & p", "~(~p & ~R{1,2} K2 p)", "~~(K2 ~p & (p & C{1,2} p))", "D{1,2} p & [p] K1 p"]
+
+
+def spine_formulas(fs, seed, count):
+    """Negations and conjunctions of fs, nested up to three deep, with modal conjuncts on either side."""
+    rng = random.Random(seed)
+
+    def grow(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(fs)
+        op = rng.randrange(3)
+        return Neg(grow(depth - 1)) if op == 0 else And(grow(depth - 1), grow(depth - 1))
+
+    return [grow(3) for _ in range(count)]
+
+
+def assert_pointed_matches(reference, models, fs):
+    for m in models:
+        want = reference(m)
+        for f in fs:
+            ext = want.extension(f)
+            assert checker.extension(m, f) == ext, (render(f), m)
+            for s in m.states:
+                assert checker.satisfies(m, s, f) == (s in ext), (render(f), s, m)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=lambda b: f"{b[0]}x{len(b[1])}x{len(b[2])}")
+def test_satisfies_matches_extension_and_reference_at_every_state(bounds):
+    base = formulas(bounds[1], bounds[2], seed=40, count=30)
+    fs = spine_formulas(base, seed=40, count=6) + [parse(text, bounds[1]) for text in SPINES]
+    assert_pointed_matches(ref.Evaluator, model_list(*bounds), fs)
+
+
+def test_satisfies_matches_reference_on_premodels():
+    rng = random.Random(41)
+    free = [free_premodel(rng) for _ in range(120)]
+    pseudo = list(enumerate_pseudo_models(3, ("1", "2"), ["p"]))[::7]
+    fs = {k: spine_formulas([FormulaGen([str(i) for i in range(1, k + 1)], ["p"], seed=41, depth=3).formula()
+                             for _ in range(30)], seed=41, count=25) for k in (1, 2, 3)}
+    for pre in free + pseudo:
+        assert_pointed_matches(ref.PseudoEvaluator, [pre], fs[len(pre.agents)])
+
+
+@pytest.mark.parametrize("text", ["false & K9 p", "K9 p & false", "p & K9 p", "~(false & ~R{1,9} p)"])
+def test_satisfies_refuses_an_undeclared_agent_in_a_skipped_conjunct(text, FIG1):
+    f = parse(text)  # at t, p holds; at s it does not, so p & K9 p is decided by p there
+    for state in ("s", "t"):
+        with pytest.raises(ValueError, match="undeclared agent '9'"):
+            checker.satisfies(FIG1, state, f)
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        checker.satisfies(FIG1, "zz", f)
+
+
+@pytest.mark.parametrize("text", ["false & [p] p", "[p] p & false", "~(false & ~[p] p)"])
+def test_satisfies_refuses_an_announcement_on_a_premodel_in_a_skipped_conjunct(text):
+    for state in ("s", "t"):
+        with pytest.raises(ValueError, match="pseudo satisfaction is undefined for announcements"):
+            checker.satisfies(WIDE, state, parse(text))
+    with pytest.raises(ValueError, match="unknown state 'zz'"):
+        checker.satisfies(WIDE, "zz", parse(text))
+
+
+def test_satisfies_decides_deep_spines(FIG1):
+    p, k = parse("p"), parse("K1 p")
+    negations, left, right = p, p, k
+    for _ in range(100_000):
+        negations, left, right = Neg(negations), And(left, p), And(p, right)
+    want = ref.Evaluator(FIG1)
+    for f, ext in [(negations, want.extension(p)), (left, want.extension(p)),
+                   (right, want.extension(p) & want.extension(k))]:
+        for s in FIG1.states:
+            assert checker.satisfies(FIG1, s, f) == (s in ext)
+
+
+def test_a_conjunct_false_at_the_state_spares_its_modal_sibling(monkeypatch):
+    # p holds at a only, and q at b and c; 1 links a and b, 2 links b and c, so C{1,2} reads a one-block join
+    m = Model.make(["a", "b", "c"], {"1": [["a", "b"], ["c"]], "2": [["a"], ["b", "c"]]},
+                   {"p": ["a"], "q": ["b", "c"]})
+    joins = []
+    join_all = Partition.join_all
+    monkeypatch.setattr(checker._Sets, "common", staticmethod(lambda parts: joins.append(1) or join_all(parts)))
+    for text in ["p & C{1,2} q", "C{1,2} q & p"]:
+        f = parse(text)
+        for s in ("b", "c"):  # p fails: whichever side is written first, p is decided first
+            assert not checker.satisfies(m, s, f)
+        assert joins == [], text
+        assert not checker.satisfies(m, "a", f)  # p holds, so the sibling is read, and joins once
+        assert len(joins) == 1, text
+        joins.clear()

@@ -658,6 +658,19 @@ class TestJson:
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("blocks_, message", [
+        ([["s", ["t"]], "u"], "agent 1: block ['s', ['t']] is not a collection of states"),
+        (["u", ["s", ["t"]]], "agent 1: block must be a JSON array"),
+        ([["s"], ["t", 1.5], "u"], "agent 1: block must be a JSON array"),
+        ([["s"], ["t", 1.5], [None]], "agent 1: block [None] is not a collection of states"),
+        ([{"s": 1}], "agent 1: block must be a JSON array"),
+    ])
+    def test_the_first_bad_block_is_named(self, blocks_, message):
+        # the blocks' and ids' types are read in one pass each; a defect still names the first bad block
+        data = {"agents": ["1"], "states": ["s", "t", "u"], "relations": {"1": blocks_}}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_dict(data)
+
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="missing the 'states' field"):
             model_from_dict({"agents": ["1"], "relations": {}})
